@@ -21,6 +21,7 @@ Two evaluation paths are provided:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +36,6 @@ from repro.attacks.injection import (
     corrupted_state_dict,
 )
 from repro.datasets.base import DataLoader, Dataset
-from repro.nn.backend import use_backend
 from repro.nn.ensemble import stacked_state
 from repro.nn.module import Module
 from repro.nn.training import evaluate_accuracy
@@ -61,7 +61,9 @@ class AttackedInferenceEngine:
     Parameters
     ----------
     model:
-        Trained CNN (its conv/fc weights are mapped onto the MR banks).
+        Trained CNN (its conv/fc weights are mapped onto the MR banks).  The
+        engine evaluates its own copy, so the caller's model is never
+        modified.
     config:
         Accelerator configuration.
     quantize_weights:
@@ -78,11 +80,6 @@ class AttackedInferenceEngine:
         Approximate memory budget [MiB] for one scenario chunk (stacked
         weights plus stacked activations); only used when ``scenario_chunk``
         is ``None``.
-    backend, threads:
-        Compute backend (:mod:`repro.nn.backend`) the engine's evaluation
-        kernels dispatch to, and its thread count.  ``None`` (default)
-        inherits the ambient selection (``REPRO_NN_BACKEND`` /
-        ``REPRO_NN_THREADS`` or ``reference``).
 
     The engine snapshots the clean (quantized) state dict once at
     construction; attacked runs corrupt and restore from that snapshot
@@ -97,26 +94,22 @@ class AttackedInferenceEngine:
         batch_size: int = 64,
         scenario_chunk: int | None = None,
         memory_budget_mb: int = 512,
-        backend: str | None = None,
-        threads: int | None = None,
     ):
-        self.model = model
+        self.model = copy.deepcopy(model)
         self.config = config or AcceleratorConfig.scaled_config()
         self.quantize_weights = quantize_weights
         self.batch_size = batch_size
         self.scenario_chunk = scenario_chunk
         self.memory_budget_mb = memory_budget_mb
-        self.backend = backend or None
-        self.threads = int(threads or 0) or None
         if quantize_weights:
             self._quantize_mapped_weights()
         # Build the mapping after quantization so normalization scales match
         # the weights actually imprinted on the MRs.
-        self.mapping = WeightMapping(model, self.config)
-        self._clean_state = model.state_dict()
+        self.mapping = WeightMapping(self.model, self.config)
+        self._clean_state = self.model.state_dict()
 
     def _quantize_mapped_weights(self) -> None:
-        """Quantize conv/fc weights in place to the DAC resolution."""
+        """Quantize the engine's conv/fc weights to the DAC resolution."""
         levels = 2**self.config.dac_bits - 1
         for param in self.model.parameters():
             if param.kind not in ("conv", "fc"):
@@ -127,15 +120,10 @@ class AttackedInferenceEngine:
             normalized = param.data / scale
             param.data = (np.round(normalized * levels) / levels * scale).astype(np.float32)
 
-    def _backend_context(self):
-        """Context applying the engine's compute-backend selection."""
-        return use_backend(self.backend, self.threads)
-
     # ------------------------------------------------------------------ runs
     def clean_accuracy(self, dataset: Dataset) -> float:
         """Accuracy of the mapped (quantized) model without any attack."""
-        with self._backend_context():
-            return evaluate_accuracy(self.model, dataset, batch_size=self.batch_size)
+        return evaluate_accuracy(self.model, dataset, batch_size=self.batch_size)
 
     def accuracy_under_attack(self, dataset: Dataset, outcome: AttackOutcome) -> float:
         """Accuracy with the attack outcome injected into the mapped weights.
@@ -144,7 +132,7 @@ class AttackedInferenceEngine:
         :meth:`accuracy_under_attacks` to evaluate many scenarios in stacked
         forward passes.
         """
-        with self._backend_context(), attack_context(
+        with attack_context(
             self.model, self.mapping, outcome, clean_state=self._clean_state
         ):
             return evaluate_accuracy(self.model, dataset, batch_size=self.batch_size)
@@ -180,27 +168,26 @@ class AttackedInferenceEngine:
         groups: dict[frozenset, list[int]] = {}
         for index, outcome in enumerate(outcomes):
             groups.setdefault(frozenset(self._touched_blocks(outcome)), []).append(index)
-        with self._backend_context():
-            for touched, indices in groups.items():
-                chunk = (
-                    scenario_chunk
-                    or self.scenario_chunk
-                    or self._auto_scenario_chunk(dataset, conv_diverged="conv" in touched)
-                )
-                for start in range(0, len(indices), chunk):
-                    piece_indices = indices[start : start + chunk]
-                    piece = [outcomes[i] for i in piece_indices]
-                    correct = np.zeros(len(piece), dtype=np.int64)
-                    total = 0
-                    with stacked_state(self.model, self._stacked_state_for(piece)):
-                        for images, labels in loader:
-                            logits = self.model(images)
-                            if logits.ndim == 2:  # no mapped parameters at all
-                                logits = logits[None]
-                            hits = np.argmax(logits, axis=-1) == labels[None, :]
-                            correct = correct + hits.sum(axis=1)
-                            total += labels.shape[0]
-                    accuracies[piece_indices] = correct / total if total else float("nan")
+        for touched, indices in groups.items():
+            chunk = (
+                scenario_chunk
+                or self.scenario_chunk
+                or self._auto_scenario_chunk(dataset, conv_diverged="conv" in touched)
+            )
+            for start in range(0, len(indices), chunk):
+                piece_indices = indices[start : start + chunk]
+                piece = [outcomes[i] for i in piece_indices]
+                correct = np.zeros(len(piece), dtype=np.int64)
+                total = 0
+                with stacked_state(self.model, self._stacked_state_for(piece)):
+                    for images, labels in loader:
+                        logits = self.model(images)
+                        if logits.ndim == 2:  # no mapped parameters at all
+                            logits = logits[None]
+                        hits = np.argmax(logits, axis=-1) == labels[None, :]
+                        correct = correct + hits.sum(axis=1)
+                        total += labels.shape[0]
+                accuracies[piece_indices] = correct / total if total else float("nan")
         return accuracies
 
     def corrupted_weights(self, outcome: AttackOutcome) -> dict[str, np.ndarray]:

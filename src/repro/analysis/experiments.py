@@ -19,7 +19,6 @@ cache of trained workloads so a worker in a process pool trains each
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -108,7 +107,8 @@ class ExperimentDescriptor:
 #: workload once and reuses it for every grid point it executes.
 _FIG7_WORKLOADS: dict[tuple, tuple] = {}
 
-#: Per-process cache of dataset splits / trained variants for ``fig8_variant``.
+#: Per-process cache of dataset splits / trained variants, filled by
+#: :func:`_trained_variant` for ``fig8_variant`` and ``fig7_candidate``.
 _FIG8_SPLITS: dict[tuple, object] = {}
 _FIG8_VARIANTS: dict[tuple, object] = {}
 
@@ -140,6 +140,55 @@ def _prepared_fig7_workload(model: str, seed: int, quantize_weights: bool):
     return _FIG7_WORKLOADS[key]
 
 
+def _trained_variant(model: str, variant: str, seed: int, checkpoint_cache: bool):
+    """Return ``(split, trained)`` for one mitigation variant of a workload.
+
+    The variant is trained (or, with ``checkpoint_cache``, loaded from the
+    addresses :class:`MitigationStudy` uses) once per process.
+    """
+    from repro.analysis.mitigation_analysis import (
+        _WORKLOAD_DEFAULTS,
+        MitigationAnalysisConfig,
+        MitigationStudy,
+    )
+    from repro.mitigation.robust_training import (
+        load_cached_variant,
+        store_variant_checkpoint,
+        train_variant,
+        variant_spec_from_name,
+    )
+    from repro.nn.training import TrainingConfig
+
+    study = MitigationStudy(
+        MitigationAnalysisConfig(
+            model_names=(model,), seed=seed, checkpoint_cache=checkpoint_cache
+        )
+    )
+    split_key = (model, seed)
+    if split_key not in _FIG8_SPLITS:
+        _FIG8_SPLITS[split_key] = study.prepare_split(model)
+    split = _FIG8_SPLITS[split_key]
+
+    variant_key = (model, variant, seed)
+    if variant_key not in _FIG8_VARIANTS:
+        defaults = _WORKLOAD_DEFAULTS[model]
+        model_kwargs = dict(defaults["model_kwargs"])
+        base_config = TrainingConfig(seed=seed, **dict(defaults["training"]))
+        spec = variant_spec_from_name(variant)
+        cache = study.checkpoint_cache()
+        checkpoint_key = study.checkpoint_key(model, spec)
+        trained = load_cached_variant(
+            cache, checkpoint_key, model, spec, base_config, model_kwargs=model_kwargs
+        )
+        if trained is None:
+            trained = train_variant(
+                model, spec, split, base_config, model_kwargs=model_kwargs
+            )
+            store_variant_checkpoint(cache, checkpoint_key, trained)
+        _FIG8_VARIANTS[variant_key] = trained
+    return split, _FIG8_VARIANTS[variant_key]
+
+
 def prepared_candidate_workload(
     model: str,
     variant: str,
@@ -162,58 +211,10 @@ def prepared_candidate_workload(
 
     from repro.accelerator.config import AcceleratorConfig
     from repro.accelerator.inference import AttackedInferenceEngine
-    from repro.analysis.mitigation_analysis import (
-        _WORKLOAD_DEFAULTS,
-        MitigationAnalysisConfig,
-        MitigationStudy,
-    )
-    from repro.mitigation.robust_training import (
-        load_cached_variant,
-        store_variant_checkpoint,
-        train_variant,
-        variant_spec_from_name,
-    )
-    from repro.nn.training import TrainingConfig
 
     key = (model, variant, seed, quantize_weights)
     if key not in _CANDIDATE_WORKLOADS:
-        study = MitigationStudy(
-            MitigationAnalysisConfig(
-                model_names=(model,), seed=seed, checkpoint_cache=checkpoint_cache
-            )
-        )
-        split_key = (model, seed)
-        if split_key not in _FIG8_SPLITS:
-            _FIG8_SPLITS[split_key] = study.prepare_split(model)
-        split = _FIG8_SPLITS[split_key]
-
-        variant_key = (model, variant, seed)
-        if variant_key not in _FIG8_VARIANTS:
-            defaults = _WORKLOAD_DEFAULTS[model]
-            base_config = TrainingConfig(seed=seed, **dict(defaults["training"]))
-            spec = variant_spec_from_name(variant)
-            cache = study.checkpoint_cache()
-            trained = load_cached_variant(
-                cache,
-                study.checkpoint_key(model, spec),
-                model,
-                spec,
-                base_config,
-                model_kwargs=dict(defaults["model_kwargs"]),
-            )
-            if trained is None:
-                trained = train_variant(
-                    model,
-                    spec,
-                    split,
-                    base_config,
-                    model_kwargs=dict(defaults["model_kwargs"]),
-                )
-                store_variant_checkpoint(
-                    cache, study.checkpoint_key(model, spec), trained
-                )
-            _FIG8_VARIANTS[variant_key] = trained
-        trained = _FIG8_VARIANTS[variant_key]
+        split, trained = _trained_variant(model, variant, seed, checkpoint_cache)
         engine = AttackedInferenceEngine(
             trained.model,
             config=AcceleratorConfig.scaled_config(),
@@ -699,56 +700,10 @@ def _run_fig8_variant(
 
     from repro.accelerator.config import AcceleratorConfig
     from repro.accelerator.inference import AttackedInferenceEngine
-    from repro.analysis.mitigation_analysis import (
-        _WORKLOAD_DEFAULTS,
-        MitigationAnalysisConfig,
-        MitigationStudy,
-    )
     from repro.attacks.hotspot import HotspotAttackConfig
     from repro.attacks.scenario import generate_scenarios, sample_outcome
-    from repro.mitigation.robust_training import (
-        load_cached_variant,
-        store_variant_checkpoint,
-        train_variant,
-        variant_spec_from_name,
-    )
-    from repro.nn.training import TrainingConfig
 
-    study = MitigationStudy(
-        MitigationAnalysisConfig(
-            model_names=(model,), seed=seed, checkpoint_cache=checkpoint_cache
-        )
-    )
-    split_key = (model, seed)
-    if split_key not in _FIG8_SPLITS:
-        _FIG8_SPLITS[split_key] = study.prepare_split(model)
-    split = _FIG8_SPLITS[split_key]
-
-    variant_key = (model, variant, seed)
-    if variant_key not in _FIG8_VARIANTS:
-        defaults = _WORKLOAD_DEFAULTS[model]
-        base_config = TrainingConfig(seed=seed, **dict(defaults["training"]))
-        spec = variant_spec_from_name(variant)
-        cache = study.checkpoint_cache()
-        trained = load_cached_variant(
-            cache,
-            study.checkpoint_key(model, spec),
-            model,
-            spec,
-            base_config,
-            model_kwargs=dict(defaults["model_kwargs"]),
-        )
-        if trained is None:
-            trained = train_variant(
-                model,
-                spec,
-                split,
-                base_config,
-                model_kwargs=dict(defaults["model_kwargs"]),
-            )
-            store_variant_checkpoint(cache, study.checkpoint_key(model, spec), trained)
-        _FIG8_VARIANTS[variant_key] = trained
-    trained = _FIG8_VARIANTS[variant_key]
+    split, trained = _trained_variant(model, variant, seed, checkpoint_cache)
 
     accelerator = AcceleratorConfig.scaled_config()
     scenarios = generate_scenarios(
@@ -898,32 +853,6 @@ def _params(**kwargs) -> Mapping[str, object]:
     return MappingProxyType(kwargs)
 
 
-def _backend_aware(runner: Callable[..., dict]) -> Callable[..., dict]:
-    """Wrap an NN-heavy runner with the ``nn_backend``/``nn_threads`` params.
-
-    The wrapped runner accepts two extra keyword parameters selecting the
-    compute backend (:mod:`repro.nn.backend`) its kernels dispatch to:
-    ``nn_backend=""`` / ``nn_threads=0`` inherit the ambient selection
-    (``REPRO_NN_BACKEND`` / ``REPRO_NN_THREADS`` or the ``reference``
-    default).  Because these ride in ``default_params``, resolved sweep
-    points carry them in the spec — and therefore in the run fingerprint —
-    so cached results are never served across backends.
-    """
-
-    @functools.wraps(runner)
-    def wrapped(*args, nn_backend: str = "", nn_threads: int = 0, **kwargs) -> dict:
-        from repro.nn.backend import use_backend
-
-        with use_backend(str(nn_backend) or None, int(nn_threads) or None):
-            return runner(*args, **kwargs)
-
-    return wrapped
-
-
-#: Extra default params added to every backend-aware experiment descriptor.
-_NN_BACKEND_DEFAULTS = {"nn_backend": "", "nn_threads": 0}
-
-
 EXPERIMENTS: dict[str, ExperimentDescriptor] = {
     "table1": ExperimentDescriptor(
         experiment_id="table1",
@@ -953,7 +882,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 7(a)-(c)",
         modules=("repro.analysis.susceptibility", "repro.attacks", "repro.accelerator"),
         bench_target="benchmarks/bench_fig7_susceptibility.py",
-        runner=_backend_aware(_run_fig7),
+        runner=_run_fig7,
         default_params=_params(
             model_names=("cnn_mnist",),
             kinds=("actuation", "hotspot"),
@@ -962,7 +891,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             num_placements=2,
             kind_params=None,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kinds",),
     ),
@@ -972,7 +900,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 7(a)-(c)",
         modules=("repro.analysis.susceptibility", "repro.attacks", "repro.engine"),
         bench_target="benchmarks/bench_fig7_susceptibility.py",
-        runner=_backend_aware(_run_fig7_point),
+        runner=_run_fig7_point,
         default_params=_params(
             model="cnn_mnist",
             kind="hotspot",
@@ -982,7 +910,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             quantize_weights=True,
             kind_params=None,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kind",),
     ),
@@ -996,7 +923,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             "repro.nn.ensemble",
         ),
         bench_target="benchmarks/bench_scenario_batch.py",
-        runner=_backend_aware(_run_fig7_grid),
+        runner=_run_fig7_grid,
         default_params=_params(
             model="cnn_mnist",
             kinds=("actuation", "hotspot"),
@@ -1008,7 +935,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             quantize_weights=True,
             kind_params=None,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kinds",),
     ),
@@ -1018,7 +944,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 7 methodology, searched",
         modules=("repro.attacks.search", "repro.accelerator.inference", "repro.engine"),
         bench_target="benchmarks/bench_attack_search.py",
-        runner=_backend_aware(_run_fig7_candidate),
+        runner=_run_fig7_candidate,
         default_params=_params(
             model="cnn_mnist",
             variant="",
@@ -1030,7 +956,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             quantize_weights=True,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kind",),
     ),
@@ -1040,7 +965,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="beyond the paper's fixed grids (ROADMAP item 3)",
         modules=("repro.attacks.search", "repro.analysis", "repro.engine"),
         bench_target="benchmarks/bench_attack_search.py",
-        runner=_backend_aware(_run_fig7_adversarial),
+        runner=_run_fig7_adversarial,
         default_params=_params(
             model="cnn_mnist",
             variant="",
@@ -1059,7 +984,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             checkpoint_cache=False,
             candidate_cache="",
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kind",),
     ),
@@ -1069,13 +993,12 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 8(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation"),
         bench_target="benchmarks/bench_fig8_variants.py",
-        runner=_backend_aware(_run_fig8),
+        runner=_run_fig8,
         default_params=_params(
             model_names=("cnn_mnist",),
             stacked_training=True,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
     ),
     "fig8_variant": ExperimentDescriptor(
@@ -1084,7 +1007,7 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 8(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation", "repro.engine"),
         bench_target="benchmarks/bench_fig8_variants.py",
-        runner=_backend_aware(_run_fig8_variant),
+        runner=_run_fig8_variant,
         default_params=_params(
             model="cnn_mnist",
             variant="l2+n3",
@@ -1095,7 +1018,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             kind_params=None,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
         attack_kind_params=("kinds",),
     ),
@@ -1121,13 +1043,12 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="Fig. 9(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation.selection"),
         bench_target="benchmarks/bench_fig9_robust_vs_original.py",
-        runner=_backend_aware(_run_fig9),
+        runner=_run_fig9,
         default_params=_params(
             model_names=("cnn_mnist",),
             stacked_training=True,
             checkpoint_cache=False,
             seed=0,
-            **_NN_BACKEND_DEFAULTS,
         ),
     ),
     "ablation_mitigation": ExperimentDescriptor(
@@ -1136,11 +1057,9 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         paper_reference="§V discussion",
         modules=("repro.mitigation",),
         bench_target="benchmarks/bench_ablation_mitigation.py",
-        runner=_backend_aware(_run_ablation_mitigation),
+        runner=_run_ablation_mitigation,
         default_params=_params(
-            variants=("Original", "L2_reg", "noise_n3", "l2+n3"),
-            seed=0,
-            **_NN_BACKEND_DEFAULTS,
+            variants=("Original", "L2_reg", "noise_n3", "l2+n3"), seed=0
         ),
     ),
     "ablation_tuning": ExperimentDescriptor(

@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.accelerator.mapping import MappedParameter, WeightMapping
 from repro.attacks.base import AttackOutcome, BlockEffect
-from repro.nn.backend import active_backend
 from repro.nn.module import Module
 from repro.photonics import constants
 from repro.photonics.thermal_sensitivity import ThermalSensitivity
@@ -351,13 +350,9 @@ def _corrupt_tensor_batch(
         # Same float32 elementwise multiply as the per-scenario path; rows
         # without a carrier-scale effect are left untouched so kinds that
         # never emit one stay bit-identical whatever shares their batch.
-        # The in-place row multiply dispatches through the compute backend
-        # (a numba kernel under `fast` when numba is available).
-        active_backend().scale_rows(
-            magnitudes,
-            tables.scale_rows,
-            tables.col_scale_table[:, slots % geometry.cols],
-        )
+        magnitudes[tables.scale_rows] *= tables.col_scale_table[
+            :, slots % geometry.cols
+        ]
 
     corrupted = mapping.denormalize(mapped, magnitudes, signs)
     return corrupted.reshape((num_scenarios, *mapped.shape)).astype(np.float32)

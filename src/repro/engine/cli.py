@@ -38,15 +38,7 @@ Subcommands
     variant-grid training + checkpoint-cache pipeline,
     ``BENCH_training.json``), ``--suite search`` (batched vs serial
     candidate throughput + searched front vs the fixed Cartesian grid at
-    equal budget, ``BENCH_search.json``), ``--suite backends`` (fast vs
-    reference compute backend with tolerance-tested agreement,
-    ``BENCH_backends.json``) or ``--suite all``.
-
-Most compute-heavy subcommands accept ``--backend fast --threads N`` to
-select the compute backend (:mod:`repro.nn.backend`) their NN kernels
-dispatch to; the selection is exported via ``REPRO_NN_BACKEND`` /
-``REPRO_NN_THREADS`` so worker processes inherit it and run fingerprints
-key on it.
+    equal budget, ``BENCH_search.json``) or ``--suite all``.
 ``serve``
     Run the persistent campaign service: a durable on-disk job queue, N
     worker processes shared by every submitted sweep (work-stealing across
@@ -185,19 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache", action="store_true", help="bypass the result cache"
         )
 
-    def add_backend_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend", default=None, metavar="NAME",
-            help="compute backend for the NN kernels: reference (bit-exact "
-                 "default) or fast (workspace-reusing, threaded; env: "
-                 "REPRO_NN_BACKEND) — the selection keys the result cache",
-        )
-        p.add_argument(
-            "--threads", type=int, default=None, metavar="N",
-            help="threads for the fast backend's stacked kernels "
-                 "(env: REPRO_NN_THREADS; default: all cores)",
-        )
-
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("experiment_id")
     run.add_argument(
@@ -206,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=None, help="experiment seed")
     run.add_argument("--json", action="store_true", help="print the payload as JSON")
-    add_backend_args(run)
     add_cache_args(run)
 
     def add_sweep_axis_args(p: argparse.ArgumentParser) -> None:
@@ -255,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--serial", action="store_true", help="force serial execution")
     sweep.add_argument("--json", action="store_true", help="print payloads as JSON")
     sweep.add_argument("--quiet", "-q", action="store_true", help="no per-point progress")
-    add_backend_args(sweep)
     add_cache_args(sweep)
 
     train = sub.add_parser(
@@ -281,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
              "default: .repro-cache/checkpoints)",
     )
     train.add_argument("--json", action="store_true", help="print the summary as JSON")
-    add_backend_args(train)
 
     report = sub.add_parser("report", help="summarize cached campaign records")
     report.add_argument("--experiment", default=None, help="restrict to one experiment id")
@@ -300,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the performance benchmark suites"
     )
     bench.add_argument(
-        "--suite",
-        choices=("signal", "scenario", "training", "search", "backends", "all"),
+        "--suite", choices=("signal", "scenario", "training", "search", "all"),
         default="signal",
         help="signal: array-core vs seed object path; scenario: batched vs "
              "per-scenario attacked inference; training: stacked vs serial "
              "variant-grid training + checkpoint cache; search: attack-search "
-             "throughput + grid-vs-search fronts; backends: fast vs reference "
-             "compute backend with tolerance-tested agreement (default: signal)",
+             "throughput + grid-vs-search fronts (default: signal)",
     )
     bench.add_argument(
         "--matvec-size", type=int, default=64, help="[signal] matrix-vector operand size"
@@ -356,13 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON output path ('-' to skip writing; default: the suite's "
              "BENCH_*.json; ignored for --suite all)",
     )
-    bench.add_argument(
-        "--bench-models", default="cnn_mnist,resnet18,vgg16_variant",
-        metavar="M1,M2,..",
-        help="[backends] workload models compared across backends",
-    )
     bench.add_argument("--json", action="store_true", help="print the results as JSON")
-    add_backend_args(bench)
 
     serve = sub.add_parser(
         "serve", help="run the persistent campaign service (job queue + HTTP API)"
@@ -562,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--json", action="store_true", help="print the result as JSON")
     search.add_argument("--quiet", "-q", action="store_true", help="no per-generation progress")
-    add_backend_args(search)
     add_cache_args(search)
     return parser
 
@@ -1417,7 +1384,7 @@ def _pareto_report(groups: dict[tuple, list]) -> dict[tuple, list]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     suites = (
-        ("signal", "scenario", "training", "search", "backends")
+        ("signal", "scenario", "training", "search")
         if args.suite == "all"
         else (args.suite,)
     )
@@ -1478,22 +1445,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 output=output,
             )
             report = format_search_bench_report(results)
-        elif suite == "backends":
-            from repro.analysis.backends_bench import (
-                format_backends_bench_report,
-                run_backends_bench,
-            )
-
-            results = run_backends_bench(
-                models=tuple(
-                    part for part in args.bench_models.split(",") if part
-                ),
-                threads=getattr(args, "threads", None),
-                repeats=args.repeats if args.repeats is not None else 2,
-                seed=args.seed,
-                output=output,
-            )
-            report = format_backends_bench_report(results)
         else:
             from repro.analysis.scenario_batch_bench import (
                 format_scenario_bench_report,
@@ -1529,45 +1480,11 @@ def _default_bench_output(suite: str) -> str:
         "scenario": "BENCH_scenario_batch.json",
         "training": "BENCH_training.json",
         "search": "BENCH_search.json",
-        "backends": "BENCH_backends.json",
     }[suite]
-
-
-def _apply_backend_selection(args: argparse.Namespace) -> int:
-    """Export ``--backend``/``--threads`` as the process-wide selection.
-
-    The flags are applied through the ``REPRO_NN_BACKEND``/``REPRO_NN_THREADS``
-    environment variables rather than a context manager so that (a) process
-    pools spawned later inherit the selection and (b) run fingerprints pick
-    it up via :func:`repro.engine.spec.runtime_environment` no matter where
-    they are computed.  Returns 0, or 2 for an unknown backend name.
-    """
-    backend = getattr(args, "backend", None)
-    threads = getattr(args, "threads", None)
-    if backend:
-        from repro.nn.backend import registered_backends
-
-        if backend not in registered_backends():
-            print(
-                f"error: unknown backend {backend!r}; "
-                f"available: {', '.join(registered_backends())}",
-                file=sys.stderr,
-            )
-            return 2
-        os.environ["REPRO_NN_BACKEND"] = backend
-    if threads is not None:
-        if threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        os.environ["REPRO_NN_THREADS"] = str(threads)
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    status = _apply_backend_selection(args)
-    if status:
-        return status
     try:
         if args.command == "list":
             return _cmd_list()

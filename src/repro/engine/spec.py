@@ -20,13 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 from repro.utils.validation import ValidationError, check_positive_int
 
-__all__ = [
-    "RunSpec",
-    "SweepSpec",
-    "canonical_json",
-    "spec_fingerprint",
-    "runtime_environment",
-]
+__all__ = ["RunSpec", "SweepSpec", "canonical_json", "spec_fingerprint"]
 
 
 def canonical_json(payload: object) -> str:
@@ -79,39 +73,14 @@ class RunSpec:
         )
 
 
-def runtime_environment() -> dict[str, object]:
-    """Process-level compute-backend state that must key the result cache.
-
-    Delegates to :func:`repro.nn.backend.cache_environment`: empty under the
-    default configuration (so historical fingerprints stay valid), and
-    carrying the backend name / thread count whenever ``REPRO_NN_BACKEND`` or
-    ``REPRO_NN_THREADS`` select a non-default configuration — cached results
-    are never silently served across compute backends.
-    """
-    from repro.nn.backend import cache_environment
-
-    return cache_environment()
-
-
-def spec_fingerprint(
-    spec: RunSpec, version: str, environment: Mapping[str, object] | None = None
-) -> str:
+def spec_fingerprint(spec: RunSpec, version: str) -> str:
     """Content-addressed identity of a run under a library version.
 
-    The hash covers the resolved spec, the ``repro`` version and the
-    non-default runtime environment (compute backend selection), so cached
-    results are automatically invalidated when the library — or the numeric
-    backend producing them — changes.  ``environment=None`` reads the ambient
-    :func:`runtime_environment`; pass an explicit mapping (possibly empty) to
-    pin it.
+    The hash covers the resolved spec *and* the ``repro`` version, so cached
+    results are automatically invalidated when the library changes.
     """
-    if environment is None:
-        environment = runtime_environment()
-    payload: dict[str, object] = {"spec": spec.canonical(), "version": version}
-    if environment:
-        payload["environment"] = dict(environment)
     digest = hashlib.sha256()
-    digest.update(canonical_json(payload).encode())
+    digest.update(canonical_json({"spec": spec.canonical(), "version": version}).encode())
     return digest.hexdigest()
 
 

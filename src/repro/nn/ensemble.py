@@ -46,12 +46,7 @@ __all__ = [
 
 
 @contextmanager
-def stacked_state(
-    model: Module,
-    stacked: dict[str, np.ndarray],
-    backend: str | None = None,
-    threads: int | None = None,
-):
+def stacked_state(model: Module, stacked: dict[str, np.ndarray]):
     """Temporarily attach a stacked per-scenario state to ``model``.
 
     Usage::
@@ -59,20 +54,10 @@ def stacked_state(
         with stacked_state(model, corrupted_state_batch(model, mapping, outcomes)):
             logits = model(images)          # (S, N, num_classes)
         # ordinary single-weight forward restored here
-
-    ``backend``/``threads`` select the compute backend the stacked forwards
-    dispatch to for the duration of the context (see
-    :mod:`repro.nn.backend`); ``None`` keeps the ambient selection.
     """
-    from repro.nn.backend import use_backend
-
     model.load_stacked_state(stacked)
     try:
-        if backend or threads:
-            with use_backend(backend, threads):
-                yield model
-        else:
-            yield model
+        yield model
     finally:
         model.clear_stacked_state()
 

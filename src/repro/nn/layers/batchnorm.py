@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init
-from repro.nn.backend import active_backend
 from repro.nn.module import Module
 from repro.nn.tensor import Parameter
 from repro.utils.validation import check_positive_int
@@ -101,7 +100,8 @@ class BatchNorm2D(Module):
                 f"BatchNorm2D expects (V, N, {self.num_features}, H, W), got {x.shape}"
             )
         variants = x.shape[0]
-        mean, var = active_backend().stacked_moments(x)
+        mean = np.stack([x[v].mean(axis=(0, 2, 3)) for v in range(variants)])
+        var = np.stack([x[v].var(axis=(0, 2, 3)) for v in range(variants)])
         if self.stacked_running_mean is None:
             self.stacked_running_mean = np.broadcast_to(
                 self.running_mean, (variants, self.num_features)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init
-from repro.nn.backend import active_backend
+from repro.nn.functional import col2im, im2col
 from repro.nn.module import Module
 from repro.nn.tensor import Parameter
 from repro.utils.rng import default_rng
@@ -75,11 +75,9 @@ class Conv2D(Module):
                 f"Conv2D expects input (N, {self.in_channels}, H, W), got {x.shape}"
             )
         kh, kw = self.kernel_size
-        backend = active_backend()
-        # The patch matrix is cached for backward, so no transient workspace.
-        cols, out_h, out_w = backend.im2col(x, kh, kw, self.stride, self.padding)
+        cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        out = backend.matmul(cols, weight_matrix.T)
+        out = cols @ weight_matrix.T
         if self.bias is not None:
             out = out + self.bias.data
         batch = x.shape[0]
@@ -104,39 +102,30 @@ class Conv2D(Module):
                 f"(S, N, {self.in_channels}, H, W), got {x.shape}"
             )
         self._cache = None  # ensemble forwards are inference-only
-        backend = active_backend()
         stacked = self.weight.stacked
         kh, kw = self.kernel_size
         if x.ndim == 5 and x.shape[0] == 1:
             x = x[0]  # shared activations: keep the single-im2col fast path
 
-        # Inference-only path: the patch matrix is consumed by the matmul
-        # below and never cached, so backends may reuse a keyed workspace.
         if x.ndim == 4:
             batch = x.shape[0]
-            cols, out_h, out_w = backend.im2col(
-                x, kh, kw, self.stride, self.padding, transient=True
-            )
+            cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
             if stacked is None:
-                out = backend.matmul(
-                    cols, self.weight.data.reshape(self.out_channels, -1).T
-                )[None]
+                out = (cols @ self.weight.data.reshape(self.out_channels, -1).T)[None]
             else:
                 weight_matrix = stacked.reshape(stacked.shape[0], self.out_channels, -1)
-                out = backend.stacked_matmul(cols[None], weight_matrix.transpose(0, 2, 1))
+                out = np.matmul(cols[None], weight_matrix.transpose(0, 2, 1))
         else:
             scenarios, batch = x.shape[:2]
-            cols, out_h, out_w = backend.im2col(
-                x.reshape((scenarios * batch,) + x.shape[2:]),
-                kh, kw, self.stride, self.padding,
-                transient=True,
+            cols, out_h, out_w = im2col(
+                x.reshape((scenarios * batch,) + x.shape[2:]), kh, kw, self.stride, self.padding
             )
             cols = cols.reshape(scenarios, batch * out_h * out_w, -1)
             if stacked is None:
                 weight_matrix = self.weight.data.reshape(1, self.out_channels, -1)
             else:
                 weight_matrix = stacked.reshape(stacked.shape[0], self.out_channels, -1)
-            out = backend.stacked_matmul(cols, weight_matrix.transpose(0, 2, 1))
+            out = np.matmul(cols, weight_matrix.transpose(0, 2, 1))
         if self.bias is not None:
             if self.bias.stacked is not None:
                 out = out + self.bias.stacked[:, None, :]
@@ -167,13 +156,11 @@ class Conv2D(Module):
                 f"(V, N, {self.in_channels}, H, W), got {x.shape}"
             )
         kh, kw = self.kernel_size
-        backend = active_backend()
         weight_matrix = stacked.reshape(variants, self.out_channels, -1)
-        # Training caches the patch matrix for backward — never transient.
         if x.ndim == 4:
             batch = x.shape[0]
-            cols, out_h, out_w = backend.im2col(x, kh, kw, self.stride, self.padding)
-            out = backend.stacked_matmul(cols[None], weight_matrix.transpose(0, 2, 1))
+            cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
+            out = np.matmul(cols[None], weight_matrix.transpose(0, 2, 1))
             shared_input = True
             input_shape = x.shape
         else:
@@ -182,12 +169,12 @@ class Conv2D(Module):
                     f"stacked input has {x.shape[0]} variants, weights have {variants}"
                 )
             batch = x.shape[1]
-            cols, out_h, out_w = backend.im2col(
+            cols, out_h, out_w = im2col(
                 x.reshape((variants * batch,) + x.shape[2:]),
                 kh, kw, self.stride, self.padding,
             )
             cols = cols.reshape(variants, batch * out_h * out_w, -1)
-            out = backend.stacked_matmul(cols, weight_matrix.transpose(0, 2, 1))
+            out = np.matmul(cols, weight_matrix.transpose(0, 2, 1))
             shared_input = False
             input_shape = x.shape
         if self.bias is not None:
@@ -204,19 +191,16 @@ class Conv2D(Module):
             return self._backward_stacked(np.asarray(grad_output, dtype=np.float32))
         cols, input_shape, out_h, out_w = self._cache
         grad_output = np.asarray(grad_output, dtype=np.float32)
-        backend = active_backend()
         batch = input_shape[0]
         # (N, F, OH, OW) -> (N*OH*OW, F)
         grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, -1)
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += backend.matmul(grad_matrix.T, cols).reshape(
-            self.weight.data.shape
-        )
+        self.weight.grad += (grad_matrix.T @ cols).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_matrix.sum(axis=0)
-        grad_cols = backend.matmul(grad_matrix, weight_matrix)
+        grad_cols = grad_matrix @ weight_matrix
         kh, kw = self.kernel_size
-        return backend.col2im(grad_cols, input_shape, kh, kw, self.stride, self.padding)
+        return col2im(grad_cols, input_shape, kh, kw, self.stride, self.padding)
 
     def _backward_stacked(self, grad_output: np.ndarray) -> np.ndarray:
         """Backward of :meth:`_forward_stacked_train`.
@@ -228,14 +212,13 @@ class Conv2D(Module):
         returns ``None``.
         """
         _, cols, shared_input, input_shape, out_h, out_w = self._cache
-        backend = active_backend()
         variants = self.weight.stacked.shape[0]
         batch = input_shape[0] if shared_input else input_shape[1]
         # (V, N, F, OH, OW) -> (V, N*OH*OW, F)
         grad_matrix = grad_output.transpose(0, 1, 3, 4, 2).reshape(
             variants, batch * out_h * out_w, -1
         )
-        self.weight.stacked_grad += backend.stacked_matmul(
+        self.weight.stacked_grad += np.matmul(
             grad_matrix.transpose(0, 2, 1), cols
         ).reshape(self.weight.stacked.shape)
         if self.bias is not None:
@@ -243,10 +226,10 @@ class Conv2D(Module):
         if shared_input:
             return None
         weight_matrix = self.weight.stacked.reshape(variants, self.out_channels, -1)
-        grad_cols = backend.stacked_matmul(grad_matrix, weight_matrix)
+        grad_cols = np.matmul(grad_matrix, weight_matrix)
         kh, kw = self.kernel_size
         folded_shape = (variants * batch,) + tuple(input_shape[2:])
-        grad_input = backend.col2im(
+        grad_input = col2im(
             grad_cols.reshape(variants * batch * out_h * out_w, -1),
             folded_shape, kh, kw, self.stride, self.padding,
         )

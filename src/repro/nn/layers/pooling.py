@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.backend import active_backend
 from repro.nn.ensemble import fold_scenarios, unfold_scenarios
+from repro.nn.functional import col2im, im2col
 from repro.nn.module import Module
 from repro.utils.validation import check_positive_int
 
@@ -61,11 +61,7 @@ class MaxPool2D(Module):
         k = self.kernel_size
         # Treat each channel independently so the window matrix is (N*C, ...)
         reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-        # Only the argmax and shapes are cached, so the patch matrix is
-        # transient and backends may reuse a keyed workspace.
-        cols, out_h, out_w = active_backend().im2col(
-            reshaped, k, k, self.stride, self.padding, transient=True
-        )
+        cols, out_h, out_w = im2col(reshaped, k, k, self.stride, self.padding)
         argmax = np.argmax(cols, axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
         out = out.reshape(batch, channels, out_h, out_w)
@@ -128,7 +124,8 @@ class MaxPool2D(Module):
             and height % k == 0
             and width % k == 0
         ):
-            return active_backend().window_max(x, k)
+            windows = x.reshape(batch, channels, height // k, k, width // k, k)
+            return windows.max(axis=(3, 5))
         out = self.forward(x)
         self._cache = None
         return out
@@ -150,9 +147,7 @@ class MaxPool2D(Module):
         grad_flat = grad_output.reshape(-1)
         grad_cols[np.arange(cols_shape[0]), argmax] = grad_flat
         k = self.kernel_size
-        grad_reshaped = active_backend().col2im(
-            grad_cols, reshaped_shape, k, k, self.stride, self.padding
-        )
+        grad_reshaped = col2im(grad_cols, reshaped_shape, k, k, self.stride, self.padding)
         return grad_reshaped.reshape(input_shape)
 
     def _backward_windows(self, grad_output: np.ndarray) -> np.ndarray:
@@ -194,10 +189,7 @@ class AvgPool2D(Module):
         batch, channels, _, _ = x.shape
         k = self.kernel_size
         reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-        # Only shapes are cached for backward: the patch matrix is transient.
-        cols, out_h, out_w = active_backend().im2col(
-            reshaped, k, k, self.stride, self.padding, transient=True
-        )
+        cols, out_h, out_w = im2col(reshaped, k, k, self.stride, self.padding)
         out = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
         self._cache = (cols.shape, reshaped.shape, x.shape)
         return out
@@ -216,9 +208,7 @@ class AvgPool2D(Module):
         window = cols_shape[1]
         grad_cols = np.repeat(grad_output.reshape(-1, 1) / window, window, axis=1)
         k = self.kernel_size
-        grad_reshaped = active_backend().col2im(
-            grad_cols, reshaped_shape, k, k, self.stride, self.padding
-        )
+        grad_reshaped = col2im(grad_cols, reshaped_shape, k, k, self.stride, self.padding)
         return grad_reshaped.reshape(input_shape)
 
     def __repr__(self) -> str:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.datasets.base import DataLoader, Dataset
-from repro.nn.backend import use_backend
 from repro.nn.losses import (
     CrossEntropyLoss,
     StackedCrossEntropyLoss,
@@ -159,26 +158,11 @@ def _build_optimizer(
 
 
 class Trainer:
-    """Mini-batch trainer for the NumPy NN framework.
+    """Mini-batch trainer for the NumPy NN framework."""
 
-    ``backend``/``threads`` select the compute backend the hot kernels
-    dispatch to for every ``fit`` call (see :mod:`repro.nn.backend`);
-    ``None`` keeps the ambient selection, which defaults to the bit-identical
-    ``reference`` backend.
-    """
-
-    def __init__(
-        self,
-        model: Module,
-        config: TrainingConfig | None = None,
-        *,
-        backend: str | None = None,
-        threads: int | None = None,
-    ):
+    def __init__(self, model: Module, config: TrainingConfig | None = None):
         self.model = model
         self.config = config or TrainingConfig()
-        self.backend = backend
-        self.threads = threads
         self.loss_fn = CrossEntropyLoss(label_smoothing=self.config.label_smoothing)
         self.optimizer = _build_optimizer(
             model.parameters(), self.config, self.config.weight_decay
@@ -209,10 +193,6 @@ class Trainer:
     # ------------------------------------------------------------------ fit
     def fit(self, train: Dataset, test: Dataset | None = None) -> TrainingHistory:
         """Train the model and return the per-epoch history."""
-        with use_backend(self.backend, self.threads):
-            return self._fit(train, test)
-
-    def _fit(self, train: Dataset, test: Dataset | None) -> TrainingHistory:
         history = TrainingHistory()
         loader = self.make_loader(train)
         for epoch in range(self.config.epochs):
@@ -298,13 +278,9 @@ class StackedTrainer:
         *,
         weight_decay: np.ndarray | None = None,
         weight_noise_std: np.ndarray | None = None,
-        backend: str | None = None,
-        threads: int | None = None,
     ):
         self.model = model
         self.config = config or TrainingConfig()
-        self.backend = backend
-        self.threads = threads
         stacked_params = [p for p in model.parameters() if p.stacked_trainable]
         if not stacked_params:
             raise ValueError(
@@ -361,16 +337,7 @@ class StackedTrainer:
     def fit(
         self, train: Dataset, test: Dataset | None = None
     ) -> list[TrainingHistory]:
-        """Train all variants and return one per-epoch history per variant.
-
-        The whole stacked loop runs under this trainer's compute backend
-        (``backend``/``threads`` constructor arguments), so the variant-slab
-        matmuls can thread across cores when the ``fast`` backend is active.
-        """
-        with use_backend(self.backend, self.threads):
-            return self._fit(train, test)
-
-    def _fit(self, train: Dataset, test: Dataset | None) -> list[TrainingHistory]:
+        """Train all variants and return one per-epoch history per variant."""
         histories = [TrainingHistory() for _ in range(self.num_variants)]
         loader = self.make_loader(train)
         for epoch in range(self.config.epochs):

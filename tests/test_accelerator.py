@@ -149,6 +149,24 @@ class TestInferenceEngine:
         accelerator = engine.clean_accuracy(mnist_split.test)
         assert abs(software - accelerator) < 0.05
 
+    def test_construction_leaves_caller_model_untouched(
+        self, mnist_split, scaled_accelerator_config
+    ):
+        model = build_model("cnn_mnist", profile="scaled", rng=0)
+        before = model.full_state_dict()
+        engine = AttackedInferenceEngine(model, scaled_accelerator_config)
+        engine.clean_accuracy(mnist_split.test)
+        after = model.full_state_dict()
+        assert sorted(after) == sorted(before)
+        for key, value in before.items():
+            assert after[key].dtype == value.dtype
+            assert after[key].tobytes() == value.tobytes(), key
+        # The engine evaluates quantized weights of its own.
+        quantized = engine.model.full_state_dict()
+        assert any(
+            quantized[key].tobytes() != value.tobytes() for key, value in before.items()
+        )
+
     def test_attack_restores_weights_after_evaluation(
         self, trained_mnist_model, mnist_split, scaled_accelerator_config
     ):

@@ -170,3 +170,54 @@ class TestExperimentRegistry:
         result = get_experiment("ablation_tuning").run()
         assert result["shift_0.2nm"]["eo_energy_j"] < result["shift_0.2nm"]["to_energy_j"]
         assert result["total_power_w"] > 0
+
+
+class TestWorkloadMemos:
+    """A run's payload and weights do not depend on what ran earlier in-process."""
+
+    MEMOS = ("_FIG7_WORKLOADS", "_FIG8_SPLITS", "_FIG8_VARIANTS", "_CANDIDATE_WORKLOADS")
+
+    @pytest.fixture
+    def reset_memos(self, monkeypatch, tmp_path):
+        from repro.analysis import experiments
+
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+
+        def reset():
+            for name in self.MEMOS:
+                monkeypatch.setattr(experiments, name, {})
+
+        reset()
+        return reset
+
+    def test_unquantized_candidate_after_quantized_run(self, reset_memos):
+        from repro.analysis.experiments import prepared_candidate_workload
+
+        candidate = get_experiment("fig7_candidate")
+        params = {"variant": "l2+n3", "checkpoint_cache": True}
+
+        def run_unquantized():
+            payload = candidate.run({**params, "quantize_weights": False})
+            engine, _, _ = prepared_candidate_workload(
+                "cnn_mnist", "l2+n3", 0, quantize_weights=False, checkpoint_cache=True
+            )
+            return payload, engine.model.full_state_dict()
+
+        candidate.run({**params, "quantize_weights": True})
+        quantized, _, _ = prepared_candidate_workload(
+            "cnn_mnist", "l2+n3", 0, quantize_weights=True, checkpoint_cache=True
+        )
+        payload_after, weights_after = run_unquantized()
+        # A fresh process: the variant loads from the checkpoint stored above.
+        reset_memos()
+        payload_fresh, weights_fresh = run_unquantized()
+
+        assert payload_after == payload_fresh
+        assert sorted(weights_after) == sorted(weights_fresh)
+        for key, value in weights_fresh.items():
+            assert weights_after[key].tobytes() == value.tobytes(), key
+        quantized_weights = quantized.model.full_state_dict()
+        assert any(
+            quantized_weights[key].tobytes() != value.tobytes()
+            for key, value in weights_fresh.items()
+        )

@@ -41,6 +41,25 @@ class TestRunSpec:
         assert spec_fingerprint(RunSpec("ablation_tuning", params={"x": 2}), "1.0") != base
         assert spec_fingerprint(RunSpec("ablation_tuning", {"x": 1}, seed=1), "1.0") != base
 
+    #: Fingerprints of default resolved specs under a fixed version string.
+    #: A change here invalidates every cached result of that experiment.
+    PINNED_FINGERPRINTS = {
+        "fig7_point": "ad0e7d62c0dbc7360527b485a46f9862ed18d5f5a59d994a1f3d96f719570c51",
+        "fig8_variant": "e7151c72f75c3cd9a48d6ee00e9e50828fb4162e2cf64f7e8157719a281e49cd",
+        "table1": "4d08cd031cea66cb3f769f6c299d0c3b7287f0b89c97a65526e91815bec02018",
+    }
+
+    @pytest.mark.parametrize("experiment_id", sorted(PINNED_FINGERPRINTS))
+    def test_default_spec_fingerprints_are_pinned(self, experiment_id):
+        from repro.analysis.experiments import get_experiment
+
+        params = get_experiment(experiment_id).resolve_params()
+        params.pop("seed", None)
+        spec = RunSpec(experiment_id, params=params)
+        assert spec_fingerprint(spec, "0.0.0-test") == (
+            self.PINNED_FINGERPRINTS[experiment_id]
+        )
+
     def test_rejects_seed_in_params_and_unserializable_params(self):
         with pytest.raises(ValidationError):
             RunSpec("fig7_point", params={"seed": 3})
