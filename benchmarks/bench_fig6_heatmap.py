@@ -40,8 +40,10 @@ def test_fig6_repeated_power_maps_reuse_factorization(benchmark):
     """Repeated solves over different power maps (the sweep-common case).
 
     The first solve on a grid shape pays for the sparse LU factorization;
-    every later power map reuses it, which is what makes large hotspot
-    sweeps tractable.
+    every later power map on the same solver instance reuses it (the
+    instance's ``_solver_cache``).  Attack sweeps share one instance per
+    process through ``repro.attacks.hotspot.solve_bank_heat``, which is what
+    makes large hotspot sweeps tractable.
     """
     import time
 

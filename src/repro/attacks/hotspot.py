@@ -11,6 +11,7 @@ corrupted parameter clusters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,24 @@ class HotspotAttackConfig:
         check_positive(self.attacked_bank_min_rise_k, "attacked_bank_min_rise_k")
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_solver(config):
+    """The process-wide solver for ``config``, factorized on first use.
+
+    Every sampled placement of a block solves the same conduction matrix, so
+    one solver (and its sparse LU factorization) serves all of them, the
+    CONV and FC blocks included: the factorization depends only on the grid
+    shape, not on the block's floorplan.  The key is the validated, frozen
+    :class:`~repro.thermal.grid_solver.ThermalSolverConfig`, never raw ints,
+    so an invalid shape fails the same way whatever ran before it in the
+    process.  ``maxsize=1``: a 256x256 factorization alone holds about
+    226 MiB, and the attack params allow grids up to 512x512.
+    """
+    from repro.thermal.grid_solver import GridThermalSolver
+
+    return GridThermalSolver(config)
+
+
 def solve_bank_heat(
     num_banks: int,
     heated_banks: np.ndarray,
@@ -84,17 +103,15 @@ def solve_bank_heat(
 
     Shared by every thermal attack kind (hotspot heater overdrive, crosstalk
     leakage): the heat sources differ, the substrate physics does not.
+    Returns a fresh array on every call; callers may modify it in place.
     """
     from repro.thermal.floorplan import Floorplan
-    from repro.thermal.grid_solver import GridThermalSolver, ThermalSolverConfig
+    from repro.thermal.grid_solver import ThermalSolverConfig
     from repro.thermal.heatmap import simulate_hotspot_attack
 
-    floorplan = Floorplan(num_banks=num_banks)
-    solver = GridThermalSolver(
-        ThermalSolverConfig(grid_rows=grid_rows, grid_cols=grid_cols)
-    )
+    solver = _shared_solver(ThermalSolverConfig(grid_rows=grid_rows, grid_cols=grid_cols))
     result = simulate_hotspot_attack(
-        floorplan,
+        Floorplan(num_banks=num_banks),
         attacked_banks=[int(b) for b in heated_banks],
         heater_power_mw=heater_power_mw,
         baseline_power_mw=baseline_power_mw,

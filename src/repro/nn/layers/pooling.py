@@ -110,22 +110,22 @@ class MaxPool2D(Module):
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Cache-free max pooling for the scenario-stacked ensemble path.
 
-        For the ubiquitous non-overlapping, unpadded case the windows are a
-        plain reshape, so the max runs without materializing the im2col patch
-        matrix or its argmax (``max`` is order-independent, so the result is
-        bit-identical to the windowed path).  Other geometries fall back to
-        the im2col forward.
+        For the ubiquitous non-overlapping, unpadded case the maximum is a
+        running in-place ``np.maximum`` over the strided window-element views
+        (the training path's windows, without its winner bookkeeping); no
+        im2col patch matrix, argmax or windowed ``max`` reduction, which is
+        iterator-bound for 2x2 windows.  ``max`` is order-independent, so the
+        values equal the windowed path's.  Other geometries fall back to the
+        im2col forward.
         """
-        k = self.kernel_size
-        batch, channels, height, width = x.shape
-        if (
-            self.padding == 0
-            and self.stride == k
-            and height % k == 0
-            and width % k == 0
-        ):
-            windows = x.reshape(batch, channels, height // k, k, width // k, k)
-            return windows.max(axis=(3, 5))
+        if self._is_reshape_geometry(x):
+            slices = self._window_slices(x)
+            # order='C': the im2col path emits C-contiguous outputs (see
+            # _forward_windows_train).
+            out = slices[0].astype(np.float32, order="C", copy=True)
+            for piece in slices[1:]:
+                np.maximum(out, piece, out=out)
+            return out
         out = self.forward(x)
         self._cache = None
         return out

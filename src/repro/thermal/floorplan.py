@@ -8,11 +8,12 @@ right place and per-bank temperatures can be read back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import ValidationError, check_positive, check_positive_int
 
 __all__ = ["BankPlacement", "Floorplan"]
 
@@ -90,7 +91,7 @@ class Floorplan:
 
     @property
     def num_rows(self) -> int:
-        return int(np.ceil(self.num_banks / self.banks_per_row))
+        return math.ceil(self.num_banks / self.banks_per_row)
 
     @property
     def die_width_um(self) -> float:
@@ -126,12 +127,16 @@ class Floorplan:
 
     def bank_cells(self, bank_id: int, grid_shape: tuple[int, int]) -> tuple[slice, slice]:
         """Grid-cell slices (rows, cols) covered by ``bank_id`` on a thermal grid."""
+        if not 0 <= bank_id < self.num_banks:
+            raise ValidationError(
+                f"bank {bank_id} outside floorplan with {self.num_banks} banks"
+            )
         rows, cols = grid_shape
         placement = self.placements[bank_id]
-        x0 = int(np.floor(placement.x_um / self.die_width_um * cols))
-        x1 = int(np.ceil((placement.x_um + placement.width_um) / self.die_width_um * cols))
-        y0 = int(np.floor(placement.y_um / self.die_height_um * rows))
-        y1 = int(np.ceil((placement.y_um + placement.height_um) / self.die_height_um * rows))
+        x0 = math.floor(placement.x_um / self.die_width_um * cols)
+        x1 = math.ceil((placement.x_um + placement.width_um) / self.die_width_um * cols)
+        y0 = math.floor(placement.y_um / self.die_height_um * rows)
+        y1 = math.ceil((placement.y_um + placement.height_um) / self.die_height_um * rows)
         x1 = max(x1, x0 + 1)
         y1 = max(y1, y0 + 1)
         return slice(y0, min(y1, rows)), slice(x0, min(x1, cols))

@@ -81,9 +81,13 @@ class GridThermalSolver:
             grid (or any 2-D shape, which then defines the grid).
 
         The conduction matrix depends only on the grid shape, so its sparse
-        LU factorization is computed once per shape and reused for every
-        subsequent power map — repeated solves (the common case in attack
-        sweeps) reduce to two triangular substitutions.
+        LU factorization is computed once per shape *per solver instance*
+        (``_solver_cache``) and reused for every subsequent power map on
+        that instance; repeated solves reduce to two triangular
+        substitutions.  Attack sampling gets the reuse across calls because
+        :func:`repro.attacks.hotspot.solve_bank_heat` keeps one solver per
+        process for the current :class:`ThermalSolverConfig`; a caller that
+        builds a fresh solver per power map refactorizes every time.
         """
         power = np.asarray(power_map_w, dtype=float)
         if power.ndim != 2:

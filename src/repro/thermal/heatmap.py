@@ -108,21 +108,20 @@ def simulate_hotspot_attack(
     solver = solver or GridThermalSolver(solver_config)
     grid_shape = (solver.config.grid_rows, solver.config.grid_cols)
     power_map = np.zeros(grid_shape)
+    tiles = [floorplan.bank_cells(bank_id, grid_shape) for bank_id in range(floorplan.num_banks)]
 
-    for bank_id in range(floorplan.num_banks):
-        cells = floorplan.bank_cells(bank_id, grid_shape)
+    for cells in tiles:
         area = max(power_map[cells].size, 1)
         power_map[cells] += baseline_power_mw * 1e-3 / area
     for bank_id in attacked_banks:
-        cells = floorplan.bank_cells(bank_id, grid_shape)
+        cells = tiles[bank_id]
         area = max(power_map[cells].size, 1)
         power_map[cells] += heater_power_mw * 1e-3 / area
 
     temperature = solver.solve(power_map)
     ambient = solver.config.ambient_temperature_k
     rises = np.zeros(floorplan.num_banks)
-    for bank_id in range(floorplan.num_banks):
-        cells = floorplan.bank_cells(bank_id, grid_shape)
+    for bank_id, cells in enumerate(tiles):
         rises[bank_id] = float(temperature[cells].mean() - ambient)
     return HeatmapResult(
         temperature_k=temperature,

@@ -353,9 +353,21 @@ class TestEnsembleForward:
         rng = np.random.default_rng(5)
         pool = MaxPool2D(2)
         x = rng.random((3, 4, 2, 8, 8)).astype(np.float32)
-        fast = pool(x)
-        per_scenario = np.stack([pool(x[i]) for i in range(3)])
-        np.testing.assert_array_equal(fast, per_scenario)
+        # Exact ties, the -0.0 that ReLU's ``x * mask`` emits for negative
+        # inputs, +inf and NaN.  Only the inference path is held to NaN: the
+        # training path's strict ``>`` winner chain does not propagate it.
+        special = rng.choice(
+            np.array([-0.0, 0.0, 0.5, 0.5, 1.0, np.inf, np.nan], dtype=np.float32),
+            size=x.shape,
+        )
+        for training, inputs in ((True, [x]), (False, [x, special])):
+            pool.train(training)
+            for data in inputs:
+                fast = pool(data)
+                per_scenario = np.stack([pool(data[i]) for i in range(3)])
+                np.testing.assert_array_equal(fast, per_scenario)
+                assert fast.dtype == np.float32 and fast.flags.c_contiguous
+        assert np.isnan(fast).any() and np.isinf(fast).any()
 
 
 class TestEngineScenarioBatch:

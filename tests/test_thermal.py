@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.accelerator.config import AcceleratorConfig
+from repro.attacks import AttackSpec, HotspotAttack
+from repro.attacks.hotspot import HotspotAttackConfig, _shared_solver, solve_bank_heat
 from repro.thermal import (
     Floorplan,
     GridThermalSolver,
     ThermalSolverConfig,
+    grid_solver,
     simulate_hotspot_attack,
 )
 from repro.utils.validation import ValidationError
@@ -41,6 +47,12 @@ class TestFloorplan:
         rows, cols = plan.bank_cells(5, (32, 32))
         assert 0 <= rows.start < rows.stop <= 32
         assert 0 <= cols.start < cols.stop <= 32
+
+    def test_bank_cells_rejects_out_of_range_ids(self):
+        plan = Floorplan(num_banks=6, banks_per_row=3)
+        for bank_id in (-1, 6, 100):
+            with pytest.raises(ValidationError):
+                plan.bank_cells(bank_id, (32, 32))
 
 
 class TestGridSolver:
@@ -159,3 +171,75 @@ class TestHotspotHeatmap:
         low = simulate_hotspot_attack(plan, attacked_banks=[12], heater_power_mw=100)
         high = simulate_hotspot_attack(plan, attacked_banks=[12], heater_power_mw=300)
         assert high.peak_rise_k > low.peak_rise_k
+
+
+class TestSharedBankHeatSolver:
+    """``solve_bank_heat`` reuses one factorization per process and grid."""
+
+    HEATER = HotspotAttackConfig()
+    # sha256 of the float64 rise bytes for the scaled config's CONV (250
+    # banks) and FC (450 banks) blocks, heated banks ``arange(3, n, 17)``.
+    GOLDEN_RISE_SHA = {
+        250: "6706fe2e693652cceebf10525f271a978d38c6cb468ba4b43420f15bf5e4f301",
+        450: "f3a1f1623f28068df95e6fe88d0e2e710678d04af3417882c5074e524e5c9d06",
+    }
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        _shared_solver.cache_clear()
+
+    def _solve(self, num_banks, heated, rows=48, cols=48):
+        return solve_bank_heat(num_banks, heated, self.HEATER.heater_power_mw,
+                               self.HEATER.baseline_power_mw, rows, cols)
+
+    def test_one_factorization_for_both_blocks(self, monkeypatch):
+        calls = []
+        factorized = grid_solver.factorized
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return factorized(matrix)
+
+        monkeypatch.setattr(grid_solver, "factorized", counting)
+        for _ in range(3):
+            self._solve(250, np.array([3, 40]))
+            self._solve(450, np.array([7, 200, 449]))
+        assert calls == [(48 * 48, 48 * 48)]
+
+    def test_matches_fresh_solver_bit_for_bit(self):
+        for num_banks, heated, rows, cols in ((250, [3, 40], 48, 48),
+                                              (450, [7, 200, 449], 48, 48),
+                                              (250, [0, 249], 32, 40)):
+            shared = self._solve(num_banks, np.array(heated), rows, cols)
+            fresh = simulate_hotspot_attack(
+                Floorplan(num_banks), attacked_banks=heated,
+                heater_power_mw=self.HEATER.heater_power_mw,
+                baseline_power_mw=self.HEATER.baseline_power_mw,
+                solver=GridThermalSolver(ThermalSolverConfig(rows, cols)),
+            ).bank_temperature_rise_k
+            assert shared.tobytes() == fresh.tobytes()
+
+    def test_returns_fresh_arrays(self):
+        first = self._solve(250, np.array([3, 40]))
+        expected = first.copy()
+        first[:] = 1e6  # HotspotAttack.sample clamps its result in place
+        assert self._solve(250, np.array([3, 40])).tobytes() == expected.tobytes()
+
+    def test_golden_rise_bytes(self):
+        config = AcceleratorConfig.scaled_config()
+        for block in ("conv", "fc"):
+            num_banks = config.block(block).num_banks
+            rise = self._solve(num_banks, np.arange(3, num_banks, 17))
+            digest = hashlib.sha256(rise.tobytes()).hexdigest()
+            assert digest == self.GOLDEN_RISE_SHA[num_banks], block
+
+    def test_invalid_grid_rejected_whatever_ran_before(self):
+        """A float grid size fails even after an equal int one is cached."""
+        config = AcceleratorConfig.scaled_config()
+        spec = AttackSpec("hotspot", "fc", 0.1)
+        floaty = HotspotAttack(spec, {"grid_rows": 48.0})
+        with pytest.raises(ValidationError, match="grid_rows must be an integer"):
+            floaty.sample(config, seed=0)
+        HotspotAttack(spec, {"grid_rows": 48}).sample(config, seed=0)
+        with pytest.raises(ValidationError, match="grid_rows must be an integer"):
+            floaty.sample(config, seed=0)
