@@ -58,7 +58,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="process-pool size (1 runs serially)",
+        help="worker-pool size (1 runs serially)",
     )
     parser.add_argument(
         "--cache-dir", default=".repro-cache",

@@ -13,7 +13,7 @@ Runners take keyword parameters with JSON-serializable defaults recorded in
 :class:`~repro.engine.spec.RunSpec`'s parameter overrides against those
 defaults, which makes every experiment runnable (and cacheable) through
 ``python -m repro run/sweep``.  The per-point experiments keep a per-process
-cache of trained workloads so a worker in a process pool trains each
+cache of trained workloads so each worker-pool process trains each
 (model, seed) combination once and then evaluates many grid points against it.
 """
 
@@ -103,7 +103,7 @@ class ExperimentDescriptor:
 
 # ------------------------------------------------------------- shared caches
 #: Per-process cache of prepared Fig. 7 workloads keyed by
-#: ``(model_name, seed, quantize_weights)``.  A process-pool worker trains a
+#: ``(model_name, seed, quantize_weights)``.  Each worker-pool process trains a
 #: workload once and reuses it for every grid point it executes.
 _FIG7_WORKLOADS: dict[tuple, tuple] = {}
 
@@ -238,7 +238,7 @@ def candidate_outcomes(
 
     The placement seed is a pure function of the candidate's identity
     (kind, block, fraction, params, placement index) under the experiment
-    seed, so any executor — the local batched evaluator, a process-pool
+    seed, so any executor — the local batched evaluator, a worker-pool
     worker or a federation node — samples byte-identical placements for the
     same candidate.
     """
@@ -562,7 +562,7 @@ def _run_fig7_candidate(
     averaged over random placements (engine/sweep/serve unit of work).
 
     This is the unit the :mod:`repro.attacks.search` optimizers dispatch —
-    locally in stacked batches, through a process pool, or as sweep points on
+    locally in stacked batches, through a worker pool, or as sweep points on
     a ``repro serve`` federation.  ``variant=""`` attacks the unmitigated
     workload; a variant name (e.g. ``"l2+n3"``) attacks that trained
     mitigation variant.  Placement seeds are content-derived from the

@@ -73,8 +73,8 @@ def load_plugin_modules(env: str = "REPRO_ATTACK_PLUGINS") -> tuple[str, ...]:
     whose import is expected to call :func:`register_attack`.  It is read
     once when :mod:`repro.attacks` is imported, so plugin kinds reach every
     surface that touches the registry — the ``repro`` CLI, ``AttackSpec``
-    validation, and process-pool sweep workers, which inherit the
-    environment and re-import ``repro`` fresh.  Returns the imported names.
+    validation, and sweep pool workers, which inherit the environment
+    (spawned ones re-import ``repro`` fresh).  Returns the imported names.
     """
     loaded = []
     for name in os.environ.get(env, "").split(","):

@@ -17,7 +17,8 @@ Three interchangeable evaluation backends produce bit-identical records:
     :meth:`AttackedInferenceEngine.accuracy_under_attacks` forward.
 ``campaign``
     A :class:`~repro.engine.campaign.Campaign` per generation (serial or
-    process-pool), sharing one long-lived executor across generations.
+    worker pool), sharing one long-lived executor — and so one pool —
+    across generations.
 ``serve``
     Each generation is submitted to a ``repro serve`` coordinator as one
     zipped sweep, so searches run on the worker federation and inherit its
@@ -324,7 +325,7 @@ class AttackSearch:
     workers:
         When set, evaluate generations through a
         :class:`~repro.engine.campaign.Campaign` executor instead of the
-        stacked local path (``"serial"`` or a process-pool worker count).
+        stacked local path (``"serial"`` or a worker-pool size).
     client:
         A :class:`~repro.serve.client.ServeClient`; when set, generations are
         submitted to the coordinator as zipped sweeps (overrides ``workers``).

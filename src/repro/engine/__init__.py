@@ -5,10 +5,13 @@ scalable orchestration layer:
 
 * :mod:`repro.engine.spec` — declarative :class:`RunSpec`/:class:`SweepSpec`
   definitions (Cartesian grids, zipped lists, seed replication).
-* :mod:`repro.engine.executor` — the :class:`RunExecutor` interface with
-  serial and process-pool implementations (deterministic per-run seeding),
-  plus the :class:`StreamExecutor` extension for long-lived shared pools
-  (implemented by the serve daemon's worker pool in :mod:`repro.serve`).
+* :mod:`repro.engine.executor` — the :class:`RunExecutor` interface, the
+  :class:`RunLedger` retry/deadline/quarantine state machine every execution
+  path shares, the serial executor, and :class:`BackendExecutor`, which runs
+  sweeps on any :class:`RunBackend` (deterministic per-run seeding).
+* :mod:`repro.engine.pool` — :class:`WorkerPool`, the one worker-process
+  pool behind ``-j N`` sweeps and searches, ``repro serve`` and
+  ``repro node``.
 * :mod:`repro.engine.cache` — content-addressed on-disk result store keyed
   by spec fingerprint + library version.
 * :mod:`repro.engine.checkpoints` — content-addressed trained-model store
@@ -30,17 +33,19 @@ from repro.engine.checkpoints import (
     default_checkpoint_dir,
 )
 from repro.engine.executor import (
-    ProcessPoolRunExecutor,
+    BackendExecutor,
     RetryPolicy,
     RunBackend,
     RunExecutor,
+    RunFailure,
+    RunLedger,
     SerialExecutor,
-    StreamExecutor,
     execute_run,
     failure_record,
     make_executor,
     run_all,
 )
+from repro.engine.pool import WorkerPool
 from repro.engine.records import RunRecord
 from repro.engine.spec import RunSpec, SweepSpec, canonical_json, spec_fingerprint
 
@@ -60,9 +65,11 @@ __all__ = [
     "RetryPolicy",
     "RunBackend",
     "RunExecutor",
-    "StreamExecutor",
+    "RunFailure",
+    "RunLedger",
     "SerialExecutor",
-    "ProcessPoolRunExecutor",
+    "BackendExecutor",
+    "WorkerPool",
     "execute_run",
     "failure_record",
     "make_executor",

@@ -18,7 +18,7 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 from repro.engine.cache import ResultCache
-from repro.engine.executor import RetryPolicy, RunExecutor, make_executor
+from repro.engine.executor import RetryPolicy, RunBackend, RunExecutor, make_executor
 from repro.engine.records import RunRecord
 from repro.engine.spec import RunSpec, SweepSpec
 
@@ -83,15 +83,18 @@ class Campaign:
         ``None`` to disable caching entirely.
     workers:
         Executor knob (see :func:`repro.engine.executor.make_executor`):
-        ``None``/``1`` runs serially, larger integers use a process pool, and
-        a :class:`~repro.engine.executor.RunExecutor` instance (e.g. a shared
-        long-lived worker pool) is used as-is.
+        ``None``/``1`` runs serially, larger integers use a worker pool of
+        that size (started by :meth:`run`, stopped when it returns), a
+        :class:`~repro.engine.executor.RunBackend` such as a caller-owned
+        :class:`~repro.engine.pool.WorkerPool` is driven as-is, and a
+        :class:`~repro.engine.executor.RunExecutor` instance is used as-is
+        and left open (e.g. one pool shared across many campaigns).
     progress:
         Optional callback invoked with a :class:`ProgressEvent` after every
         completed point (cache hits included).
     retry:
-        Optional :class:`~repro.engine.executor.RetryPolicy` threaded into the
-        executor built from ``workers`` (ignored when ``workers`` is already a
+        Optional :class:`~repro.engine.executor.RetryPolicy` for the executor
+        built from ``workers`` (ignored when ``workers`` is already a
         :class:`RunExecutor` instance, which owns its own policy).
     """
 
@@ -99,7 +102,7 @@ class Campaign:
         self,
         sweep: SweepSpec | Sequence[RunSpec],
         cache: ResultCache | str | Path | None = None,
-        workers: int | str | RunExecutor | None = None,
+        workers: int | str | RunExecutor | RunBackend | None = None,
         progress: Callable[[ProgressEvent], None] | None = None,
         retry: RetryPolicy | None = None,
     ):
@@ -111,6 +114,7 @@ class Campaign:
             cache = ResultCache(cache)
         self.cache = cache
         self.executor: RunExecutor = make_executor(workers, retry=retry)
+        self._owns_executor = not isinstance(workers, RunExecutor)
         self.progress = progress
 
     # ------------------------------------------------------------------ run
@@ -139,23 +143,27 @@ class Campaign:
                 self.progress(ProgressEvent(record=record, done=hit_number, total=total))
 
         pending_specs = [spec for _, spec in pending]
-        for position, record in self.executor.run_specs(pending_specs):
-            index = pending[position][0]
-            records[index] = record
-            result.executed += 1
-            done += 1
-            if record.ok:
-                if self.cache is not None:
-                    # A failed cache write (disk full, injected ENOSPC) costs
-                    # future reuse, not this campaign's results.
-                    try:
-                        self.cache.put(record)
-                    except OSError:
-                        result.cache_write_errors += 1
-            else:
-                result.failures += 1
-            if self.progress is not None:
-                self.progress(ProgressEvent(record=record, done=done, total=total))
+        try:
+            for position, record in self.executor.run_specs(pending_specs):
+                index = pending[position][0]
+                records[index] = record
+                result.executed += 1
+                done += 1
+                if record.ok:
+                    if self.cache is not None:
+                        # A failed cache write (disk full, injected ENOSPC)
+                        # costs future reuse, not this campaign's results.
+                        try:
+                            self.cache.put(record)
+                        except OSError:
+                            result.cache_write_errors += 1
+                else:
+                    result.failures += 1
+                if self.progress is not None:
+                    self.progress(ProgressEvent(record=record, done=done, total=total))
+        finally:
+            if self._owns_executor:
+                self.executor.close()
 
         result.records = [record for record in records if record is not None]
         result.duration_s = perf_counter() - start

@@ -11,7 +11,7 @@ Subcommands
     Execute one experiment (through the cache) and print its payload.
 ``sweep <experiment_id>``
     Expand a parameter sweep (``--grid``/``--zip``/``--set``/``--seeds``)
-    and run it through the serial or process-pool executor with caching.
+    and run it serially or on a worker pool (``-j N``) with caching.
 ``search <kind>``
     Black-box adversarial attack search: a deterministic optimizer
     (``random``, ``evolutionary`` or ``halving``) drives the kind's bounded
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_retry_args(sweep, scope="default: 1 — failures are final")
     sweep.add_argument(
         "--workers", "-j", default=None,
-        help="process-pool size (default/1: run serially)",
+        help="worker-pool size (default/1: run serially)",
     )
     sweep.add_argument("--serial", action="store_true", help="force serial execution")
     sweep.add_argument("--json", action="store_true", help="print payloads as JSON")
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=0, help="search seed")
     search.add_argument(
         "--workers", "-j", default=None,
-        help="evaluate generations on a process pool of this size instead "
+        help="evaluate generations on one worker pool of this size instead "
              "of the stacked in-process path",
     )
     search.add_argument(

@@ -1,20 +1,24 @@
-"""Run-spec executors: serial and process-pool, with a run-level failure policy.
+"""Run-spec execution: one unit of work, one failure policy, two executors.
 
 :func:`execute_run` is the single unit of work shared by every execution
 strategy — it resolves the experiment, runs it with the spec's parameters
 and seed, and wraps the outcome (or the failure) into a
 :class:`~repro.engine.records.RunRecord`.  It is a module-level function so
-the process pool can pickle references to it; only the plain-data
+worker processes can run it by reference; only the plain-data
 :class:`~repro.engine.spec.RunSpec` crosses process boundaries.
 
-Failure policy: every executor takes an optional :class:`RetryPolicy`.  A run
-that fails (error record, dead pool worker, or blown per-run deadline) is
-re-executed up to ``max_attempts`` times with capped exponential backoff and
-deterministic jitter; a run that exhausts its attempts is *quarantined* — its
-final error record carries the attempt history in provenance and the sweep
-moves on, so one poison point can never stall or crash-loop a campaign.  The
-default policy (one attempt, no deadline) reproduces the historical behavior
-exactly.
+Failure policy: :class:`RunLedger` is the one retry/deadline/quarantine
+state machine, driven by the :class:`SerialExecutor`, by
+:class:`BackendExecutor` (``-j N``: a
+:class:`~repro.engine.pool.WorkerPool`, or any :class:`RunBackend`) and by
+the serve scheduler.  A run that fails (error record, dead worker, blown
+per-run deadline) is re-executed up to :attr:`RetryPolicy.max_attempts`
+times with capped exponential backoff and deterministic jitter; a run that
+exhausts its attempts is *quarantined* — its final error record carries the
+attempt count in provenance and the sweep moves on, so one poison point can
+never stall or crash-loop a campaign.  Each death is charged to exactly the
+run its worker hosted.  The default policy (one attempt, no deadline) keeps
+failures final.
 
 Determinism: each run's randomness is fully derived from ``spec.seed`` (the
 experiment runners thread it through :mod:`repro.utils.rng`), so the same
@@ -28,16 +32,16 @@ cheaper without affecting results.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
+import weakref
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from time import monotonic, perf_counter
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,11 +56,12 @@ __all__ = [
     "execute_run",
     "failure_record",
     "RetryPolicy",
+    "RunFailure",
+    "RunLedger",
     "RunBackend",
     "RunExecutor",
-    "StreamExecutor",
     "SerialExecutor",
-    "ProcessPoolRunExecutor",
+    "BackendExecutor",
     "make_executor",
     "run_all",
 ]
@@ -64,7 +69,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How an executor (or the serve scheduler) treats a failing run.
+    """How a :class:`RunLedger` treats a failing run.
 
     Attributes
     ----------
@@ -80,9 +85,8 @@ class RetryPolicy:
         of retries never stampedes in lockstep yet stays reproducible.
     deadline_s:
         Per-run wall-clock budget.  A run still executing past it is treated
-        as hung: its worker is killed (serve pool) or the pool is rebuilt
-        (process pool) and the run counts a failed attempt.  ``None``: no
-        deadline.
+        as hung: the worker hosting it is killed (a remote lease is revoked)
+        and the run counts a failed attempt.  ``None``: no deadline.
     seed:
         Jitter seed.
     """
@@ -215,8 +219,7 @@ class RunExecutor(ABC):
     ``run_specs`` is the batch contract :class:`~repro.engine.campaign.Campaign`
     consumes: feed it an ordered list of specs, stream back ``(index, record)``
     pairs in whatever order runs complete.  ``close`` releases long-lived
-    resources (a no-op for the stateless built-ins; the serve worker pool
-    terminates its processes here).
+    resources (a pool-backed executor stops the pool it owns).
     """
 
     kind: str = "abstract"
@@ -229,80 +232,49 @@ class RunExecutor(ABC):
         """Release executor resources (idempotent)."""
 
 
-class StreamExecutor(RunExecutor):
-    """Executors that accept tagged submissions from many campaigns at once.
+class RunBackend(ABC):
+    """Execution capacity a :class:`RunLedger` can supervise.
 
-    The one-pool-per-sweep model of :class:`ProcessPoolRunExecutor` ties the
-    worker pool's lifetime to a single spec list.  A stream executor instead
-    exposes the pool as a long-lived service: callers :meth:`submit` specs
-    tagged with an opaque token (e.g. ``(job_id, index)``) whenever they like,
-    and drain :meth:`completions` as results arrive — so N concurrently
-    submitted sweeps share one set of workers and work-stealing across sweeps
-    falls out of the shared queue.  The serve daemon's
-    :class:`~repro.serve.workers.WorkerPool` is the canonical implementation.
+    Runs are submitted tagged with an opaque token (e.g. ``(job_id, index)``)
+    that comes back with their completion.  The failure policy also needs to
+    see which runs are physically executing (for deadlines), kill or fence
+    one overdue run, and learn exactly which runs a dead executor lost —
+    which lets one state machine treat the local
+    :class:`~repro.engine.pool.WorkerPool` and remote federated nodes
+    (:class:`~repro.serve.federation.FederationBackend`) alike.
     """
+
+    #: Provenance name of the records this backend produces.
+    kind: str = "backend"
+    #: Short name used in dispatch bookkeeping and health documents.
+    backend_name: str = "backend"
+
+    def start(self) -> None:
+        """Bring the execution capacity up (idempotent)."""
 
     @abstractmethod
     def submit(self, token: Hashable, spec: RunSpec) -> None:
-        """Enqueue one run; ``token`` is echoed back with its completion."""
-
-    @abstractmethod
-    def completions(self, timeout: float | None = None) -> Iterator[tuple[Hashable, RunRecord]]:
-        """Yield ``(token, record)`` for finished runs.
-
-        With a ``timeout`` the iterator stops (without raising) once no
-        completion arrives for that many seconds; with ``timeout=None`` it
-        blocks until the next completion forever.
-        """
-
-    def run_specs(self, specs: Sequence[RunSpec]) -> Iterator[tuple[int, RunRecord]]:
-        """Batch adapter: submit everything, drain until all runs report."""
-        for index, spec in enumerate(specs):
-            self.submit(index, spec)
-        remaining = len(specs)
-        while remaining:
-            for token, record in self.completions(timeout=None):
-                yield int(token), record  # type: ignore[call-overload]
-                remaining -= 1
-                if not remaining:
-                    return
-
-
-class RunBackend(StreamExecutor):
-    """A supervisable :class:`StreamExecutor` the serve scheduler can drive.
-
-    The scheduler's failure policy needs more than submit/drain: it must see
-    which runs are physically executing (to enforce wall-clock deadlines),
-    kill or fence one overdue run, and learn exactly which runs a dead
-    executor lost so it can charge attempts and re-dispatch.  Everything the
-    scheduler does flows through this interface, which is what lets it treat
-    the local :class:`~repro.serve.workers.WorkerPool` and remote federated
-    nodes (:class:`~repro.serve.federation.FederationBackend`) uniformly:
-    a run leased to a machine across the network and a run handed to a child
-    process are the same thing to the failure policy.
-    """
-
-    #: Short name used in dispatch bookkeeping and health documents.
-    backend_name: str = "backend"
+        """Enqueue one run, waiting for capacity if need be."""
 
     @abstractmethod
     def try_submit(self, token: Hashable, spec: RunSpec) -> bool:
         """Non-blocking submit; False when the backend has no capacity now."""
 
     @abstractmethod
-    def in_flight(self) -> dict:
-        """Snapshot ``token -> (host id, started monotonic)`` of executing runs.
+    def completions(self, timeout: float | None = None) -> Iterator[tuple[Hashable, RunRecord]]:
+        """Yield ``(token, record)`` for finished runs; stops (without
+        raising) once nothing arrives for ``timeout`` seconds."""
 
-        The host id is backend-specific (a worker pid, a node id); callers
-        only rely on the second element for deadline math.
-        """
+    @abstractmethod
+    def in_flight(self) -> dict:
+        """Snapshot ``token -> (host id, started monotonic)`` of executing runs."""
 
     @abstractmethod
     def kill_for(self, token: Hashable) -> bool:
         """Stop (or fence off) the execution of one run; False if unknown.
 
-        After a successful call the backend must never report a completion
-        for this token's current execution — the caller owns its retry.
+        After a successful call the backend never reports a completion for
+        this token's current execution — the caller owns its retry.
         """
 
     @abstractmethod
@@ -310,22 +282,232 @@ class RunBackend(StreamExecutor):
         """Detect dead executors; return the tokens their deaths lost."""
 
     def withdraw(self, token: Hashable) -> bool:
-        """Take back a submitted-but-not-yet-executing run, if possible.
-
-        Backends that queue work where it can still be recalled (e.g. a
-        claimable lease pool) return True and drop the run; backends whose
-        queues cannot be recalled (an OS pipe to worker processes) return
-        False and the caller falls back to stale-completion handling.
-        """
+        """Take back a submitted-but-not-yet-executing run; False if it
+        cannot be recalled (an OS pipe to worker processes cannot)."""
         return False
 
-    def health(self) -> dict:
-        """Liveness/capacity summary for ``/healthz``-style reporting."""
-        return {}
+    def exhausted(self) -> bool:
+        """True once the backend can never report another completion."""
+        return False
+
+
+#: How long a dispatched run may wait, while its backend executes nothing,
+#: before it is presumed lost (see :meth:`RunLedger.supervise`).
+LOST_TASK_GRACE_S = 15.0
+
+
+@dataclass(frozen=True)
+class RunFailure:
+    """One failed attempt and what the :class:`RunLedger` made of it."""
+
+    index: int
+    spec: RunSpec
+    error: str
+    attempts: int  #: attempts charged so far, the failed one included
+    retry_in: float | None  #: backoff before the retry; None: quarantined
+    record: RunRecord | None = None  #: the run's own error record, if any
+
+    @property
+    def quarantined(self) -> bool:
+        return self.retry_in is None
+
+
+class RunLedger:
+    """The retry, deadline and quarantine state machine for a list of runs.
+
+    Every execution path drives its runs through one of these: the serial
+    executor, :class:`BackendExecutor` (``-j N`` sweeps and searches) and the
+    serve scheduler (one ledger per active job).  A run moves from
+    ``pending`` to ``outstanding`` (:meth:`dispatch` charges one attempt) to
+    ``settled``.  Every failed execution — an error record, a worker death,
+    a deadline kill, a dispatch that never started — goes through
+    :meth:`fail`: the run waits out its backoff in ``delayed`` and is
+    dispatched again or, with ``policy.max_attempts`` spent, is quarantined
+    (settled and listed in :attr:`quarantined`).  Since attempts are charged
+    at dispatch, no run executes more than ``max_attempts`` times; runs
+    stranded on an exhausted backend are quarantined by :meth:`abandon`.
+    Backend tokens are ``(tag, index)``, so many ledgers can share a backend.
+    """
+
+    def __init__(
+        self,
+        runs: Iterable[tuple[int, RunSpec]] = (),
+        policy: RetryPolicy | None = None,
+        tag: Hashable = None,
+        lost_task_grace_s: float = LOST_TASK_GRACE_S,
+    ):
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.tag = tag
+        self.lost_task_grace_s = lost_task_grace_s
+        self.pending: deque[tuple[int, RunSpec]] = deque(runs)
+        #: (ready monotonic, index, spec): failed runs awaiting their backoff
+        self.delayed: list[tuple[float, int, RunSpec]] = []
+        #: index -> (spec, waiting-since monotonic, backend) of dispatched runs
+        self.outstanding: dict[int, tuple[RunSpec, float, object]] = {}
+        #: index -> dispatches so far (the <= max_attempts invariant lives here)
+        self.attempts: dict[int, int] = {}
+        self.settled: set[int] = set()
+        #: ``{"index", "label", "attempts", "error"}`` per quarantined run
+        self.quarantined: list[dict] = []
+
+    @property
+    def active(self) -> bool:
+        """True while any run is unsettled."""
+        return bool(self.pending or self.delayed or self.outstanding)
+
+    def next_due_s(self) -> float:
+        """Seconds until the earliest delayed retry is due (0 if none waits)."""
+        if not self.delayed:
+            return 0.0
+        return max(0.0, min(entry[0] for entry in self.delayed) - monotonic())
+
+    def dispatch(self, submit: Callable[[tuple, RunSpec], object]) -> bool:
+        """Offer the next due run to ``submit(token, spec)``.
+
+        ``submit`` returns whatever accepted the run (the backend that
+        :meth:`supervise` consults), or ``None`` when no capacity is free.
+        An accepted run is charged one attempt.  False: nothing dispatched.
+        """
+        now = monotonic()
+        if self.delayed:
+            self.pending.extend((i, spec) for ready, i, spec in self.delayed if ready <= now)
+            self.delayed = [entry for entry in self.delayed if entry[0] > now]
+        if not self.pending:
+            return False
+        index, spec = self.pending[0]
+        backend = submit((self.tag, index), spec)
+        if backend is None:
+            return False
+        self.pending.popleft()
+        self.attempts[index] = self.attempts.get(index, 0) + 1
+        self.outstanding[index] = (spec, now, backend)
+        return True
+
+    def fail(
+        self, index: int, error: str, record: RunRecord | None = None
+    ) -> RunFailure | None:
+        """Charge a failed execution of an outstanding run: retry or quarantine.
+
+        ``None`` when ``index`` is not outstanding (settled, or already failed).
+        """
+        entry = self.outstanding.pop(index, None)
+        if entry is None:
+            return None
+        spec = entry[0]
+        attempts = self.attempts[index]
+        if attempts < self.policy.max_attempts:
+            delay = self.policy.delay_s(attempts, key=spec.label())
+            self.delayed.append((monotonic() + delay, index, spec))
+            return RunFailure(index, spec, error, attempts, delay, record)
+        return self._quarantine(index, spec, error, record)
+
+    def abandon(self, error: str) -> list[RunFailure]:
+        """Quarantine every unsettled run: its backend is exhausted."""
+        runs = [(index, entry[0]) for index, entry in self.outstanding.items()]
+        runs += [(index, spec) for _, index, spec in self.delayed] + list(self.pending)
+        self.outstanding, self.delayed, self.pending = {}, [], deque()
+        return [self._quarantine(index, spec, error) for index, spec in runs]
+
+    def _quarantine(
+        self, index: int, spec: RunSpec, error: str, record: RunRecord | None = None
+    ) -> RunFailure:
+        attempts = self.attempts.get(index, 0)
+        self.settled.add(index)
+        self.quarantined.append(
+            {"index": index, "label": spec.label(), "attempts": attempts, "error": error}
+        )
+        return RunFailure(index, spec, error, attempts, None, record)
+
+    def report(self, index: int, record: RunRecord) -> RunRecord | RunFailure | None:
+        """Account one completion report.
+
+        Returns the record when it settles the run, a :class:`RunFailure`
+        when the outstanding execution failed, and ``None`` when the report
+        changes nothing.  A *stale* report — from an execution already
+        charged as failed (deadline kill, presumed-lost dispatch) — settles
+        the run when it is good (a good result is a result) and cancels the
+        scheduled retry; a stale failure adds nothing.
+        """
+        if index in self.settled:
+            return None
+        if index in self.outstanding:
+            if not record.ok:
+                return self.fail(index, record.error or "run failed", record)
+            del self.outstanding[index]
+        elif not (record.ok and self.cancel_scheduled(index)):
+            return None
+        self.settled.add(index)
+        return record
+
+    def cancel_scheduled(self, index: int) -> bool:
+        """Drop any pending/delayed (re-)dispatch of ``index``; True if any."""
+        before = len(self.pending) + len(self.delayed)
+        self.pending = deque(entry for entry in self.pending if entry[0] != index)
+        self.delayed = [entry for entry in self.delayed if entry[1] != index]
+        return len(self.pending) + len(self.delayed) < before
+
+    def supervise(self, flights: dict) -> list[RunFailure]:
+        """Enforce deadlines and fail dispatches that never started.
+
+        ``flights`` maps each backend to its :meth:`RunBackend.in_flight`.
+        A run executing longer than ``policy.deadline_s`` is killed through
+        its backend and charged.  A dispatched run that is not executing
+        waits legitimately while its backend runs other work; after
+        ``lost_task_grace_s`` with the backend executing nothing (a worker
+        died before announcing it, every worker is dead, no node leased it)
+        it is withdrawn and charged.
+        """
+        now = monotonic()
+        deadline = self.policy.deadline_s
+        failures = []
+        for index, (spec, since, backend) in list(self.outstanding.items()):
+            flight = flights.get(backend, {})
+            token = (self.tag, index)
+            started = flight.get(token)
+            if started is not None:
+                if deadline is not None and now - started[1] > deadline:
+                    if backend.kill_for(token):
+                        failures.append(self.fail(
+                            index, f"deadline exceeded ({deadline:.1f}s wall clock)"
+                        ))
+            elif flight:
+                self.outstanding[index] = (spec, now, backend)
+            elif now - since > self.lost_task_grace_s:
+                backend.withdraw(token)
+                failures.append(self.fail(
+                    index,
+                    f"dispatched but never started within {self.lost_task_grace_s:.0f}s",
+                ))
+        return failures
+
+    def final_record(
+        self, index: int, outcome: RunRecord | RunFailure | None, kind: str
+    ) -> RunRecord | None:
+        """The record a batch executor yields for ``outcome`` (None: unsettled).
+
+        It carries ``attempts`` in provenance when the run took more than
+        one.  A quarantined run comes back as its own last error record, or
+        as a synthetic :func:`failure_record` when its last attempt died.
+        """
+        if isinstance(outcome, RunFailure):
+            if not outcome.quarantined:
+                return None
+            if outcome.record is None:
+                error = f"quarantined after {outcome.attempts} attempt(s): {outcome.error}"
+                return failure_record(outcome.spec, error, kind, outcome.attempts)
+            outcome = outcome.record
+        attempts = self.attempts.get(index, 1)
+        if outcome is None or attempts == 1:
+            return outcome
+        return outcome.with_provenance(attempts=attempts)
 
 
 class SerialExecutor(RunExecutor):
-    """Runs specs one after another in the current process."""
+    """Runs specs one after another in the current process.
+
+    Records come back in spec order, except that a retried run completes
+    after its backoff (the runs behind it go ahead while it waits).
+    """
 
     kind = "serial"
 
@@ -333,194 +515,125 @@ class SerialExecutor(RunExecutor):
         self.retry = retry if retry is not None else RetryPolicy()
 
     def run_specs(self, specs: Sequence[RunSpec]) -> Iterator[tuple[int, RunRecord]]:
-        """Yield ``(index, record)`` for every spec, in order."""
-        for index, spec in enumerate(specs):
-            yield index, self._run_with_retry(spec)
+        ledger = RunLedger(enumerate(specs), self.retry)
+        finished: list[tuple[int, RunRecord]] = []
 
-    def _run_with_retry(self, spec: RunSpec) -> RunRecord:
-        policy = self.retry
-        attempt = 0
-        while True:
-            attempt += 1
-            record = execute_run(spec, executor_kind=self.kind)
-            if record.ok or attempt >= policy.max_attempts:
-                if attempt > 1:
-                    record = record.with_provenance(attempts=attempt)
-                return record
-            time.sleep(policy.delay_s(attempt, key=spec.label()))
+        def run_inline(token: tuple, spec: RunSpec) -> "SerialExecutor":
+            finished.append((token[1], execute_run(spec, executor_kind=self.kind)))
+            return self
+
+        while ledger.active:
+            if not ledger.dispatch(run_inline):
+                time.sleep(ledger.next_due_s())  # only backoffs are left
+                continue
+            index, record = finished.pop()
+            final = ledger.final_record(index, ledger.report(index, record), self.kind)
+            if final is not None:
+                yield index, final
 
 
-class ProcessPoolRunExecutor(RunExecutor):
-    """Fans specs out across a :class:`concurrent.futures.ProcessPoolExecutor`.
+class BackendExecutor(RunExecutor):
+    """Runs spec lists on one :class:`RunBackend`, each under a :class:`RunLedger`.
 
-    Results are yielded as they complete (for progress streaming); callers
-    that need spec order reassemble by the yielded index.  ``max_workers``
-    defaults to the machine's CPU count capped at 8 — experiment runners are
-    NumPy-heavy, so oversubscription beyond physical cores buys nothing.
-
-    Failure policy: a broken pool (a worker process died — OOM killer,
-    segfault, injected crash) is rebuilt and its unfinished runs re-submitted;
-    every run that was in flight is charged a failed attempt (the stdlib pool
-    fails them together, so they all genuinely died), and a run that exhausts
-    :class:`RetryPolicy.max_attempts` is quarantined with a synthetic error
-    record instead of being re-dispatched forever.  Submission is throttled
-    to the worker count so a charged run was actually executing, and each
-    *consecutive* broken rebuild halves the concurrency down to one — under a
-    crash storm one bad run then takes only itself down per incident, so
-    innocent neighbours stop bleeding shared attempts; any successful
-    completion restores full width.  With a ``deadline_s`` the pool is also
-    torn down and rebuilt when any run overstays its wall-clock budget
-    (``ProcessPoolExecutor`` cannot kill a single worker), charging the
-    overdue runs an attempt.  The serve
-    :class:`~repro.serve.workers.WorkerPool` implements the same policy with
-    precise per-worker tracking; this is the best-effort one-shot variant.
+    Built from a worker count (``make_executor(N)``) it owns a
+    :class:`~repro.engine.pool.WorkerPool`: the pool starts on the first
+    non-empty batch, keeps its workers (and their per-process caches of
+    trained workloads) across batches, and stops in :meth:`close`.  Built
+    from a caller's backend it leaves that backend's lifecycle to the caller.
+    A batch on an :meth:`~RunBackend.exhausted` backend quarantines its
+    unsettled runs; an exhausted owned pool is replaced at the next batch.
     """
 
-    kind = "process-pool"
+    #: Longest wait for a completion before deadlines and deaths are checked.
+    _TICK_S = 0.1
 
-    #: Scheduler poll period while waiting on the pool (seconds) when a
-    #: deadline must be enforced; without a deadline the wait is unbounded.
-    _TICK_S = 0.25
+    def __init__(self, backend: RunBackend | int, retry: RetryPolicy | None = None):
+        from repro.engine.pool import WorkerPool
 
-    def __init__(self, max_workers: int | None = None, retry: RetryPolicy | None = None):
-        if max_workers is None:
-            max_workers = min(os.cpu_count() or 1, 8)
-        self.max_workers = check_positive_int(max_workers, "max_workers")
+        #: Size of the pool this executor owns; None when driving a caller's backend.
+        self.workers = (
+            None if isinstance(backend, RunBackend) else check_positive_int(backend, "workers")
+        )
+        self.backend: RunBackend | None = None if self.workers else backend
+        self.kind = WorkerPool.kind if self.workers else backend.kind
         self.retry = retry if retry is not None else RetryPolicy()
 
+    def _accept(self, token: tuple, spec: RunSpec) -> RunBackend | None:
+        return self.backend if self.backend.try_submit(token, spec) else None
+
     def run_specs(self, specs: Sequence[RunSpec]) -> Iterator[tuple[int, RunRecord]]:
-        """Yield ``(index, record)`` as runs complete across the pool."""
+        """Yield ``(index, record)`` as runs settle on the backend."""
         if not specs:
             return
-        policy = self.retry
-        size = min(self.max_workers, len(specs))
-        #: Runs awaiting (re-)submission: (index, spec, attempt-to-run-next).
-        work: deque[tuple[int, RunSpec, int]] = deque(
-            (index, spec, 1) for index, spec in enumerate(specs)
-        )
-        pool = ProcessPoolExecutor(max_workers=size)
-        outstanding: dict = {}  # future -> (index, spec, attempt, submitted_at)
-        #: Consecutive broken rebuilds with no successful completion between
-        #: them.  Halves the submission width each incident (down to one) so
-        #: a crash storm stops charging innocent neighbours — at width one
-        #: the charged run is exactly the one that died.
-        storm = 0
-        try:
-            while work or outstanding:
-                width = max(1, size >> min(storm, 6))
-                while work and len(outstanding) < width:
-                    index, spec, attempt = work.popleft()
-                    if attempt > policy.max_attempts:
-                        yield index, failure_record(
-                            spec,
-                            f"quarantined after {policy.max_attempts} attempts "
-                            "(worker died or deadline exceeded every time)",
-                            self.kind,
-                            attempts=policy.max_attempts,
-                        )
-                        continue
-                    future = pool.submit(execute_run, spec, __version__, self.kind)
-                    outstanding[future] = (index, spec, attempt, monotonic())
-                timeout = self._TICK_S if policy.deadline_s is not None else None
-                done, _ = wait(
-                    set(outstanding), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                broken = False
-                for future in done:
-                    index, spec, attempt, _ = outstanding.pop(future)
-                    try:
-                        record = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        work.append((index, spec, attempt + 1))
-                        continue
-                    storm = 0
-                    if record.ok or attempt >= policy.max_attempts:
-                        if attempt > 1:
-                            record = record.with_provenance(attempts=attempt)
-                        yield index, record
-                    else:
-                        time.sleep(policy.delay_s(attempt, key=spec.label()))
-                        work.append((index, spec, attempt + 1))
-                if broken or self._pool_is_broken(pool):
-                    storm += 1
-                    pool = self._rebuild(pool, outstanding, work, size, reason="broken")
-                elif policy.deadline_s is not None and any(
-                    monotonic() - submitted > policy.deadline_s
-                    for (_, _, _, submitted) in outstanding.values()
-                ):
-                    pool = self._rebuild(
-                        pool, outstanding, work, size,
-                        reason="deadline", deadline_s=policy.deadline_s,
-                    )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        if self.workers and (self.backend is None or self.backend.exhausted()):
+            from repro.engine.pool import WorkerPool
 
-    @staticmethod
-    def _pool_is_broken(pool: ProcessPoolExecutor) -> bool:
-        return getattr(pool, "_broken", False) is not False and bool(
-            getattr(pool, "_broken", False)
-        )
-
-    def _rebuild(
-        self,
-        pool: ProcessPoolExecutor,
-        outstanding: dict,
-        work: deque,
-        size: int,
-        reason: str,
-        deadline_s: float | None = None,
-    ) -> ProcessPoolExecutor:
-        """Tear the pool down and requeue its unfinished runs.
-
-        Submission is throttled to the pool width, so on a break every
-        in-flight run was genuinely executing and is charged an attempt (at
-        most one per worker, oldest first — defensive if the throttle ever
-        over-admits).  On a deadline rebuild only the overdue runs are
-        charged; the rest keep their attempt count.
-        """
-        entries = sorted(outstanding.values(), key=lambda entry: entry[3])
-        outstanding.clear()
-        now = monotonic()
-        for position, (index, spec, attempt, submitted) in enumerate(entries):
-            charge = position < size
-            if reason == "deadline" and deadline_s is not None:
-                charge = now - submitted > deadline_s
-            work.append((index, spec, attempt + 1 if charge else attempt))
-        # A hung worker ignores shutdown(); terminate the processes directly
-        # (best-effort — _processes is stdlib-internal but stable) so the
-        # rebuild does not leak a stuck child per incident.
-        for proc in list(getattr(pool, "_processes", {}).values() or []):
-            try:
-                proc.terminate()
-            except (OSError, AttributeError):
+            self.close()
+            self.backend = WorkerPool(self.workers)
+            # The pool never outlives its executor, even one never closed.
+            self._release = weakref.finalize(self, self.backend.close)
+        backend = self.backend
+        backend.start()
+        ledger = RunLedger(enumerate(specs), self.retry, tag=next(_BATCH_TAGS))
+        while ledger.active:
+            while ledger.dispatch(self._accept):
                 pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=size)
+            # next_due_s() is 0 with no retry waiting or one awaiting capacity.
+            tick = min(self._TICK_S, ledger.next_due_s() or self._TICK_S)
+            outcomes = []
+            for (tag, index), record in backend.completions(timeout=tick):
+                if tag == ledger.tag:
+                    outcomes.append((index, ledger.report(index, record)))
+                    break  # refill the backend before waiting again
+            failures = ledger.supervise({backend: backend.in_flight()})
+            failures += [
+                ledger.fail(index, "worker died mid-run")
+                for tag, index in backend.reap()
+                if tag == ledger.tag
+            ]
+            if backend.exhausted():
+                failures += ledger.abandon("no workers left to run it")
+            outcomes += [(failure.index, failure) for failure in failures if failure]
+            for index, outcome in outcomes:
+                final = ledger.final_record(index, outcome, self.kind)
+                if final is not None:
+                    yield index, final
+
+    def close(self) -> None:
+        """Stop the owned worker pool (a caller's backend keeps running)."""
+        if self.workers and self.backend is not None:
+            self._release()
+            self.backend = None
+
+
+#: Ledger tags for :class:`BackendExecutor` batches, unique per process.
+_BATCH_TAGS = itertools.count()
 
 
 def make_executor(
-    workers: int | str | RunExecutor | None,
+    workers: int | str | RunExecutor | RunBackend | None,
     retry: RetryPolicy | None = None,
 ) -> RunExecutor:
     """Build an executor from a worker-count knob.
 
-    ``None``, ``0``, ``1`` or ``"serial"`` select the serial executor; any
-    larger integer selects a process pool of that size.  A ready-made
-    :class:`RunExecutor` instance passes through unchanged (``retry`` is
-    ignored — a long-lived shared pool owns its own failure policy), which is
-    how the serve daemon's pool is threaded into a
-    :class:`~repro.engine.campaign.Campaign`.
+    ``None``, ``0``, ``1`` or ``"serial"`` select the serial executor; a
+    larger integer a :class:`BackendExecutor` over a worker pool of that
+    size.  A :class:`RunBackend` (e.g. a caller-owned
+    :class:`~repro.engine.pool.WorkerPool`) is wrapped in a
+    :class:`BackendExecutor` under ``retry``.  A :class:`RunExecutor`
+    passes through unchanged (``retry`` is ignored: it owns its policy).
     """
     if isinstance(workers, RunExecutor):
         return workers
+    if isinstance(workers, RunBackend):
+        return BackendExecutor(workers, retry=retry)
     if workers == "serial":
         return SerialExecutor(retry=retry)
     if isinstance(workers, str):
         workers = int(workers)
     if workers in (None, 0, 1):
         return SerialExecutor(retry=retry)
-    return ProcessPoolRunExecutor(max_workers=workers, retry=retry)
+    return BackendExecutor(workers, retry=retry)
 
 
 def run_all(

@@ -88,15 +88,9 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunRecord":
-        spec_data = dict(data["spec"])  # type: ignore[arg-type]
-        spec = RunSpec(
-            experiment_id=str(spec_data["experiment_id"]),
-            params=dict(spec_data.get("params", {})),
-            seed=int(spec_data.get("seed", 0)),
-        )
         return cls(
             fingerprint=str(data["fingerprint"]),
-            spec=spec,
+            spec=RunSpec.from_canonical(data["spec"]),  # type: ignore[arg-type]
             payload=dict(data.get("payload", {})),
             status=str(data.get("status", "ok")),
             error=data.get("error"),  # type: ignore[arg-type]

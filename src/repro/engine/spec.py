@@ -64,6 +64,15 @@ class RunSpec:
             "seed": self.seed,
         }
 
+    @classmethod
+    def from_canonical(cls, data: Mapping[str, object]) -> "RunSpec":
+        """Inverse of :meth:`canonical` (e.g. a spec shipped to a worker)."""
+        return cls(
+            experiment_id=str(data["experiment_id"]),
+            params=dict(data.get("params", {})),  # type: ignore[arg-type]
+            seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
+        )
+
     def label(self) -> str:
         """Compact human-readable label, e.g. ``fig7_point[kind=hotspot,...]``."""
         inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))

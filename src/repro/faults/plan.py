@@ -12,7 +12,7 @@ Fault points instrumented across the library:
 
 ====================  =======================================================
 ``worker.run``        inside :func:`repro.engine.executor.execute_run`, i.e.
-                      in every executor (serial, process pool, serve workers)
+                      in every executor (serial, or on a pool worker)
 ``cache.put``         :meth:`repro.engine.cache.ResultCache.put` write step
 ``jobstore.save``     :meth:`repro.serve.jobstore.JobStore.save` write step
 ``api.handle``        the serve daemon's HTTP request dispatch

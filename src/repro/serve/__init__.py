@@ -5,13 +5,12 @@ Turns the one-shot campaign engine into a long-running system:
 * :mod:`repro.serve.jobstore` — durable on-disk :class:`JobStore` of
   content-addressed :class:`JobRecord` documents (atomic writes, crash-safe,
   requeues interrupted jobs on restart).
-* :mod:`repro.serve.workers` — :class:`WorkerPool`, N spawned worker
-  processes pulling from one shared queue (the
-  :class:`~repro.engine.executor.StreamExecutor` implementation) with
-  write-through to the content-addressed result cache.
 * :mod:`repro.serve.service` — :class:`CampaignService`, the scheduler that
   dedupes submissions, admits within a bounded job queue, round-robins
-  active sweeps onto the pool, and resumes killed campaigns from the cache.
+  active sweeps onto the engine's :class:`~repro.engine.pool.WorkerPool`
+  (re-exported here; workers write through to the content-addressed result
+  cache) under one :class:`~repro.engine.executor.RunLedger` per job, and
+  resumes killed campaigns from the cache.
 * :mod:`repro.serve.api` — :class:`ServeDaemon`, the stdlib
   ``ThreadingHTTPServer`` API (``POST /sweeps``, ``GET /jobs/<id>``,
   ``GET /results/<id>``, …).
@@ -26,6 +25,7 @@ Start a daemon with ``repro serve``; submit work with ``repro submit``;
 attach remote capacity with ``repro node --coordinator URL``.
 """
 
+from repro.engine.pool import WorkerPool
 from repro.serve.api import DEFAULT_HOST, DEFAULT_PORT, ServeDaemon
 from repro.serve.client import DEFAULT_URL, JobFailedError, ServeClient, ServeError
 from repro.serve.federation import (
@@ -42,7 +42,6 @@ from repro.serve.service import (
     CampaignService,
     sweep_from_payload,
 )
-from repro.serve.workers import WorkerPool
 
 __all__ = [
     "AdmissionError",

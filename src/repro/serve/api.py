@@ -388,7 +388,17 @@ class ServeDaemon:
         port: int = DEFAULT_PORT,
     ):
         self.service = service
-        self.server = ThreadingHTTPServer((host, port), ServeAPIHandler)
+        # Fork the workers before binding: a worker holding the listening
+        # socket would keep the port after this process died.  Jobs are
+        # recovered and scheduled only once the port is ours.
+        if service.pool is not None:
+            service.pool.start()
+        try:
+            self.server = ThreadingHTTPServer((host, port), ServeAPIHandler)
+        except OSError:
+            if service.pool is not None:
+                service.pool.stop()
+            raise
         self.server.daemon_threads = True
         self.server.service = service  # type: ignore[attr-defined]
         self._thread: Thread | None = None

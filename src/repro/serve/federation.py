@@ -1,9 +1,10 @@
 """Multi-node worker federation: lease-based remote execution backends.
 
-The PR 6/7 service runs every point on one host's :class:`WorkerPool` — one
-crashed or partitioned machine takes the whole campaign capacity with it.
-This module federates workers across nodes while keeping the scheduler's
-failure policy (attempt budgets, backoff, quarantine) exactly as strong:
+A service with only a local :class:`WorkerPool` runs every point on one
+host — one crashed or partitioned machine takes the whole campaign capacity
+with it.  This module federates workers across nodes while keeping the
+scheduler's failure policy (attempt budgets, backoff, quarantine) exactly as
+strong:
 
 * :class:`FederationBackend` — the coordinator side.  A
   :class:`~repro.engine.executor.RunBackend` whose capacity is the registered
@@ -59,6 +60,7 @@ from typing import Hashable, Iterator
 
 from repro.engine.cache import ResultCache
 from repro.engine.executor import RunBackend, failure_record
+from repro.engine.pool import WorkerPool
 from repro.engine.records import RunRecord
 from repro.engine.spec import RunSpec
 from repro.faults import InjectedFault, fault_point
@@ -78,14 +80,6 @@ __all__ = [
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _spec_from_canonical(data: dict) -> RunSpec:
-    return RunSpec(
-        experiment_id=str(data["experiment_id"]),
-        params=dict(data.get("params", {})),
-        seed=int(data.get("seed", 0)),
-    )
 
 
 class UnknownNodeError(KeyError):
@@ -457,7 +451,7 @@ class FederationBackend(RunBackend):
             return True
 
     def submit(self, token: Hashable, spec: RunSpec) -> None:
-        """Unconditional queue (the StreamExecutor batch-adapter contract)."""
+        """Unconditional queue, whatever the free capacity."""
         with self._lock:
             self._claimable.append((token, spec.canonical(), spec.label()))
 
@@ -562,9 +556,6 @@ class FederationBackend(RunBackend):
                 "quarantine_after": self.quarantine_after,
             }
 
-    def close(self) -> None:  # nothing persistent to release
-        pass
-
 
 class NodeAgent:
     """The remote half of the federation: ``repro node`` in library form.
@@ -603,8 +594,6 @@ class NodeAgent:
         self.client = client if client is not None else ServeClient(
             self.coordinator, timeout=10.0, retries=0
         )
-        from repro.serve.workers import WorkerPool
-
         self.pool = WorkerPool(workers=self.workers, cache_dir=cache_dir)
         self.draining = False
         self.heartbeat_s = 2.0
@@ -733,7 +722,7 @@ class NodeAgent:
             return
         now = monotonic()
         for lease in leases:
-            spec = _spec_from_canonical(lease["spec"])
+            spec = RunSpec.from_canonical(lease["spec"])
             self._held[lease["lease_id"]] = {
                 "token": lease["token"],
                 "spec": spec.canonical(),
@@ -775,7 +764,7 @@ class NodeAgent:
             held = self._held.pop(lease_id, None)
             if held is None:
                 continue
-            spec = _spec_from_canonical(held["spec"])
+            spec = RunSpec.from_canonical(held["spec"])
             record = failure_record(
                 spec, "node worker died mid-run", executor_kind="node-worker"
             )

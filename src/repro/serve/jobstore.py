@@ -147,14 +147,7 @@ class JobRecord:
 
     def run_specs(self) -> list[RunSpec]:
         """Materialize the stored spec dictionaries back into ``RunSpec``s."""
-        return [
-            RunSpec(
-                experiment_id=str(s["experiment_id"]),
-                params=dict(s.get("params", {})),  # type: ignore[arg-type]
-                seed=int(s.get("seed", 0)),  # type: ignore[arg-type]
-            )
-            for s in self.specs
-        ]
+        return [RunSpec.from_canonical(spec) for spec in self.specs]
 
     def requeued(self, note: str = "") -> "JobRecord":
         """A copy reset for (re-)execution: counters cleared, state queued.

@@ -10,26 +10,26 @@
 * a **scheduler thread** activates queued jobs (serving every point already
   in the result cache as an up-front cache hit), round-robins the remaining
   points of *all* active jobs onto the shared
-  :class:`~repro.serve.workers.WorkerPool` queue (work-stealing across
+  :class:`~repro.engine.pool.WorkerPool` queue (work-stealing across
   concurrently submitted sweeps), drains completions, persists progress after
   every point, and replaces dead workers, re-dispatching their lost tasks;
-* **failure policy** is run-level: every failed execution — an error record,
-  a worker death, a run killed at its wall-clock deadline — charges the point
-  one attempt; the point is re-dispatched with capped exponential backoff up
-  to :class:`~repro.engine.executor.RetryPolicy.max_attempts` total attempts,
-  then **quarantined**: recorded on the job as a poison run (label, attempt
-  history, last error) and counted a failure, so the job still reaches a
-  terminal state instead of crash-looping through the pool's respawn budget.
-  The default policy comes from the service; each submit may override it with
-  a ``"policy"`` object in the payload.  No point is ever dispatched more
-  than ``max_attempts`` times — attempts are counted at dispatch;
+* **failure policy** is run-level and lives in one
+  :class:`~repro.engine.executor.RunLedger` per active job — the same state
+  machine ``repro sweep`` uses: every failed execution (an error record, a
+  worker death, a run killed at its wall-clock deadline) charges the point
+  one attempt; the point is re-dispatched with capped exponential backoff,
+  then **quarantined** at the budget: recorded on the job as a poison run
+  (label, attempt history, last error) and counted a failure, so the job
+  still reaches a terminal state.  The default policy comes from the
+  service; each submit may override it with a ``"policy"`` object in the
+  payload;
 * **recovery** is automatic: on start the store requeues whatever a previous
   daemon left active, and activation re-runs only the points the cache does
   not already hold — a ``kill -9`` mid-campaign costs at most the runs that
   were physically in flight.
 
 Execution capacity is a list of :class:`~repro.engine.executor.RunBackend`
-instances driven uniformly: the local :class:`~repro.serve.workers.WorkerPool`
+instances driven uniformly: the local :class:`~repro.engine.pool.WorkerPool`
 (when ``workers > 0``) and the :class:`~repro.serve.federation.FederationBackend`
 holding remote ``repro node`` agents behind time-bounded leases.  The
 scheduler neither knows nor cares where a run executes — dispatch tries each
@@ -41,21 +41,19 @@ node) all flow through the same attempt-charged failure path.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from time import monotonic
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.engine.campaign import ProgressEvent
-from repro.engine.executor import RetryPolicy
+from repro.engine.executor import LOST_TASK_GRACE_S, RetryPolicy, RunFailure, RunLedger
+from repro.engine.pool import WorkerPool
 from repro.engine.records import RunRecord
 from repro.engine.spec import RunSpec, SweepSpec
 from repro.faults import active_plan
 from repro.serve.federation import FederationBackend
 from repro.serve.jobstore import JobRecord, JobStore, sweep_job_id
 from repro.serve.jobstore import _utc_now as _now
-from repro.serve.workers import WorkerPool
 from repro.utils.validation import check_positive_int
 from repro.version import __version__
 
@@ -94,20 +92,11 @@ def sweep_from_payload(payload: dict) -> SweepSpec:
 
 @dataclass
 class _ActiveJob:
-    """Scheduler-side view of one running job."""
+    """Scheduler-side view of one running job: its ledger plus counters."""
 
     job_id: str
     total: int
-    policy: RetryPolicy = field(default_factory=RetryPolicy)
-    pending: deque = field(default_factory=deque)  # (index, RunSpec) to dispatch
-    #: index -> (RunSpec, dispatched monotonic); runs handed to the pool
-    outstanding: dict = field(default_factory=dict)
-    #: (ready monotonic, index, RunSpec); failed runs awaiting their backoff
-    delayed: list = field(default_factory=list)
-    #: index -> total dispatches so far (the <= max_attempts invariant lives here)
-    attempts: dict = field(default_factory=dict)
-    completed: set = field(default_factory=set)  # indices accounted for
-    quarantined: list = field(default_factory=list)  # poison-run entries
+    ledger: RunLedger
     done: int = 0
     executed: int = 0
     cache_hits: int = 0
@@ -120,15 +109,6 @@ class _ActiveJob:
             "cache_hits": self.cache_hits,
             "failures": self.failures,
         }
-
-    def cancel_scheduled(self, index: int) -> None:
-        """Drop any pending/delayed (re-)dispatch of ``index``."""
-        self.pending = deque(
-            (i, spec) for i, spec in self.pending if i != index
-        )
-        self.delayed = [
-            entry for entry in self.delayed if entry[1] != index
-        ]
 
 
 class CampaignService:
@@ -143,7 +123,7 @@ class CampaignService:
         version: str = __version__,
         tick_s: float = 0.1,
         policy: RetryPolicy | None = None,
-        lost_task_grace_s: float = 15.0,
+        lost_task_grace_s: float = LOST_TASK_GRACE_S,
         max_jobs_per_client: int | None = None,
         lease_ttl_s: float = 15.0,
         heartbeat_s: float = 2.0,
@@ -182,10 +162,6 @@ class CampaignService:
         )
         self.tick_s = tick_s
         self.policy = policy if policy is not None else DEFAULT_POLICY
-        #: How long a dispatched-but-never-started run may sit before it is
-        #: requeued.  Covers the rare loss window where a worker died after
-        #: pulling a task but before announcing it (no pid to blame), and
-        #: tasks stranded in the shared queue while every worker was dead.
         self.lost_task_grace_s = lost_task_grace_s
         self._active: dict[str, _ActiveJob] = {}
         self._lock = threading.RLock()
@@ -430,18 +406,20 @@ class CampaignService:
             for job in self.store.jobs():
                 if job.state != "queued" or job.job_id in self._active:
                     continue
-                state = _ActiveJob(
-                    job_id=job.job_id, total=job.total, policy=self._job_policy(job)
+                ledger = RunLedger(
+                    policy=self._job_policy(job),
+                    tag=job.job_id,
+                    lost_task_grace_s=self.lost_task_grace_s,
                 )
+                state = _ActiveJob(job_id=job.job_id, total=job.total, ledger=ledger)
                 for index, spec in enumerate(job.run_specs()):
                     cached = self.cache.get(spec)
                     if cached is not None:
-                        state.completed.add(index)
                         state.done += 1
                         state.cache_hits += 1
                         self._emit(job.job_id, cached, state)
                     else:
-                        state.pending.append((index, spec))
+                        ledger.pending.append((index, spec))
                 self._active[job.job_id] = state
                 self.store.update(
                     job.job_id, state="running", started_at=_now(), **state.counters()
@@ -456,46 +434,13 @@ class CampaignService:
         return None
 
     def _dispatch(self) -> None:
-        """Round-robin pending points of every active job onto the backends.
-
-        Delayed retries whose backoff has elapsed rejoin the pending queue
-        first.  Every dispatch charges the point one attempt — which is what
-        makes "no point executes more than ``max_attempts`` times" an
-        invariant by construction rather than a hope.  Dispatch remembers
-        which backend took each run, so deadline kills and lost-task
-        requeues always talk to the owner.
-        """
-        now = monotonic()
+        """Round-robin due points of every active job onto the backends."""
         with self._lock:
-            for state in self._active.values():
-                if not state.delayed:
-                    continue
-                ready = [entry for entry in state.delayed if entry[0] <= now]
-                if ready:
-                    state.delayed = [e for e in state.delayed if e[0] > now]
-                    for _, index, spec in ready:
-                        state.pending.append((index, spec))
             progressing = True
             while progressing:
                 progressing = False
                 for state in list(self._active.values()):
-                    if not state.pending:
-                        continue
-                    index, spec = state.pending[0]
-                    if state.attempts.get(index, 0) >= state.policy.max_attempts:
-                        # Defensive backstop; the failure path quarantines at
-                        # the budget, so dispatch should never see this.
-                        state.pending.popleft()
-                        self._quarantine(state, index, spec, "attempt budget spent")
-                        progressing = True
-                        continue
-                    backend = self._submit_any((state.job_id, index), spec)
-                    if backend is None:
-                        return  # every backend at capacity — resume next tick
-                    state.pending.popleft()
-                    state.attempts[index] = state.attempts.get(index, 0) + 1
-                    state.outstanding[index] = (spec, monotonic(), backend)
-                    progressing = True
+                    progressing |= state.ledger.dispatch(self._submit_any)
 
     def _drain(self) -> None:
         """Collect completions for up to one tick and persist progress.
@@ -510,36 +455,22 @@ class CampaignService:
                 return
 
     def _drain_backend(self, backend, timeout: float) -> None:
-        for token, record in backend.completions(timeout=timeout):
-            job_id, index = token
+        for (job_id, index), record in backend.completions(timeout=timeout):
             with self._lock:
                 state = self._active.get(job_id)
-                if state is None or index in state.completed:
-                    continue  # cancelled job or a re-dispatched duplicate
-                if index not in state.outstanding:
-                    # Stale completion: this run was already charged a failure
-                    # (deadline kill, worker presumed dead) and rescheduled —
-                    # but its report survived.  A good result is a result:
-                    # accept it and cancel the redundant retry.  A failed
-                    # stale report adds nothing: the retry path owns it.
-                    if not record.ok:
-                        continue
-                    state.cancel_scheduled(index)
-                    self._complete(job_id, state, index, record)
-                    continue
-                state.outstanding.pop(index, None)
-                state.executed += 1
-                if record.ok:
-                    self._complete(job_id, state, index, record)
-                else:
-                    self._handle_run_failure(
-                        state, index, record.spec, record.error or "run failed"
-                    )
-                    self.store.update(job_id, **state.counters())
+                if state is None:
+                    continue  # cancelled job
+                if index in state.ledger.outstanding:
+                    state.executed += 1
+                outcome = state.ledger.report(index, record)
+                if isinstance(outcome, RunFailure):
+                    self._on_failure(state, outcome)
+                elif outcome is not None:
+                    self._complete(job_id, state, outcome)
             if self._stop.is_set():
                 return
 
-    def _complete(self, job_id: str, state: _ActiveJob, index: int, record: RunRecord) -> None:
+    def _complete(self, job_id: str, state: _ActiveJob, record: RunRecord) -> None:
         """Caller holds the lock; account one successfully finished point."""
         if record.ok and not record.cached and self.cache.get(record.spec) is None:
             # The executor finished the run but could not durably cache it
@@ -552,107 +483,49 @@ class CampaignService:
                 self.cache.put(record, verify=True)
             except OSError:
                 pass
-        state.completed.add(index)
         state.done += 1
         self._emit(job_id, record, state)
         self.store.update(job_id, **state.counters())
         self._finish_if_complete(job_id, state)
 
-    def _handle_run_failure(
-        self, state: _ActiveJob, index: int, spec: RunSpec, error: str
-    ) -> None:
-        """Caller holds the lock; retry a failed run or quarantine it.
+    def _on_failure(self, state: _ActiveJob, failure: RunFailure) -> None:
+        """Caller holds the lock; log a retry, or record a quarantined run.
 
-        ``attempts[index]`` was charged at dispatch, so it already includes
-        the execution that just failed.
+        A quarantined point is counted done+failed (the job reaches a
+        terminal state) and recorded on the job document with its attempt
+        history, so ``repro jobs``/``GET /jobs/<id>`` show what was abandoned.
         """
-        attempt = state.attempts.get(index, 0)
-        policy = state.policy
-        if attempt < policy.max_attempts:
-            delay = policy.delay_s(attempt, key=spec.label())
-            state.delayed.append((monotonic() + delay, index, spec))
+        label = failure.spec.label()
+        if not failure.quarantined:
             self.store.append_event(
                 state.job_id,
-                f"-- retrying {spec.label()} in {delay:.2f}s "
-                f"(attempt {attempt}/{policy.max_attempts} failed: {error}) --",
+                f"-- retrying {label} in {failure.retry_in:.2f}s (attempt "
+                f"{failure.attempts}/{state.ledger.policy.max_attempts} failed: "
+                f"{failure.error}) --",
             )
-        else:
-            self._quarantine(state, index, spec, error)
-
-    def _quarantine(self, state: _ActiveJob, index: int, spec: RunSpec, error: str) -> None:
-        """Caller holds the lock; give up on a poison run and move on.
-
-        The point is counted done+failed (the job reaches a terminal state)
-        and recorded on the job document with its attempt history, so
-        ``repro jobs``/``GET /jobs/<id>`` show exactly what was abandoned.
-        """
-        attempts = state.attempts.get(index, 0)
-        state.completed.add(index)
+            self.store.update(state.job_id, **state.counters())
+            return
         state.done += 1
         state.failures += 1
-        entry = {
-            "index": index,
-            "label": spec.label(),
-            "attempts": attempts,
-            "error": error,
-        }
-        state.quarantined.append(entry)
         self.store.append_event(
             state.job_id,
-            f"-- quarantined {spec.label()} after {attempts} attempts: {error} --",
+            f"-- quarantined {label} after {failure.attempts} attempts: "
+            f"{failure.error} --",
         )
         self.store.update(
             state.job_id,
-            quarantined=tuple(state.quarantined),
+            quarantined=tuple(state.ledger.quarantined),
             **state.counters(),
         )
         self._finish_if_complete(state.job_id, state)
 
     def _enforce_deadlines(self) -> None:
-        """Kill runs past their wall-clock deadline; requeue stranded tasks.
-
-        Two sweeps over the dispatch bookkeeping:
-
-        * a run its backend reports *executing* (worker started announcement
-          locally, granted lease remotely) for longer than the job's
-          ``deadline_s`` is killed through that backend — SIGKILL for a local
-          worker, lease revocation (fencing any later upload) for a remote
-          node — and the same failure path charges the attempt and retries
-          or quarantines;
-        * a run *dispatched* but never picked up within ``lost_task_grace_s``
-          (worker died in the narrow pull-to-announce window, task stranded
-          with every worker dead, or a claimable run no node ever leased) is
-          withdrawn from its backend and requeued.
-        """
-        now = monotonic()
-        flights = {id(backend): backend.in_flight() for backend in self.backends}
+        """Kill runs past their deadline and fail dispatches that never started."""
+        flights = {backend: backend.in_flight() for backend in self.backends}
         with self._lock:
             for state in list(self._active.values()):
-                deadline = state.policy.deadline_s
-                for index, entry in list(state.outstanding.items()):
-                    spec, dispatched_at, backend = entry
-                    token = (state.job_id, index)
-                    flight = flights.get(id(backend), {}).get(token)
-                    if flight is not None:
-                        if deadline is not None and now - flight[1] > deadline:
-                            backend.kill_for(token)
-                            state.outstanding.pop(index, None)
-                            self._handle_run_failure(
-                                state, index, spec,
-                                f"deadline exceeded ({deadline:.1f}s wall clock)",
-                            )
-                            self.store.update(state.job_id, **state.counters())
-                    elif now - dispatched_at > self.lost_task_grace_s:
-                        # Withdraw first so the run cannot be claimed/executed
-                        # by the old submission after we hand out a new one.
-                        backend.withdraw(token)
-                        state.outstanding.pop(index, None)
-                        state.pending.appendleft((index, spec))
-                        self.store.append_event(
-                            state.job_id,
-                            f"-- requeued {spec.label()}: dispatched but never "
-                            f"started within {self.lost_task_grace_s:.0f}s --",
-                        )
+                for failure in state.ledger.supervise(flights):
+                    self._on_failure(state, failure)
 
     def _reap_backends(self) -> None:
         """Fail over exactly the runs lost to dead executors, on any backend.
@@ -660,29 +533,15 @@ class CampaignService:
         Locally that means dead worker processes (replaced up to the respawn
         budget); remotely, expired leases and nodes declared dead after
         missing heartbeats.  Each backend names the lost tokens precisely, so
-        runs on surviving executors are untouched (no duplicate executions)
-        and each lost run flows through the ordinary failure path: charged
-        attempt, backoff retry, quarantine at the budget.
+        runs on surviving executors are untouched.
         """
-        lost = []
-        for backend in self.backends:
-            lost.extend(backend.reap())
-        if not lost:
-            return
+        lost = [token for backend in self.backends for token in backend.reap()]
         with self._lock:
-            for token in lost:
-                job_id, index = token
+            for job_id, index in lost:
                 state = self._active.get(job_id)
-                if state is None or index in state.completed:
-                    continue
-                entry = state.outstanding.pop(index, None)
-                if entry is None:
-                    continue
-                spec = entry[0]
-                self._handle_run_failure(
-                    state, index, spec, "worker died mid-run"
-                )
-                self.store.update(job_id, **state.counters())
+                failure = state and state.ledger.fail(index, "worker died mid-run")
+                if failure:
+                    self._on_failure(state, failure)
 
     def _emit(self, job_id: str, record: RunRecord, state: _ActiveJob) -> None:
         event = ProgressEvent(record=record, done=state.done, total=state.total)
@@ -697,17 +556,16 @@ class CampaignService:
         error = (
             f"{state.failures} of {state.total} runs failed" if state.failures else None
         )
+        quarantined = state.ledger.quarantined
         self.store.update(
             job_id,
             state=final,
             finished_at=_now(),
             error=error,
-            quarantined=tuple(state.quarantined),
+            quarantined=tuple(quarantined),
             **state.counters(),
         )
-        quarantine_note = (
-            f", {len(state.quarantined)} quarantined" if state.quarantined else ""
-        )
+        quarantine_note = f", {len(quarantined)} quarantined" if quarantined else ""
         self.store.append_event(
             job_id,
             f"-- {final}: {state.executed} executed, {state.cache_hits} cache hits, "

@@ -40,7 +40,7 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
 
     Parent directories are created as needed, and the archive is written to a
     temporary sibling then atomically renamed, so concurrent writers (e.g.
-    process-pool sweep workers filling the checkpoint store) never expose a
+    sweep pool workers filling the checkpoint store) never expose a
     partially written file.  Returns the resolved path.
     """
     path = Path(path)

@@ -480,8 +480,8 @@ class TestPluginLoading:
             load_plugin_modules()
 
     def test_plugin_reaches_fresh_interpreter(self, tmp_path):
-        """End-to-end: a fresh process (the CLI, or a process-pool sweep
-        worker) imports the plugin from the inherited environment."""
+        """End-to-end: a fresh process (the CLI, or a spawned pool worker)
+        imports the plugin from the inherited environment."""
         (tmp_path / "ht_plugin_kind.py").write_text(PLUGIN_SOURCE)
         env = dict(os.environ)
         env["REPRO_ATTACK_PLUGINS"] = "ht_plugin_kind"

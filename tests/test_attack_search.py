@@ -1,7 +1,7 @@
 """Tests for repro.attacks.search: spaces, optimizers, Pareto, driver, CLI.
 
 The driver tests exercise the three evaluation backends (stacked in-process,
-serial/process-pool campaign, live ``repro serve`` daemon) against real
+serial/worker-pool campaign, live ``repro serve`` daemon) against real
 ``cnn_mnist`` candidate evaluations — the workload trains once per process
 and is cached, so these stay fast.  The kill-resume test drives the real CLI
 in a subprocess and SIGKILLs it mid-search to prove the content-addressed
@@ -285,12 +285,14 @@ class TestAttackSearchDriver:
     def test_backends_produce_identical_trajectories(self, tmp_path):
         batched = AttackSearch(_config()).run()
         serial = AttackSearch(_config(), workers="serial").run()
-        pooled = AttackSearch(
-            _config(), cache=ResultCache(tmp_path / "pool"), workers=2
-        ).run()
+        pool_cache = ResultCache(tmp_path / "pool")
+        pooled = AttackSearch(_config(), cache=pool_cache, workers=2).run()
         assert batched.trajectory_json() == serial.trajectory_json()
         assert batched.trajectory_json() == pooled.trajectory_json()
         assert front_payload(batched.front) == front_payload(pooled.front)
+        # One pool serves every generation: its two workers ran all candidates.
+        pids = {r.provenance["pid"] for r in pool_cache.records("fig7_candidate")}
+        assert pooled.generations == 2 and 1 <= len(pids) <= 2
         assert batched.evaluations == 6 and batched.generations == 2
         assert len(batched.front) >= 1
         assert batched.baseline > 0.5  # trained workload, sane clean accuracy

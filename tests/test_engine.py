@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (
+    BackendExecutor,
     Campaign,
-    ProcessPoolRunExecutor,
     ResultCache,
     RunRecord,
     RunSpec,
@@ -185,8 +185,8 @@ class TestExecutors:
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
         pool = make_executor(3)
-        assert isinstance(pool, ProcessPoolRunExecutor)
-        assert pool.max_workers == 3
+        assert isinstance(pool, BackendExecutor)
+        assert pool.workers == 3
         with pytest.raises(ValidationError):
             make_executor(-2)
 
@@ -209,12 +209,12 @@ class TestExecutors:
         )
         specs = sweep.expand()
         serial = run_all(SerialExecutor(), specs)
-        pooled = run_all(ProcessPoolRunExecutor(max_workers=2), specs)
+        pooled = run_all(make_executor(2), specs)
         assert [r.canonical_payload() for r in serial] == [
             r.canonical_payload() for r in pooled
         ]
         assert all(r.ok for r in serial)
-        assert {r.provenance["executor"] for r in pooled} == {"process-pool"}
+        assert {r.provenance["executor"] for r in pooled} == {"worker-pool"}
 
 
 class TestCampaign:

@@ -17,18 +17,22 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
+from multiprocessing.context import SpawnProcess
 from time import monotonic
 
 import pytest
 
 from repro.engine import (
-    ProcessPoolRunExecutor,
+    Campaign,
     ResultCache,
     RetryPolicy,
+    RunLedger,
     RunRecord,
     RunSpec,
     SerialExecutor,
+    make_executor,
 )
 from repro.engine.spec import SweepSpec
 from repro.faults import (
@@ -331,7 +335,7 @@ class TestExecutorRetry:
             [FaultRule("worker.run", "crash", probability=0.4)], seed=11
         )
         policy = RetryPolicy(max_attempts=6, backoff_s=0.05, backoff_cap_s=0.2)
-        pool = ProcessPoolRunExecutor(max_workers=2, retry=policy)
+        pool = make_executor(2, retry=policy)
         with plan.activated(set_env=True):
             records = dict(pool.run_specs(specs))
         assert len(records) == len(specs)
@@ -348,7 +352,7 @@ class TestExecutorRetry:
             seed=5,
         )
         policy = RetryPolicy(max_attempts=2, backoff_s=0.05, deadline_s=1.5)
-        pool = ProcessPoolRunExecutor(max_workers=2, retry=policy)
+        pool = make_executor(2, retry=policy)
         start = monotonic()
         with plan.activated(set_env=True):
             records = dict(pool.run_specs(specs))
@@ -359,6 +363,166 @@ class TestExecutorRetry:
         assert not poison.ok and "quarantined" in (poison.error or "")
         assert poison.provenance["attempts"] == 2
         assert all(r.ok for label, r in by_label.items() if label != hung.label())
+
+
+    def test_pool_charges_each_death_to_the_run_it_hosted(self):
+        """A run that kills its worker every time is quarantined at its own
+        budget; the neighbours sharing the pool (slowed down so that they are
+        in flight when it dies) are never charged."""
+        specs = chaos_specs()
+        plan = FaultPlan([
+            FaultRule("worker.run", "crash", match=specs[2].label()),
+            FaultRule("worker.run", "hang", seconds=0.2),
+        ])
+        executor = make_executor(2, retry=RetryPolicy(max_attempts=3, backoff_s=0.01))
+        try:
+            with plan.activated(set_env=True):
+                records = dict(executor.run_specs(specs))
+        finally:
+            executor.close()
+        poison = records.pop(2)
+        assert not poison.ok and "quarantined" in (poison.error or "")
+        assert poison.provenance["attempts"] == 3
+        for record in records.values():
+            assert record.ok, record.error
+            assert "attempts" not in record.provenance
+
+    @pytest.mark.slow
+    def test_crash_storm_attempts_equal_worker_deaths(self):
+        """Under a 40% crash storm on a caller-owned pool every point completes
+        with serial-identical payloads, and the attempts charged beyond the
+        first add up to exactly the number of workers that died."""
+        specs = chaos_specs()
+        baseline = {
+            record.spec.label(): record.payload
+            for _, record in SerialExecutor().run_specs(specs)
+        }
+        plan = FaultPlan([FaultRule("worker.run", "crash", probability=0.4)], seed=23)
+        policy = RetryPolicy(max_attempts=8, backoff_s=0.01, backoff_cap_s=0.05)
+        pool = WorkerPool(workers=2)
+        try:
+            with plan.activated(set_env=True):
+                result = Campaign(specs, workers=pool, retry=policy).run()
+        finally:
+            pool.close()
+        assert result.failures == 0 and len(result.records) == len(specs)
+        for record in result.records:
+            assert record.ok, record.error
+            assert canonical(record.payload) == canonical(baseline[record.spec.label()])
+        charged = sum(r.provenance.get("attempts", 1) - 1 for r in result.records)
+        assert charged == pool.respawns
+
+    @pytest.mark.slow
+    def test_campaign_on_a_pool_retries_a_crashed_run(self, monkeypatch):
+        """Regression: a Campaign driving a WorkerPool used to wait forever
+        for a run whose worker crashed."""
+        specs = chaos_specs()[:3]
+        crash = FaultPlan([FaultRule("worker.run", "crash", match=specs[1].label())])
+        pool = WorkerPool(workers=1)
+        monkeypatch.setenv(ENV_VAR, crash.to_json())
+        pool.start()  # the first worker carries the crash plan ...
+        monkeypatch.delenv(ENV_VAR)  # ... its replacement does not
+        campaign = Campaign(
+            specs, workers=pool, retry=RetryPolicy(max_attempts=2, backoff_s=0.01)
+        )
+        results = []
+        thread = threading.Thread(target=lambda: results.append(campaign.run()), daemon=True)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "the campaign hung on the crashed run"
+        finally:
+            pool.close()
+        [result] = results
+        crashed = result.records[1]
+        assert crashed.ok and crashed.provenance["attempts"] == 2
+        assert all(record.ok for record in result.records)
+
+    @pytest.mark.slow
+    def test_campaign_ends_when_its_pool_runs_out_of_workers(self):
+        """Regression: once every worker was dead with the respawn budget
+        spent, the runs still queued were never charged and the campaign
+        waited forever; now they are quarantined."""
+        specs = chaos_specs()
+        plan = FaultPlan([FaultRule("worker.run", "crash")])  # always crash
+        pool = WorkerPool(workers=1)
+        pool.max_respawns = 1
+        campaign = Campaign(
+            specs, workers=pool, retry=RetryPolicy(max_attempts=2, backoff_s=0.01)
+        )
+        results = []
+        thread = threading.Thread(target=lambda: results.append(campaign.run()), daemon=True)
+        with plan.activated(set_env=True):
+            pool.start()
+            try:
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "the campaign outlived its workers"
+            finally:
+                pool.close()
+        [result] = results
+        assert result.failures == len(specs) == len(result.records)
+        for record in result.records:
+            assert not record.ok and "quarantined" in (record.error or "")
+        assert pool.respawns == 1
+
+    def test_owned_pool_is_replaced_once_exhausted(self):
+        """A batch whose pool loses its last worker quarantines the runs it
+        still holds; the executor's next batch runs on a fresh pool."""
+        specs = chaos_specs()
+        plan = FaultPlan([FaultRule("worker.run", "crash", match=s.label()) for s in specs[2:]])
+        executor = make_executor(2)
+        with plan.activated(set_env=True):
+            try:
+                assert all(record.ok for _, record in executor.run_specs(specs[:2]))
+                spent = executor.backend
+                spent.max_respawns = spent.respawns  # no replacements left
+                stranded = dict(executor.run_specs(specs[2:]))
+                assert sorted(stranded) == [0, 1, 2, 3]
+                errors = [record.error or "" for record in stranded.values()]
+                assert all("quarantined" in error for error in errors)
+                # Each worker died on its first run; the other two never ran.
+                assert sum("worker died mid-run" in error for error in errors) == 2
+                assert sum("no workers left" in error for error in errors) == 2
+                fresh = [record for _, record in executor.run_specs(specs[:2])]
+                assert executor.backend is not spent
+                assert len(fresh) == 2 and all(record.ok for record in fresh)
+            finally:
+                executor.close()
+
+
+class TestRunLedger:
+    class _Backend:
+        def withdraw(self, token) -> bool:
+            return False
+
+    def test_queued_run_is_presumed_lost_only_while_its_backend_idles(self):
+        spec = RunSpec("ablation_tuning", params={"shifts_nm": [0.2]})
+        policy = RetryPolicy(max_attempts=2, backoff_s=0.0)
+        ledger = RunLedger([(0, spec)], policy, lost_task_grace_s=0.05)
+        backend = self._Backend()
+        assert ledger.dispatch(lambda token, spec: backend)
+        time.sleep(0.1)
+        # Queued behind another run the backend is executing: not lost.
+        assert ledger.supervise({backend: {("other", 0): (1, monotonic())}}) == []
+        assert ledger.supervise({backend: {}}) == []  # the wait restarted
+        time.sleep(0.1)
+        [failure] = ledger.supervise({backend: {}})
+        assert "never started" in failure.error and not failure.quarantined
+        assert ledger.attempts[0] == 1 and ledger.delayed
+
+    def test_abandon_quarantines_every_unsettled_run(self):
+        specs = chaos_specs()[:3]
+        ledger = RunLedger(enumerate(specs), RetryPolicy(max_attempts=3, backoff_s=5.0))
+        backend = self._Backend()
+        assert ledger.dispatch(lambda token, spec: backend)
+        assert ledger.dispatch(lambda token, spec: backend)
+        assert not ledger.fail(1, "worker died mid-run").quarantined  # now delayed
+        failures = ledger.abandon("no workers left to run it")
+        assert sorted((f.index, f.attempts) for f in failures) == [(0, 1), (1, 1), (2, 0)]
+        assert all(f.quarantined and f.record is None for f in failures)
+        assert not ledger.active and ledger.settled == {0, 1, 2}
+        assert [entry["index"] for entry in ledger.quarantined] == [0, 1, 2]
 
 
 # ---------------------------------------------------------- worker pool
@@ -407,6 +571,43 @@ class TestWorkerPoolRobustness:
         assert None in leftovers, f"no sentinel ever landed: {leftovers}"
         stale = [item for item in leftovers if item is not None]
         assert len(stale) < 2, f"no stale task was shed for the sentinel: {stale}"
+
+    def test_dying_worker_reports_its_last_messages(self):
+        """A worker's messages reach the parent before its next step: the run
+        it finished is reported and the run it died on is named, every time."""
+        specs = chaos_specs()
+        plan = FaultPlan([FaultRule("worker.run", "crash", match=specs[1].label())])
+        with plan.activated(set_env=True):
+            for trial in range(10):
+                pool = WorkerPool(workers=1)
+                pool.max_respawns = 0
+                try:
+                    pool.start()
+                    pool.submit("A", specs[0])
+                    pool.submit("B", specs[1])
+                    reported = []
+                    deadline = monotonic() + 30
+                    while pool.alive():
+                        assert monotonic() < deadline, "worker never died"
+                        reported += [t for t, _ in pool.completions(timeout=0.05)]
+                    lost = pool.reap()
+                    reported += [t for t, _ in pool.completions(timeout=0.05)]
+                    assert (reported, lost) == (["A"], ["B"]), f"trial {trial}"
+                finally:
+                    pool.close()
+
+    def test_threaded_parent_spawns_its_workers(self):
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, daemon=True)
+        helper.start()
+        pool = WorkerPool(workers=1)
+        try:
+            pool.start()
+            assert [type(proc) for proc in pool._workers.values()] == [SpawnProcess]
+        finally:
+            release.set()
+            helper.join()
+            pool.close()
 
     def test_max_respawns_backstop_and_reap_redispatch(self):
         """Satellite: crashing workers are replaced up to the budget; reap()

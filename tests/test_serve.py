@@ -1,9 +1,10 @@
 """Tests for the persistent campaign service (job store, workers, API, CLI).
 
-The crash-resume test drives a real ``repro serve`` subprocess and SIGKILLs
-its whole process group mid-campaign — the acceptance scenario for durable
-jobs.  The API tests run a live localhost daemon in-process (spawned worker
-processes, threaded HTTP server) to keep them fast.
+The crash-resume tests drive real ``repro serve`` subprocesses: one SIGKILLs
+the whole process group mid-campaign — the acceptance scenario for durable
+jobs — and one SIGKILLs only the daemon and restarts it on the same port.
+The API tests run a live localhost daemon in-process (worker processes,
+threaded HTTP server) to keep them fast.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 from repro.engine import Campaign, ResultCache, RunSpec, make_executor
 from repro.engine.cli import main as cli_main
 from repro.engine.spec import SweepSpec
+from repro.faults import ENV_VAR, FaultPlan, FaultRule
 from repro.serve import (
     AdmissionError,
     CampaignService,
@@ -186,9 +188,9 @@ class TestAtomicWrites:
 # ------------------------------------------------- worker pool as executor
 class TestWorkerPoolExecutor:
     def test_worker_pool_runs_a_campaign(self, tmp_path):
-        """The serve pool is a StreamExecutor: Campaign can use it directly."""
+        """The serve pool is a RunBackend: Campaign can drive it directly."""
         pool = WorkerPool(workers=2, cache_dir=str(tmp_path))
-        assert make_executor(pool) is pool
+        assert make_executor(pool).backend is pool
         pool.start()
         try:
             specs = [
@@ -199,7 +201,7 @@ class TestWorkerPoolExecutor:
             assert result.executed == 3 and result.failures == 0
             assert result.executor_kind == "worker-pool"
             assert {r.provenance["executor"] for r in result.records} == {
-                "serve-worker"
+                "worker-pool"
             }
             # Workers wrote through the shared cache: a serial re-run all hits.
             again = Campaign(specs, cache=tmp_path).run()
@@ -335,7 +337,12 @@ class TestCrashResume:
     """Acceptance: SIGKILL a daemon mid-campaign; the restart completes the
     job executing only the runs missing from the result cache."""
 
-    def _start_daemon(self, tmp: Path, port: int) -> subprocess.Popen:
+    def _start_daemon(
+        self, tmp: Path, port: int, plan: FaultPlan | None = None
+    ) -> subprocess.Popen:
+        env = _subprocess_env()
+        if plan is not None:
+            env[ENV_VAR] = plan.to_json()
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -343,7 +350,7 @@ class TestCrashResume:
                 "--cache-dir", str(tmp / "cache"),
                 "--jobstore-dir", str(tmp / "jobs"),
             ],
-            env=_subprocess_env(),
+            env=env,
             start_new_session=True,  # so killpg nukes daemon + workers
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -414,6 +421,37 @@ class TestCrashResume:
             assert all(record["cached"] for record in results["records"])
         finally:
             self._killpg(daemon, signal.SIGTERM)
+
+    @pytest.mark.slow
+    def test_sigkill_of_the_daemon_alone_frees_its_port(self, tmp_path):
+        """Workers never hold the daemon's listening socket: with only the
+        daemon SIGKILLed and its orphaned worker still busy, a restart binds
+        the same port and finishes the job."""
+        port = _free_port()
+        hang = FaultPlan([FaultRule("worker.run", "hang", seconds=60.0)])
+        first = self._start_daemon(tmp_path, port, plan=hang)
+        try:
+            client = ServeClient(f"http://127.0.0.1:{port}", timeout=5.0)
+            job_id = client.submit(FAST_SWEEP)["job_id"]
+            deadline = time.monotonic() + 60
+            while client.health()["pool"]["in_flight"] == 0:
+                assert time.monotonic() < deadline, "the worker never started a run"
+                time.sleep(0.05)
+            os.kill(first.pid, signal.SIGKILL)  # the daemon only
+            first.wait(timeout=10)
+
+            second = self._start_daemon(tmp_path, port)
+            try:
+                client = ServeClient(f"http://127.0.0.1:{port}", timeout=5.0)
+                assert client.wait(job_id, timeout=90)["state"] == "done"
+            finally:
+                self._killpg(second, signal.SIGTERM)
+        finally:
+            try:
+                os.killpg(first.pid, signal.SIGKILL)  # its orphaned, hung worker
+            except ProcessLookupError:
+                pass
+            first.wait(timeout=10)
 
 
 # ------------------------------------------------------------------- CLI
