@@ -39,11 +39,17 @@ from repro.datasets.base import DataLoader, Dataset
 from repro.nn.ensemble import stacked_state
 from repro.nn.module import Module
 from repro.nn.training import evaluate_accuracy
+from repro.utils.validation import check_positive_int
 
 __all__ = ["AttackedInferenceEngine", "evaluate_under_attack"]
 
 #: Upper bound on the auto-selected scenario-chunk size.
 MAX_SCENARIO_CHUNK = 256
+
+
+def _check_scenario_chunk(value: int | None) -> int | None:
+    """``None`` (memory-aware auto) or a positive number of scenarios."""
+    return None if value is None else check_positive_int(value, "scenario_chunk")
 
 
 @dataclass
@@ -73,9 +79,11 @@ class AttackedInferenceEngine:
     batch_size:
         Evaluation batch size.
     scenario_chunk:
-        Fixed number of attack scenarios evaluated per stacked forward pass
-        in :meth:`accuracy_under_attacks`.  ``None`` (default) derives a
-        chunk from ``memory_budget_mb`` and the model/dataset footprint.
+        Fixed positive number of attack scenarios evaluated per stacked
+        forward pass in :meth:`accuracy_under_attacks`.  ``None`` (default)
+        derives a chunk from ``memory_budget_mb`` and the model/dataset
+        footprint.  The per-call ``scenario_chunk`` of the batched methods
+        follows the same rule; any other value raises ``ValidationError``.
     memory_budget_mb:
         Approximate memory budget [MiB] for one scenario chunk (stacked
         weights plus stacked activations); only used when ``scenario_chunk``
@@ -99,7 +107,7 @@ class AttackedInferenceEngine:
         self.config = config or AcceleratorConfig.scaled_config()
         self.quantize_weights = quantize_weights
         self.batch_size = batch_size
-        self.scenario_chunk = scenario_chunk
+        self.scenario_chunk = _check_scenario_chunk(scenario_chunk)
         self.memory_budget_mb = memory_budget_mb
         if quantize_weights:
             self._quantize_mapped_weights()
@@ -159,6 +167,7 @@ class AttackedInferenceEngine:
         while CONV-corrupting scenarios use small cache-friendly chunks since
         their activations diverge right after the first layer.
         """
+        scenario_chunk = _check_scenario_chunk(scenario_chunk)
         outcomes = list(outcomes)
         accuracies = np.zeros(len(outcomes))
         if not outcomes:
@@ -208,6 +217,7 @@ class AttackedInferenceEngine:
         Counts changed weights directly on the ``(S, W)`` stacked corruption
         arrays instead of rebuilding a full corrupted state dict per scenario.
         """
+        scenario_chunk = _check_scenario_chunk(scenario_chunk)
         outcomes = list(outcomes)
         fractions = np.zeros(len(outcomes))
         total = sum(mapped.size for mapped in self.mapping.parameters)

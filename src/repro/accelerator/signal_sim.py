@@ -6,16 +6,12 @@ actual photonic device models for arbitrary operand sizes, so integration
 tests and the examples can validate that the analytic corruption model agrees
 with the signal-level behaviour of the hardware.
 
-Two backends compute identical physics:
-
-* ``"array"`` (default) — the vectorized array-core
-  (:mod:`repro.photonics.bank_array`): matrix-vector products evaluate all
-  rows as one broadcast Lorentzian, and :meth:`SignalLevelSimulator.monte_carlo`
-  sweeps thousands of attack trials in one shot.
-* ``"object"`` — the seed per-ring object path
-  (:mod:`repro.photonics.legacy`), kept as the reference the array-core is
-  checked against.  One programmed bank pair is reused across calls instead
-  of reconstructing ``2*n`` ring objects per dot product.
+Every product runs on the vectorized array-core
+(:mod:`repro.photonics.bank_array`): matrix-vector products evaluate all rows
+as one broadcast Lorentzian, and :meth:`SignalLevelSimulator.monte_carlo`
+sweeps thousands of attack trials in one shot.  The seed per-ring object path
+(:mod:`repro.photonics.legacy`) stays as the reference the tests check the
+array-core against.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import numpy as np
 
 from repro.photonics.bank_array import BankArrayPair
 from repro.photonics.dac_adc import ADC, DAC
-from repro.photonics.legacy import ObjectMRBankPair
 from repro.photonics.thermal_sensitivity import ThermalSensitivity
 from repro.photonics.waveguide import WDMGrid
 from repro.utils.validation import ValidationError, check_positive_int
@@ -44,9 +39,6 @@ class SignalLevelSimulator:
         apples-to-apples comparisons with the functional model).
     use_converters:
         Quantize operands with the DAC and outputs with the ADC.
-    backend:
-        ``"array"`` (vectorized array-core, default) or ``"object"`` (seed
-        per-ring reference path).
     """
 
     def __init__(
@@ -57,23 +49,17 @@ class SignalLevelSimulator:
         dac_bits: int = 8,
         adc_bits: int = 10,
         use_converters: bool = False,
-        backend: str = "array",
     ):
-        if backend not in ("array", "object"):
-            raise ValidationError(f"backend must be 'array' or 'object', got {backend!r}")
         self.vector_size = check_positive_int(vector_size, "vector_size")
         self.grid = WDMGrid(num_channels=vector_size, spacing_nm=channel_spacing_nm)
         self.q_factor = q_factor
         self.dac = DAC(bits=dac_bits) if use_converters else None
         self.adc = ADC(bits=adc_bits) if use_converters else None
         self.sensitivity = ThermalSensitivity()
-        self.backend = backend
         #: Persistent array-core pair stacks keyed by bank count (1 for dot
         #: products, ``rows`` for matvecs) — rebuilt state, never reallocated
         #: ring objects.
         self._array_pairs: dict[int, BankArrayPair] = {}
-        #: Persistent legacy pair, programmed in place across calls.
-        self._object_pair: ObjectMRBankPair | None = None
 
     # ------------------------------------------------------------- plumbing
     def _array_pair(self, banks: int) -> BankArrayPair:
@@ -82,14 +68,6 @@ class SignalLevelSimulator:
                 self.vector_size, banks=banks, grid=self.grid, q_factor=self.q_factor
             )
         return self._array_pairs[banks]
-
-    def _legacy_pair(self) -> ObjectMRBankPair:
-        """The reused seed-path bank pair (2·n ring objects built once)."""
-        if self._object_pair is None:
-            self._object_pair = ObjectMRBankPair(
-                self.vector_size, grid=self.grid, q_factor=self.q_factor
-            )
-        return self._object_pair
 
     def _quantize_operands(
         self, inputs: np.ndarray, weights: np.ndarray
@@ -132,24 +110,14 @@ class SignalLevelSimulator:
                 f"got {inputs.shape} and {weights.shape}"
             )
         inputs, weights = self._quantize_operands(inputs, weights)
-        if self.backend == "object":
-            pair = self._legacy_pair()
-            pair.clear_attacks()
-            pair.program(inputs, weights)
-            if attacked_weight_mrs:
-                pair.weight_bank.apply_actuation_attack(attacked_weight_mrs)
-            if bank_delta_t_k > 0:
-                pair.weight_bank.apply_thermal_attack(bank_delta_t_k, self.sensitivity)
-            result = pair.dot_product()
-        else:
-            pair = self._array_pair(1)
-            pair.clear_attacks()
-            pair.program(inputs, weights)
-            if attacked_weight_mrs:
-                pair.weight_bank.apply_actuation_attack(attacked_weight_mrs)
-            if bank_delta_t_k > 0:
-                pair.weight_bank.apply_thermal_attack(bank_delta_t_k, self.sensitivity)
-            result = float(pair.dot_products()[0])
+        pair = self._array_pair(1)
+        pair.clear_attacks()
+        pair.program(inputs, weights)
+        if attacked_weight_mrs:
+            pair.weight_bank.apply_actuation_attack(attacked_weight_mrs)
+        if bank_delta_t_k > 0:
+            pair.weight_bank.apply_thermal_attack(bank_delta_t_k, self.sensitivity)
+        result = float(pair.dot_products()[0])
         return float(self._quantize_outputs(result))
 
     def matvec(
@@ -162,8 +130,8 @@ class SignalLevelSimulator:
         """Optical matrix-vector product, one bank pair per matrix row.
 
         ``attacked_rows`` maps row index → attacked weight-MR indices;
-        ``row_delta_t_k`` maps row index → bank temperature rise.  The array
-        backend evaluates every row in one vectorized pass.
+        ``row_delta_t_k`` maps row index → bank temperature rise.  Every row
+        is evaluated in one vectorized pass.
         """
         matrix = np.asarray(matrix, dtype=float)
         vector = np.asarray(vector, dtype=float)
@@ -173,16 +141,6 @@ class SignalLevelSimulator:
             )
         attacked_rows = attacked_rows or {}
         row_delta_t_k = row_delta_t_k or {}
-        if self.backend == "object":
-            outputs = np.zeros(matrix.shape[0])
-            for row in range(matrix.shape[0]):
-                outputs[row] = self.dot(
-                    vector,
-                    matrix[row],
-                    attacked_weight_mrs=attacked_rows.get(row),
-                    bank_delta_t_k=row_delta_t_k.get(row, 0.0),
-                )
-            return outputs
         if vector.shape != (self.vector_size,):
             raise ValidationError(
                 f"vector must be ({self.vector_size},), got {vector.shape}"

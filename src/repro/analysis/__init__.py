@@ -10,9 +10,6 @@
   artefacts (printed by the examples and benchmarks).
 * :mod:`repro.analysis.experiments` — registry of experiment ids (Table I,
   Fig. 6-9, ablations) with their runners.
-* :mod:`repro.analysis.signal_bench` / :mod:`repro.analysis.scenario_batch_bench`
-  — the ``python -m repro bench`` suites (array-core vs seed object path,
-  scenario-batched vs per-scenario attacked inference).
 """
 
 from repro.analysis.metrics import (

@@ -5,8 +5,8 @@ Each entry maps an experiment id (``table1``, ``fig6`` .. ``fig9``,
 experiments ``fig7_point``, ``fig8_variant`` and ``signal_mc``) to a short
 description, the
 modules implementing it, and a *parameterized* runner returning a result
-summary dictionary.  The benchmark suite, the campaign engine
-(:mod:`repro.engine`) and EXPERIMENTS.md are organised around these ids.
+summary dictionary.  The campaign engine (:mod:`repro.engine`) and
+EXPERIMENTS.md are organised around these ids.
 
 Runners take keyword parameters with JSON-serializable defaults recorded in
 ``ExperimentDescriptor.default_params``; the engine resolves a
@@ -37,7 +37,7 @@ class ExperimentDescriptor:
 
     Attributes
     ----------
-    experiment_id, title, paper_reference, modules, bench_target:
+    experiment_id, title, paper_reference, modules:
         Descriptive metadata tying the experiment to the paper and code.
     runner:
         Callable accepting the keyword parameters listed in
@@ -57,7 +57,6 @@ class ExperimentDescriptor:
     title: str
     paper_reference: str
     modules: tuple[str, ...]
-    bench_target: str
     runner: Callable[..., dict]
     default_params: Mapping[str, object] = field(default_factory=dict)
     attack_kind_params: tuple[str, ...] = ()
@@ -483,7 +482,6 @@ def _run_fig7_grid(
     blocks: tuple[str, ...] = ("both",),
     fractions: tuple[float, ...] = (0.01, 0.05, 0.10),
     num_placements: int = 3,
-    backend: str = "batched",
     scenario_chunk: int = 0,
     quantize_weights: bool = True,
     kind_params: dict | None = None,
@@ -496,18 +494,13 @@ def _run_fig7_grid(
     placements) grid for one workload through
     :meth:`AttackedInferenceEngine.accuracy_under_attacks`.  ``kinds``
     accepts any registered attack kinds, with per-kind physical parameters
-    in ``kind_params``.  ``backend="serial"`` runs the same grid through the
-    per-scenario reference path (used by the equivalence benchmark);
-    ``scenario_chunk=0`` selects the memory-aware automatic chunk.
+    in ``kind_params``.  ``scenario_chunk=0`` selects the memory-aware
+    automatic chunk.
     """
-    import numpy as np
-
     from repro.accelerator.config import AcceleratorConfig
     from repro.attacks.hotspot import HotspotAttackConfig
     from repro.attacks.scenario import generate_scenarios, sample_outcome
 
-    if backend not in ("batched", "serial"):
-        raise ValueError(f"backend must be 'batched' or 'serial', got {backend!r}")
     engine, split, baseline = _prepared_fig7_workload(model, seed, quantize_weights)
     scenarios = generate_scenarios(
         kinds=tuple(kinds),
@@ -522,18 +515,11 @@ def _run_fig7_grid(
         sample_outcome(scenario, config, hotspot, kind_params=kind_params)
         for scenario in scenarios
     ]
-    if backend == "batched":
-        accuracies = engine.accuracy_under_attacks(
-            split.test, outcomes, scenario_chunk=scenario_chunk or None
-        )
-    else:
-        accuracies = np.array(
-            [engine.accuracy_under_attack(split.test, outcome) for outcome in outcomes]
-        )
-    values = np.asarray(accuracies, dtype=float)
+    values = engine.accuracy_under_attacks(
+        split.test, outcomes, scenario_chunk=scenario_chunk or None
+    )
     return {
         "model": model,
-        "backend": backend,
         "num_scenarios": len(scenarios),
         "baseline": baseline,
         "accuracies": {
@@ -654,7 +640,6 @@ def _run_fig7_adversarial(
 
 def _run_fig8(
     model_names: tuple[str, ...] = ("cnn_mnist",),
-    stacked_training: bool = True,
     checkpoint_cache: bool = False,
     seed: int = 0,
 ) -> dict:
@@ -663,7 +648,6 @@ def _run_fig8(
     study = MitigationStudy(
         MitigationAnalysisConfig.quick(
             model_names=tuple(model_names),
-            stacked_training=stacked_training,
             checkpoint_cache=checkpoint_cache,
             seed=seed,
         )
@@ -790,7 +774,6 @@ def _run_signal_mc(
 
 def _run_fig9(
     model_names: tuple[str, ...] = ("cnn_mnist",),
-    stacked_training: bool = True,
     checkpoint_cache: bool = False,
     seed: int = 0,
 ) -> dict:
@@ -799,7 +782,6 @@ def _run_fig9(
     study = MitigationStudy(
         MitigationAnalysisConfig.quick(
             model_names=tuple(model_names),
-            stacked_training=stacked_training,
             checkpoint_cache=checkpoint_cache,
             seed=seed,
         )
@@ -859,7 +841,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="CNN model parameter inventory",
         paper_reference="Table I",
         modules=("repro.nn.models",),
-        bench_target="benchmarks/bench_table1_models.py",
         runner=_run_table1,
         default_params=_params(include_measured=True),
     ),
@@ -868,7 +849,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="Thermal hotspot heatmap on the CONV block",
         paper_reference="Fig. 6",
         modules=("repro.thermal", "repro.attacks.hotspot"),
-        bench_target="benchmarks/bench_fig6_heatmap.py",
         runner=_run_fig6,
         default_params=_params(
             attacked_banks=(650, 1260),
@@ -881,7 +861,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="Susceptibility of CNN models to actuation and hotspot attacks",
         paper_reference="Fig. 7(a)-(c)",
         modules=("repro.analysis.susceptibility", "repro.attacks", "repro.accelerator"),
-        bench_target="benchmarks/bench_fig7_susceptibility.py",
         runner=_run_fig7,
         default_params=_params(
             model_names=("cnn_mnist",),
@@ -899,7 +878,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="One Fig. 7 susceptibility grid point (sweepable)",
         paper_reference="Fig. 7(a)-(c)",
         modules=("repro.analysis.susceptibility", "repro.attacks", "repro.engine"),
-        bench_target="benchmarks/bench_fig7_susceptibility.py",
         runner=_run_fig7_point,
         default_params=_params(
             model="cnn_mnist",
@@ -922,7 +900,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             "repro.attacks.injection",
             "repro.nn.ensemble",
         ),
-        bench_target="benchmarks/bench_scenario_batch.py",
         runner=_run_fig7_grid,
         default_params=_params(
             model="cnn_mnist",
@@ -930,7 +907,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
             blocks=("both",),
             fractions=(0.01, 0.05, 0.10),
             num_placements=3,
-            backend="batched",
             scenario_chunk=0,
             quantize_weights=True,
             kind_params=None,
@@ -943,7 +919,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="One attack-search candidate averaged over placements (sweepable)",
         paper_reference="Fig. 7 methodology, searched",
         modules=("repro.attacks.search", "repro.accelerator.inference", "repro.engine"),
-        bench_target="benchmarks/bench_attack_search.py",
         runner=_run_fig7_candidate,
         default_params=_params(
             model="cnn_mnist",
@@ -964,7 +939,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="Black-box adversarial attack search with a Pareto front (sweepable)",
         paper_reference="beyond the paper's fixed grids (ROADMAP item 3)",
         modules=("repro.attacks.search", "repro.analysis", "repro.engine"),
-        bench_target="benchmarks/bench_attack_search.py",
         runner=_run_fig7_adversarial,
         default_params=_params(
             model="cnn_mnist",
@@ -992,11 +966,9 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="Accuracy distribution of mitigation variants",
         paper_reference="Fig. 8(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation"),
-        bench_target="benchmarks/bench_fig8_variants.py",
         runner=_run_fig8,
         default_params=_params(
             model_names=("cnn_mnist",),
-            stacked_training=True,
             checkpoint_cache=False,
             seed=0,
         ),
@@ -1006,7 +978,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="One mitigation variant across the attack grid (sweepable)",
         paper_reference="Fig. 8(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation", "repro.engine"),
-        bench_target="benchmarks/bench_fig8_variants.py",
         runner=_run_fig8_variant,
         default_params=_params(
             model="cnn_mnist",
@@ -1026,7 +997,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="Signal-level Monte-Carlo attack sweep on a bank pair (sweepable)",
         paper_reference="Figs. 4-5",
         modules=("repro.photonics.bank_array", "repro.accelerator.signal_sim"),
-        bench_target="benchmarks/bench_signal_core.py",
         runner=_run_signal_mc,
         default_params=_params(
             size=16,
@@ -1042,11 +1012,9 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="Robust vs. original models under attack",
         paper_reference="Fig. 9(a)-(c)",
         modules=("repro.analysis.mitigation_analysis", "repro.mitigation.selection"),
-        bench_target="benchmarks/bench_fig9_robust_vs_original.py",
         runner=_run_fig9,
         default_params=_params(
             model_names=("cnn_mnist",),
-            stacked_training=True,
             checkpoint_cache=False,
             seed=0,
         ),
@@ -1056,7 +1024,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="L2-only vs noise-only vs combined mitigation",
         paper_reference="§V discussion",
         modules=("repro.mitigation",),
-        bench_target="benchmarks/bench_ablation_mitigation.py",
         runner=_run_ablation_mitigation,
         default_params=_params(
             variants=("Original", "L2_reg", "noise_n3", "l2+n3"), seed=0
@@ -1067,7 +1034,6 @@ EXPERIMENTS: dict[str, ExperimentDescriptor] = {
         title="EO vs TO tuning power/latency",
         paper_reference="§II.B",
         modules=("repro.photonics.tuning", "repro.accelerator.power"),
-        bench_target="benchmarks/bench_photonic_primitives.py",
         runner=_run_ablation_tuning,
         default_params=_params(shifts_nm=(0.2, 2.0)),
     ),

@@ -26,7 +26,6 @@ from repro.mitigation.robust_training import (
     default_variant_grid,
     load_cached_variant,
     store_variant_checkpoint,
-    train_variant_grid,
     train_variant_grid_stacked,
     variant_checkpoint_key,
 )
@@ -83,17 +82,8 @@ class MitigationAnalysisConfig:
         physical parameters for the non-default ones.
     seed:
         Master seed.
-    scenario_batch:
-        Evaluate each variant's attack grid through stacked ensemble
-        forwards instead of one test-set pass per scenario.
     scenario_chunk:
         Scenarios per stacked forward pass (``None``: memory-aware auto).
-    stacked_training:
-        Train the whole variant grid through the variant-stacked
-        forward/backward path (one stacked pass per data batch for all
-        variants) instead of one :class:`Trainer.fit` per variant.  The two
-        paths are numerically equivalent (property-tested); stacked is the
-        fast default.
     checkpoint_cache:
         Consult (and fill) the content-addressed trained-model store before
         training: variants whose checkpoint exists are loaded with **zero
@@ -115,9 +105,7 @@ class MitigationAnalysisConfig:
     kind_params: dict | None = None
     quantize_weights: bool = True
     test_fraction: float = 0.25
-    scenario_batch: bool = True
     scenario_chunk: int | None = None
-    stacked_training: bool = True
     checkpoint_cache: bool = False
     checkpoint_dir: str | None = None
 
@@ -262,9 +250,8 @@ class MitigationStudy:
         """Train (or load from the checkpoint cache) the variant grid.
 
         Cached variants are restored with zero training steps; the remaining
-        grid members train together — through the variant-stacked path when
-        ``config.stacked_training`` is set, else serially — and their fresh
-        checkpoints are stored back.  Accounting lands in
+        grid members train together in one variant-stacked pass and their
+        fresh checkpoints are stored back.  Accounting lands in
         ``self.last_training_stats[model_name]``.
         """
         defaults = _WORKLOAD_DEFAULTS[model_name]
@@ -292,26 +279,18 @@ class MitigationStudy:
         training_steps = 0
         if missing:
             subset = [grid[index] for index in missing]
-            trainer_fn = (
-                train_variant_grid_stacked
-                if self.config.stacked_training
-                else train_variant_grid
-            )
-            trained = trainer_fn(
+            trained = train_variant_grid_stacked(
                 model_name,
                 split,
                 base_config,
                 variants=subset,
                 model_kwargs=model_kwargs,
             )
-            # The trainers report their real optimizer-step counts: the
-            # stacked pass advances the whole sub-grid per step (every result
-            # shares one count), the serial path sums one fit per variant.
-            steps = [int(result.extras.get("training_steps", 0)) for result in trained]
-            training_steps = (
-                max(steps, default=0)
-                if self.config.stacked_training
-                else sum(steps)
+            # The stacked pass advances the whole sub-grid per optimizer step,
+            # so every result reports the same real step count.
+            training_steps = max(
+                (int(result.extras.get("training_steps", 0)) for result in trained),
+                default=0,
             )
             for index, result in zip(missing, trained):
                 results[index] = result
@@ -323,7 +302,6 @@ class MitigationStudy:
             "checkpoint_hits": len(grid) - len(missing),
             "trained": len(missing),
             "training_steps": training_steps,
-            "stacked_training": bool(self.config.stacked_training),
         }
         return [result for result in results if result is not None]
 
@@ -365,17 +343,9 @@ class MitigationStudy:
                     quantize_weights=self.config.quantize_weights,
                     scenario_chunk=self.config.scenario_chunk,
                 )
-                if self.config.scenario_batch:
-                    accuracies = engine.accuracy_under_attacks(
-                        split.test, [outcome for _, outcome in outcomes]
-                    )
-                else:
-                    accuracies = np.array(
-                        [
-                            engine.accuracy_under_attack(split.test, outcome)
-                            for _, outcome in outcomes
-                        ]
-                    )
+                accuracies = engine.accuracy_under_attacks(
+                    split.test, [outcome for _, outcome in outcomes]
+                )
                 accuracy_by_variant[variant.spec.name] = accuracies
                 result.distributions.append(
                     VariantDistribution(

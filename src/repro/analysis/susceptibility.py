@@ -78,12 +78,6 @@ class SusceptibilityConfig:
         Apply DAC-resolution quantization when mapping weights.
     test_fraction:
         Fraction of each synthetic dataset held out for accuracy measurement.
-    scenario_batch:
-        Evaluate all placed scenarios of a workload through the stacked
-        ensemble forward (:meth:`AttackedInferenceEngine.accuracy_under_attacks`)
-        instead of one full test-set pass per scenario.  The per-scenario
-        path remains available as the reference the batch path is
-        property-tested against.
     scenario_chunk:
         Scenarios per stacked forward pass (``None``: memory-aware auto).
     kind_params:
@@ -103,7 +97,6 @@ class SusceptibilityConfig:
     kind_params: dict | None = None
     quantize_weights: bool = True
     test_fraction: float = 0.25
-    scenario_batch: bool = True
     scenario_chunk: int | None = None
 
     def __post_init__(self) -> None:
@@ -244,10 +237,8 @@ class SusceptibilityStudy:
     ) -> list[ScenarioAccuracy]:
         """Evaluate every placed scenario of one workload.
 
-        The default scenario-batch backend samples all outcomes up front and
-        runs them through stacked ensemble forwards; the per-scenario
-        fallback (``scenario_batch=False``) evaluates them one by one via the
-        reference path.
+        All outcomes are sampled up front and run through stacked ensemble
+        forwards (:meth:`AttackedInferenceEngine.accuracy_under_attacks`).
         """
         outcomes = [
             sample_outcome(
@@ -258,14 +249,8 @@ class SusceptibilityStudy:
             )
             for scenario in scenarios
         ]
-        if self.config.scenario_batch:
-            accuracies = engine.accuracy_under_attacks(split.test, outcomes)
-            corrupted = engine.weight_corruption_fractions(outcomes)
-        else:
-            accuracies = [
-                engine.accuracy_under_attack(split.test, outcome) for outcome in outcomes
-            ]
-            corrupted = [engine.weight_corruption_fraction(outcome) for outcome in outcomes]
+        accuracies = engine.accuracy_under_attacks(split.test, outcomes)
+        corrupted = engine.weight_corruption_fractions(outcomes)
         return [
             ScenarioAccuracy(
                 model=model_name,

@@ -22,7 +22,7 @@ Subcommands
     a running daemon as a zipped sweep.
 ``train``
     Pre-warm the trained-model checkpoint cache: train mitigation variant
-    grids (stacked by default) and store every trained model
+    grids in one stacked pass and store every trained model
     content-addressed, so later ``fig8``/``fig9``/``fig8_variant`` runs and
     :class:`MitigationStudy` instances load instead of re-train.
 ``report``
@@ -30,15 +30,6 @@ Subcommands
     min/mean/max per-run wall time per experiment, the trained-model
     checkpoint store (entries, size, hits), and Pareto fronts rebuilt from
     cached ``fig7_candidate``/``fig7_adversarial`` records.
-``bench``
-    Run the benchmark suites: ``--suite signal`` (seed object path vs
-    vectorized array-core, ``BENCH_signal_core.json``), ``--suite scenario``
-    (per-scenario vs scenario-batched attacked inference,
-    ``BENCH_scenario_batch.json``), ``--suite training`` (stacked vs serial
-    variant-grid training + checkpoint-cache pipeline,
-    ``BENCH_training.json``), ``--suite search`` (batched vs serial
-    candidate throughput + searched front vs the fixed Cartesian grid at
-    equal budget, ``BENCH_search.json``) or ``--suite all``.
 ``serve``
     Run the persistent campaign service: a durable on-disk job queue, N
     worker processes shared by every submitted sweep (work-stealing across
@@ -249,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--seed", type=int, default=0, help="study master seed")
     train.add_argument(
-        "--serial", action="store_true",
-        help="train one variant at a time instead of the stacked grid pass",
-    )
-    train.add_argument(
         "--checkpoint-dir", default=None,
         help="checkpoint store (env: REPRO_CHECKPOINT_DIR; "
              "default: .repro-cache/checkpoints)",
@@ -271,66 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir", default=None,
         help="checkpoint store to summarize (env: REPRO_CHECKPOINT_DIR)",
     )
-
-    bench = sub.add_parser(
-        "bench", help="run the performance benchmark suites"
-    )
-    bench.add_argument(
-        "--suite", choices=("signal", "scenario", "training", "search", "all"),
-        default="signal",
-        help="signal: array-core vs seed object path; scenario: batched vs "
-             "per-scenario attacked inference; training: stacked vs serial "
-             "variant-grid training + checkpoint cache; search: attack-search "
-             "throughput + grid-vs-search fronts (default: signal)",
-    )
-    bench.add_argument(
-        "--matvec-size", type=int, default=64, help="[signal] matrix-vector operand size"
-    )
-    bench.add_argument(
-        "--mc-size", type=int, default=64, help="[signal] Monte-Carlo bank size (rings)"
-    )
-    bench.add_argument(
-        "--trials", type=int, default=1000, help="[signal] Monte-Carlo attack trials"
-    )
-    bench.add_argument(
-        "--bench-model", default="cnn_mnist", help="[scenario] workload model"
-    )
-    bench.add_argument(
-        "--fc-placements", type=int, default=10,
-        help="[scenario] placements per FC-column grid point",
-    )
-    bench.add_argument(
-        "--mixed-placements", type=int, default=3,
-        help="[scenario] placements per mixed-grid point",
-    )
-    bench.add_argument(
-        "--train-samples", type=int, default=320,
-        help="[training] dataset size for the variant-grid comparison",
-    )
-    bench.add_argument(
-        "--train-epochs", type=int, default=2,
-        help="[training] epochs for the variant-grid comparison",
-    )
-    bench.add_argument(
-        "--search-kinds", default="laser_power,hotspot", metavar="K1,K2,..",
-        help="[search] attack kinds to compare against their fixed grids",
-    )
-    bench.add_argument(
-        "--search-optimizers", default="random,evolutionary,halving",
-        metavar="O1,O2,..",
-        help="[search] optimizers run at the grid's evaluation budget",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats, best-of (default: 3 signal, 1 scenario)",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="operand/attack seed")
-    bench.add_argument(
-        "--output", default=None,
-        help="JSON output path ('-' to skip writing; default: the suite's "
-             "BENCH_*.json; ignored for --suite all)",
-    )
-    bench.add_argument("--json", action="store_true", help="print the results as JSON")
 
     serve = sub.add_parser(
         "serve", help="run the persistent campaign service (job queue + HTTP API)"
@@ -1195,7 +1122,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             model_names=(model,),
             variants=variants,
             seed=args.seed,
-            stacked_training=not args.serial,
             checkpoint_cache=True,
             checkpoint_dir=args.checkpoint_dir,
         )
@@ -1215,8 +1141,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 f"{model}: {stats['variants']} variants — "
                 f"{stats['checkpoint_hits']} loaded from cache, "
                 f"{stats['trained']} trained "
-                f"({'stacked' if stats['stacked_training'] else 'serial'}, "
-                f"{stats['training_steps']} steps) in {stats['duration_s']:.2f}s"
+                f"({stats['training_steps']} steps) in {stats['duration_s']:.2f}s"
             )
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -1382,107 +1307,6 @@ def _pareto_report(groups: dict[tuple, list]) -> dict[tuple, list]:
     }
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    suites = (
-        ("signal", "scenario", "training", "search")
-        if args.suite == "all"
-        else (args.suite,)
-    )
-    payloads: dict[str, dict] = {}
-    reports: list[str] = []
-    for suite in suites:
-        if args.suite == "all":
-            output = _default_bench_output(suite)
-        elif args.output == "-":
-            output = None
-        else:
-            output = args.output or _default_bench_output(suite)
-        if suite == "signal":
-            from repro.analysis.signal_bench import (
-                format_bench_report,
-                run_signal_core_bench,
-            )
-
-            results = run_signal_core_bench(
-                matvec_size=args.matvec_size,
-                mc_size=args.mc_size,
-                mc_trials=args.trials,
-                repeats=args.repeats if args.repeats is not None else 3,
-                seed=args.seed,
-                output=output,
-            )
-            report = format_bench_report(results)
-        elif suite == "training":
-            from repro.analysis.training_bench import (
-                format_training_bench_report,
-                run_training_bench,
-            )
-
-            results = run_training_bench(
-                model=args.bench_model,
-                num_samples=args.train_samples,
-                epochs=args.train_epochs,
-                repeats=args.repeats if args.repeats is not None else 1,
-                seed=args.seed,
-                output=output,
-            )
-            report = format_training_bench_report(results)
-        elif suite == "search":
-            from repro.analysis.search_bench import (
-                format_search_bench_report,
-                run_attack_search_bench,
-            )
-
-            results = run_attack_search_bench(
-                model=args.bench_model,
-                kinds=tuple(
-                    part for part in args.search_kinds.split(",") if part
-                ),
-                optimizers=tuple(
-                    part for part in args.search_optimizers.split(",") if part
-                ),
-                seed=args.seed,
-                output=output,
-            )
-            report = format_search_bench_report(results)
-        else:
-            from repro.analysis.scenario_batch_bench import (
-                format_scenario_bench_report,
-                run_scenario_batch_bench,
-            )
-
-            results = run_scenario_batch_bench(
-                model=args.bench_model,
-                fc_placements=args.fc_placements,
-                mixed_placements=args.mixed_placements,
-                repeats=args.repeats if args.repeats is not None else 1,
-                seed=args.seed,
-                output=output,
-            )
-            report = format_scenario_bench_report(results)
-        payloads[suite] = results
-        if output is not None:
-            report += f"\n\nwrote {output}"
-        reports.append(report)
-    if args.json:
-        print(json.dumps(
-            payloads if len(payloads) > 1 else payloads[suites[0]],
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print("\n\n".join(reports))
-    return 0
-
-
-def _default_bench_output(suite: str) -> str:
-    return {
-        "signal": "BENCH_signal_core.json",
-        "scenario": "BENCH_scenario_batch.json",
-        "training": "BENCH_training.json",
-        "search": "BENCH_search.json",
-    }[suite]
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -1500,8 +1324,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_train(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "node":

@@ -253,7 +253,7 @@ def train_variant_grid_stacked(
     The heavy lifting — one im2col per conv layer per batch, batched matmuls
     over all ``V`` weight slabs, single stacked loss/optimizer step — is what
     makes this ~V-fold cheaper in Python/BLAS overhead than the serial loop
-    (``python -m repro bench --suite training`` measures it).
+    (the ``variant_training`` workload of ``perfbench/`` times it).
     """
     variants = variants if variants is not None else default_variant_grid()
     if not variants:

@@ -6,13 +6,10 @@ This is the original loop-based implementation of
 per-ring Python loops for imprinting, attacks and transmission.  The public
 classes in :mod:`repro.photonics.mr_bank` are now thin views over the
 vectorized array-core (:mod:`repro.photonics.bank_array`); this module keeps
-the object path alive for two purposes:
-
-* **ground truth** — the array-core equivalence property tests compare
-  :class:`~repro.photonics.bank_array.BankArray` against this path to 1e-9
-  (``tests/test_bank_array.py``);
-* **benchmark baseline** — ``benchmarks/bench_signal_core.py`` and
-  ``python -m repro bench`` time the seed object path against the array-core.
+the object path alive as **ground truth**: the array-core equivalence property
+tests compare :class:`~repro.photonics.bank_array.BankArray` and
+:class:`~repro.accelerator.signal_sim.SignalLevelSimulator` against this path
+to 1e-9 (``tests/test_bank_array.py``, ``tests/test_accelerator.py``).
 
 Do not use these classes in new code; they are intentionally slow.
 """

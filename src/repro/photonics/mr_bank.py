@@ -18,8 +18,7 @@ the vectorized :mod:`repro.photonics.bank_array` state — no per-ring Python
 objects exist in the computation path.  ``bank.mrs`` still exposes a per-ring
 surface for inspection via :class:`RingView`, whose reads and writes go
 straight into the backing arrays.  The seed per-ring-object implementation is
-preserved in :mod:`repro.photonics.legacy` as the equivalence/benchmark
-reference.
+preserved in :mod:`repro.photonics.legacy` as the equivalence reference.
 """
 
 from __future__ import annotations

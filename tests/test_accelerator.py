@@ -20,6 +20,7 @@ from repro.accelerator import (
 from repro.accelerator.blocks import bank_of_slot, slots_of_bank
 from repro.attacks import ActuationAttack, AttackSpec
 from repro.nn.models import build_model
+from repro.photonics.legacy import ObjectMRBankPair
 from repro.utils.validation import ValidationError
 
 
@@ -253,6 +254,40 @@ class TestSignalLevelSimulator:
         vector = rng.random(5)
         out = sim.matvec(matrix, vector)
         np.testing.assert_allclose(out, matrix @ vector, atol=0.15)
+
+    def test_matches_seed_object_path(self, rng):
+        """matvec and a thermal Monte-Carlo sweep equal a per-row loop over the
+        seed object path to 1e-9."""
+        size = 8
+        sim = SignalLevelSimulator(size)
+
+        def seed_dot(inputs, weights, attacked=None, delta_t_k=0.0):
+            pair = ObjectMRBankPair(size, grid=sim.grid, q_factor=sim.q_factor)
+            pair.program(inputs, weights)
+            if attacked:
+                pair.weight_bank.apply_actuation_attack(attacked)
+            if delta_t_k > 0:
+                pair.weight_bank.apply_thermal_attack(delta_t_k, sim.sensitivity)
+            return pair.dot_product()
+
+        matrix, vector = rng.random((6, size)), rng.random(size)
+        attacked_rows = {1: [0, 5], 4: [7]}
+        row_delta_t_k = {2: 18.0, 4: 9.0}
+        outputs = sim.matvec(
+            matrix, vector, attacked_rows=attacked_rows, row_delta_t_k=row_delta_t_k
+        )
+        expected = [
+            seed_dot(vector, matrix[row], attacked_rows.get(row),
+                     row_delta_t_k.get(row, 0.0))
+            for row in range(matrix.shape[0])
+        ]
+        np.testing.assert_allclose(outputs, expected, atol=1e-9, rtol=0)
+
+        inputs, weights = rng.random(size), rng.random(size)
+        deltas = rng.uniform(0.0, 30.0, 16)
+        trials = sim.monte_carlo(inputs, weights, delta_t_k=deltas)
+        expected = [seed_dot(inputs, weights, delta_t_k=delta) for delta in deltas]
+        np.testing.assert_allclose(trials, expected, atol=1e-9, rtol=0)
 
     def test_operand_validation(self, rng):
         sim = SignalLevelSimulator(4)

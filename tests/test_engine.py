@@ -66,6 +66,19 @@ class TestRunSpec:
         with pytest.raises(ValidationError):
             RunSpec("fig7_point", params={"fn": object()})
 
+    @pytest.mark.parametrize(
+        "experiment_id, name",
+        [("fig7_grid", "backend"), ("fig8", "stacked_training"),
+         ("fig9", "stacked_training")],
+    )
+    def test_removed_path_switches_are_unknown_params(self, experiment_id, name):
+        from repro.analysis.experiments import get_experiment
+
+        descriptor = get_experiment(experiment_id)
+        assert name not in descriptor.default_params
+        with pytest.raises(KeyError, match="unknown parameter"):
+            descriptor.resolve_params({name: True})
+
 
 class TestSweepSpec:
     def test_cartesian_expansion_order_and_count(self):
@@ -315,20 +328,18 @@ class TestCli:
             3 * stats["mean_duration_s"]
         )
 
-    def test_cli_bench_smoke(self, tmp_path, capsys):
-        """Tiny bench run: JSON record written with speedups and agreement."""
-        output = tmp_path / "bench.json"
+    def test_cli_run_rejects_negative_scenario_chunk(self, capsys):
+        """A negative chunk is an error, not a grid of 0% accuracies."""
         argv = [
-            "bench", "--matvec-size", "6", "--mc-size", "6", "--trials", "8",
-            "--repeats", "1", "--output", str(output), "--json",
+            "run", "fig7_grid", "--no-cache", "--json",
+            "--set", 'kinds=["hotspot"]', "--set", "fractions=[0.1]",
+            "--set", 'blocks=["fc"]', "--set", "num_placements=2",
+            "--set", "scenario_chunk=-1",
         ]
-        assert cli_main(argv) == 0
-        results = json.loads(capsys.readouterr().out)
-        assert results["equivalent_within_tol"] is True
-        assert results["matvec"]["speedup_array_vs_seed"] > 0
-        assert results["monte_carlo"]["speedup_array_vs_seed"] > 0
-        on_disk = json.loads(output.read_text())
-        assert on_disk["benchmark"] == "signal_core"
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert "scenario_chunk" in captured.err
+        assert captured.out == ""
 
     def test_python_dash_m_repro_entrypoint(self):
         """``python -m repro list`` works as a real subprocess."""

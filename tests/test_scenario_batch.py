@@ -402,6 +402,18 @@ class TestEngineScenarioBatch:
         chunked = engine.accuracy_under_attacks(dataset, outcomes, scenario_chunk=2)
         np.testing.assert_array_equal(full, chunked)
 
+    @pytest.mark.parametrize("chunk", [-1, 0, 2.5])
+    def test_scenario_chunk_must_be_positive_int_or_none(
+        self, engine_and_data, outcomes, trained_mnist_model, chunk
+    ):
+        engine, dataset = engine_and_data
+        with pytest.raises(ValidationError, match="scenario_chunk"):
+            AttackedInferenceEngine(trained_mnist_model, scenario_chunk=chunk)
+        with pytest.raises(ValidationError, match="scenario_chunk"):
+            engine.accuracy_under_attacks(dataset, outcomes, scenario_chunk=chunk)
+        with pytest.raises(ValidationError, match="scenario_chunk"):
+            engine.weight_corruption_fractions(outcomes, scenario_chunk=chunk)
+
     def test_empty_outcome_list(self, engine_and_data):
         engine, dataset = engine_and_data
         assert engine.accuracy_under_attacks(dataset, []).size == 0
@@ -443,20 +455,37 @@ class TestEngineScenarioBatch:
 
 class TestStudyIntegration:
     def test_susceptibility_backends_agree(self, trained_mnist_model, mnist_split):
+        """Every study row equals the per-scenario reference on its outcome."""
         from repro.analysis.susceptibility import (
             SusceptibilityConfig,
             SusceptibilityStudy,
         )
+        from repro.attacks.scenario import generate_scenarios, sample_outcome
 
-        prepared = {"cnn_mnist": (trained_mnist_model, mnist_split)}
-        results = {}
-        for batch in (True, False):
-            config = SusceptibilityConfig.quick(scenario_batch=batch)
-            results[batch] = SusceptibilityStudy(config).run(prepared=prepared)
-        batched, serial = results[True], results[False]
-        assert batched.baselines == serial.baselines
-        assert len(batched.scenarios) == len(serial.scenarios)
-        for a, b in zip(batched.scenarios, serial.scenarios):
-            assert a.key() == b.key() and a.placement == b.placement
-            assert a.accuracy == b.accuracy
-            assert a.corrupted_fraction == pytest.approx(b.corrupted_fraction)
+        config = SusceptibilityConfig.quick()
+        result = SusceptibilityStudy(config).run(
+            prepared={"cnn_mnist": (trained_mnist_model, mnist_split)}
+        )
+        scenarios = generate_scenarios(
+            kinds=config.kinds,
+            blocks=config.blocks,
+            fractions=config.fractions,
+            num_placements=config.num_placements,
+            master_seed=config.seed,
+        )
+        engine = AttackedInferenceEngine(
+            trained_mnist_model,
+            config=config.accelerator,
+            quantize_weights=config.quantize_weights,
+        )
+        assert result.baselines == {"cnn_mnist": engine.clean_accuracy(mnist_split.test)}
+        assert len(result.scenarios) == len(scenarios)
+        for row, scenario in zip(result.scenarios, scenarios):
+            outcome = sample_outcome(scenario, config.accelerator, config.hotspot)
+            assert row.key() == ("cnn_mnist", scenario.spec.kind,
+                                 scenario.spec.target_block, scenario.spec.fraction)
+            assert row.placement == scenario.placement
+            assert row.accuracy == engine.accuracy_under_attack(mnist_split.test, outcome)
+            assert row.corrupted_fraction == pytest.approx(
+                engine.weight_corruption_fraction(outcome)
+            )

@@ -4,6 +4,8 @@ model checkpoint cache."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -582,25 +584,60 @@ class TestStudyCheckpointIntegration:
         assert cold.best_variant == warm.best_variant
 
     def test_stacked_and_serial_studies_agree(self):
+        """The study's stacked grid pass trains the serial reference's weights."""
         from repro.analysis.mitigation_analysis import (
+            _WORKLOAD_DEFAULTS,
             MitigationAnalysisConfig,
             MitigationStudy,
         )
 
-        overrides = dict(
-            variants=(
-                VariantSpec("Original"),
-                VariantSpec("l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
-            ),
-            fractions=(0.10,),
-            num_placements=1,
+        variants = (
+            VariantSpec("Original"),
+            VariantSpec("l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
         )
-        stacked = MitigationStudy(
-            MitigationAnalysisConfig.quick(stacked_training=True, **overrides)
-        ).run()
-        serial = MitigationStudy(
-            MitigationAnalysisConfig.quick(stacked_training=False, **overrides)
-        ).run()
-        for first, second in zip(stacked.distributions, serial.distributions):
+        study = MitigationStudy(MitigationAnalysisConfig.quick(variants=variants))
+        split = study.prepare_split("cnn_mnist")
+        stacked = study.train_variants("cnn_mnist", split)
+        defaults = _WORKLOAD_DEFAULTS["cnn_mnist"]
+        serial = train_variant_grid(
+            "cnn_mnist",
+            split,
+            TrainingConfig(seed=study.config.seed, **defaults["training"]),
+            variants=list(variants),
+            model_kwargs=dict(defaults["model_kwargs"]),
+        )
+        assert len(stacked) == len(serial) == len(variants)
+        for first, second in zip(stacked, serial):
+            assert first.spec == second.spec
             assert first.baseline_accuracy == second.baseline_accuracy
-            assert np.array_equal(first.accuracies, second.accuracies)
+            first_state = first.model.full_state_dict()
+            second_state = second.model.full_state_dict()
+            assert first_state.keys() == second_state.keys()
+            for name in first_state:
+                np.testing.assert_array_equal(first_state[name], second_state[name])
+
+    def test_cli_train_prewarms_then_loads(self, tmp_path, capsys):
+        from repro.engine.cli import main as cli_main
+
+        argv = [
+            "train", "cnn_mnist", "--variants", "Original,L2_reg",
+            "--checkpoint-dir", str(tmp_path), "--json",
+        ]
+        assert cli_main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)["cnn_mnist"]
+        assert cold["variants"] == 2 and cold["trained"] == 2
+        assert cold["checkpoint_hits"] == 0 and cold["training_steps"] > 0
+        assert "stacked_training" not in cold
+        assert cli_main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)["cnn_mnist"]
+        assert warm["checkpoint_hits"] == 2
+        assert warm["trained"] == 0 and warm["training_steps"] == 0
+
+    def test_cli_train_has_no_serial_switch(self, tmp_path, capsys):
+        from repro.engine.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["train", "cnn_mnist", "--serial",
+                      "--checkpoint-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--serial" in capsys.readouterr().err
