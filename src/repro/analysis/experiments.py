@@ -12,13 +12,15 @@ Runners take keyword parameters with JSON-serializable defaults recorded in
 ``ExperimentDescriptor.default_params``; the engine resolves a
 :class:`~repro.engine.spec.RunSpec`'s parameter overrides against those
 defaults, which makes every experiment runnable (and cacheable) through
-``python -m repro run/sweep``.  The per-point experiments keep a per-process
-cache of trained workloads so each worker-pool process trains each
-(model, seed) combination once and then evaluates many grid points against it.
+``python -m repro run/sweep``.  The per-point experiments share one
+per-process memo of trained workloads (:func:`prepared_workload`), so each
+worker-pool process trains or loads each (model, variant, seed) once and then
+evaluates many grid points against it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -100,128 +102,69 @@ class ExperimentDescriptor:
         return self.runner(**self.resolve_params(params, seed=seed))
 
 
-# ------------------------------------------------------------- shared caches
-#: Per-process cache of prepared Fig. 7 workloads keyed by
-#: ``(model_name, seed, quantize_weights)``.  Each worker-pool process trains a
-#: workload once and reuses it for every grid point it executes.
-_FIG7_WORKLOADS: dict[tuple, tuple] = {}
-
-#: Per-process cache of dataset splits / trained variants, filled by
-#: :func:`_trained_variant` for ``fig8_variant`` and ``fig7_candidate``.
-_FIG8_SPLITS: dict[tuple, object] = {}
-_FIG8_VARIANTS: dict[tuple, object] = {}
-
-#: Per-process cache of (engine, split, baseline) for ``fig7_candidate``
-#: workloads on *mitigation variants* (the unmitigated case shares
-#: ``_FIG7_WORKLOADS``).  Keyed by (model, variant, seed, quantize_weights).
-_CANDIDATE_WORKLOADS: dict[tuple, tuple] = {}
+# ------------------------------------------------------------- workload memo
+#: Per-process memo of trained workloads, keyed by the canonical JSON of the
+#: workload identity (see :func:`prepared_workload`).  An entry holds the
+#: dataset split, the trained variant and the attacked-inference engines built
+#: from it by ``quantize_weights``, so each worker-pool process trains (or
+#: loads) a variant once and reuses it for every grid point it executes.
+_WORKLOADS: dict[str, dict] = {}
 
 
-def _prepared_fig7_workload(model: str, seed: int, quantize_weights: bool):
-    """Return ``(engine, split, baseline_accuracy)`` for a trained workload."""
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.accelerator.inference import AttackedInferenceEngine
-    from repro.analysis.susceptibility import SusceptibilityConfig, SusceptibilityStudy
-
-    key = (model, seed, quantize_weights)
-    if key not in _FIG7_WORKLOADS:
-        config = SusceptibilityConfig(
-            model_names=(model,), seed=seed, quantize_weights=quantize_weights
-        )
-        trained, split = SusceptibilityStudy(config).prepare_workload(model)
-        engine = AttackedInferenceEngine(
-            trained,
-            config=AcceleratorConfig.scaled_config(),
-            quantize_weights=quantize_weights,
-        )
-        baseline = engine.clean_accuracy(split.test)
-        _FIG7_WORKLOADS[key] = (engine, split, baseline)
-    return _FIG7_WORKLOADS[key]
-
-
-def _trained_variant(model: str, variant: str, seed: int, checkpoint_cache: bool):
-    """Return ``(split, trained)`` for one mitigation variant of a workload.
-
-    The variant is trained (or, with ``checkpoint_cache``, loaded from the
-    addresses :class:`MitigationStudy` uses) once per process.
-    """
-    from repro.analysis.mitigation_analysis import (
-        _WORKLOAD_DEFAULTS,
-        MitigationAnalysisConfig,
-        MitigationStudy,
-    )
-    from repro.mitigation.robust_training import (
-        load_cached_variant,
-        store_variant_checkpoint,
-        train_variant,
-        variant_spec_from_name,
-    )
-    from repro.nn.training import TrainingConfig
-
-    study = MitigationStudy(
-        MitigationAnalysisConfig(
-            model_names=(model,), seed=seed, checkpoint_cache=checkpoint_cache
-        )
-    )
-    split_key = (model, seed)
-    if split_key not in _FIG8_SPLITS:
-        _FIG8_SPLITS[split_key] = study.prepare_split(model)
-    split = _FIG8_SPLITS[split_key]
-
-    variant_key = (model, variant, seed)
-    if variant_key not in _FIG8_VARIANTS:
-        defaults = _WORKLOAD_DEFAULTS[model]
-        model_kwargs = dict(defaults["model_kwargs"])
-        base_config = TrainingConfig(seed=seed, **dict(defaults["training"]))
-        spec = variant_spec_from_name(variant)
-        cache = study.checkpoint_cache()
-        checkpoint_key = study.checkpoint_key(model, spec)
-        trained = load_cached_variant(
-            cache, checkpoint_key, model, spec, base_config, model_kwargs=model_kwargs
-        )
-        if trained is None:
-            trained = train_variant(
-                model, spec, split, base_config, model_kwargs=model_kwargs
-            )
-            store_variant_checkpoint(cache, checkpoint_key, trained)
-        _FIG8_VARIANTS[variant_key] = trained
-    return split, _FIG8_VARIANTS[variant_key]
-
-
-def prepared_candidate_workload(
+def prepared_workload(
     model: str,
     variant: str,
     seed: int,
     quantize_weights: bool = True,
     checkpoint_cache: bool = False,
 ):
-    """Return ``(engine, split, baseline)`` for a ``fig7_candidate`` workload.
+    """Return ``(engine, split, baseline, trained)`` for one workload.
 
-    ``variant=""`` is the unmitigated paper workload (shared with
-    ``fig7_point``/``fig7_grid``); a named variant trains (or, with
-    ``checkpoint_cache``, loads) the mitigation variant exactly like
-    ``fig8_variant`` does, reusing its per-process split/variant caches.  The
-    baseline is always the engine's *clean mapped accuracy* on the test
-    split, so searched accuracy drops are measured against the same photonic
-    datapath the attacks corrupt.
+    ``variant=""`` is the unmitigated paper workload, i.e. the ``Original``
+    variant.  Every variant is trained by
+    :meth:`MitigationStudy.train_variants` or, with ``checkpoint_cache``,
+    loaded from (and stored to) the checkpoint addresses ``repro train``
+    pre-warms.  ``baseline`` is the engine's *clean mapped accuracy* on the
+    test split, so attacked accuracy drops are measured against the same
+    photonic datapath the attacks corrupt; ``trained`` is the
+    :class:`~repro.mitigation.robust_training.VariantResult`.
     """
-    if not variant:
-        return _prepared_fig7_workload(model, seed, quantize_weights)
-
     from repro.accelerator.config import AcceleratorConfig
     from repro.accelerator.inference import AttackedInferenceEngine
+    from repro.analysis.mitigation_analysis import MitigationAnalysisConfig, MitigationStudy
+    from repro.engine.checkpoints import default_checkpoint_dir
+    from repro.engine.spec import canonical_json
+    from repro.mitigation.robust_training import variant_spec_from_name
 
-    key = (model, variant, seed, quantize_weights)
-    if key not in _CANDIDATE_WORKLOADS:
-        split, trained = _trained_variant(model, variant, seed, checkpoint_cache)
+    variant = variant or "Original"
+    checkpoint_dir = os.path.abspath(default_checkpoint_dir()) if checkpoint_cache else None
+    key = canonical_json(
+        {"model": model, "variant": variant, "seed": seed, "checkpoint_dir": checkpoint_dir}
+    )
+    if key not in _WORKLOADS:
+        study = MitigationStudy(
+            MitigationAnalysisConfig(
+                model_names=(model,),
+                variants=(variant_spec_from_name(variant),),
+                seed=seed,
+                checkpoint_cache=checkpoint_cache,
+                checkpoint_dir=checkpoint_dir,
+            )
+        )
+        split = study.prepare_split(model)
+        (trained,) = study.train_variants(model, split)
+        _WORKLOADS[key] = {"split": split, "trained": trained, "engines": {}}
+    workload = _WORKLOADS[key]
+    engines = workload["engines"]
+    if quantize_weights not in engines:
         engine = AttackedInferenceEngine(
-            trained.model,
+            workload["trained"].model,
             config=AcceleratorConfig.scaled_config(),
             quantize_weights=quantize_weights,
         )
-        baseline = engine.clean_accuracy(split.test)
-        _CANDIDATE_WORKLOADS[key] = (engine, split, baseline)
-    return _CANDIDATE_WORKLOADS[key]
+        engines[quantize_weights] = (engine, engine.clean_accuracy(workload["split"].test))
+    engine, baseline = engines[quantize_weights]
+    return engine, workload["split"], baseline, workload["trained"]
 
 
 def candidate_outcomes(
@@ -328,7 +271,7 @@ def candidate_payloads_batched(param_sets: list, seed: int) -> list[dict]:
 
     payloads: list[dict | None] = [None] * len(param_sets)
     for (model, variant, quantize_weights, checkpoint_cache), indices in groups.items():
-        engine, split, baseline = prepared_candidate_workload(
+        engine, split, baseline, _ = prepared_workload(
             model, variant, seed, quantize_weights, checkpoint_cache
         )
         outcomes_per_candidate = []
@@ -452,7 +395,7 @@ def _run_fig7_point(
     from repro.attacks.scenario import AttackScenario, sample_outcome
     from repro.utils.rng import RngFactory
 
-    engine, split, baseline = _prepared_fig7_workload(model, seed, quantize_weights)
+    engine, split, baseline, _ = prepared_workload(model, "Original", seed, quantize_weights)
     spec = AttackSpec(kind=kind, target_block=block, fraction=fraction)
     scenario_seed = RngFactory(seed=seed).child_seed(f"{spec.label()}#{placement}")
     scenario = AttackScenario(spec=spec, placement=placement, seed=scenario_seed)
@@ -501,7 +444,7 @@ def _run_fig7_grid(
     from repro.attacks.hotspot import HotspotAttackConfig
     from repro.attacks.scenario import generate_scenarios, sample_outcome
 
-    engine, split, baseline = _prepared_fig7_workload(model, seed, quantize_weights)
+    engine, split, baseline, _ = prepared_workload(model, "Original", seed, quantize_weights)
     scenarios = generate_scenarios(
         kinds=tuple(kinds),
         blocks=tuple(blocks),
@@ -556,7 +499,7 @@ def _run_fig7_candidate(
     """
     from repro.accelerator.config import AcceleratorConfig
 
-    engine, split, baseline = prepared_candidate_workload(
+    engine, split, baseline, _ = prepared_workload(
         model, variant, seed, quantize_weights, checkpoint_cache
     )
     outcomes = candidate_outcomes(
@@ -683,12 +626,12 @@ def _run_fig8_variant(
     import numpy as np
 
     from repro.accelerator.config import AcceleratorConfig
-    from repro.accelerator.inference import AttackedInferenceEngine
     from repro.attacks.hotspot import HotspotAttackConfig
     from repro.attacks.scenario import generate_scenarios, sample_outcome
 
-    split, trained = _trained_variant(model, variant, seed, checkpoint_cache)
-
+    engine, split, _, trained = prepared_workload(
+        model, variant, seed, checkpoint_cache=checkpoint_cache
+    )
     accelerator = AcceleratorConfig.scaled_config()
     scenarios = generate_scenarios(
         kinds=tuple(kinds),
@@ -697,7 +640,6 @@ def _run_fig8_variant(
         num_placements=num_placements,
         master_seed=seed,
     )
-    engine = AttackedInferenceEngine(trained.model, config=accelerator)
     hotspot = HotspotAttackConfig()
     outcomes = [
         sample_outcome(scenario, accelerator, hotspot, kind_params=kind_params)

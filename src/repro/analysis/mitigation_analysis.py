@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.inference import AttackedInferenceEngine
+from repro.analysis.susceptibility import _WORKLOAD_DEFAULTS, workload_split
 from repro.attacks.base import PAPER_KINDS
 from repro.attacks.hotspot import HotspotAttackConfig
 from repro.attacks.scenario import DEFAULT_FRACTIONS, generate_scenarios, sample_outcome
-from repro.datasets.base import DatasetSplit, train_test_split
-from repro.datasets.registry import load_dataset
+from repro.datasets.base import DatasetSplit
 from repro.mitigation.robust_training import (
     VariantResult,
     VariantSpec,
@@ -41,29 +41,6 @@ __all__ = [
     "MitigationStudyResult",
     "MitigationStudy",
 ]
-
-#: Per-workload defaults (kept aligned with the susceptibility study).
-_WORKLOAD_DEFAULTS: dict[str, dict[str, object]] = {
-    "cnn_mnist": {
-        "num_samples": 700,
-        "dataset_kwargs": {},
-        "model_kwargs": {},
-        "training": dict(epochs=4, batch_size=32, lr=2e-3),
-    },
-    "resnet18": {
-        "num_samples": 400,
-        "dataset_kwargs": {},
-        "model_kwargs": {},
-        "training": dict(epochs=3, batch_size=32, lr=2e-3),
-    },
-    "vgg16_variant": {
-        "num_samples": 450,
-        "dataset_kwargs": {"image_size": 48},
-        "model_kwargs": {"image_size": 48},
-        "training": dict(epochs=4, batch_size=32, lr=2e-3),
-    },
-}
-
 
 @dataclass
 class MitigationAnalysisConfig:
@@ -211,14 +188,7 @@ class MitigationStudy:
     # ---------------------------------------------------------------- setup
     def prepare_split(self, model_name: str) -> DatasetSplit:
         """Synthesize and split the dataset for a workload."""
-        defaults = _WORKLOAD_DEFAULTS[model_name]
-        dataset = load_dataset(
-            MODEL_DATASETS[model_name],
-            num_samples=int(defaults["num_samples"]),
-            seed=self.config.seed,
-            **dict(defaults["dataset_kwargs"]),
-        )
-        return train_test_split(dataset, self.config.test_fraction, seed=self.config.seed + 1)
+        return workload_split(model_name, self.config.seed, self.config.test_fraction)
 
     def checkpoint_cache(self):
         """The trained-model store, or ``None`` when caching is disabled."""

@@ -32,9 +32,10 @@ from repro.nn.training import Trainer, TrainingConfig
 from repro.utils.validation import check_positive_int
 
 __all__ = ["SusceptibilityConfig", "ScenarioAccuracy", "SusceptibilityResult",
-           "SusceptibilityStudy"]
+           "SusceptibilityStudy", "workload_split"]
 
-#: Per-workload defaults for dataset synthesis and training, sized for CPU runs.
+#: Per-workload recipe for dataset synthesis and training, sized for CPU runs.
+#: The susceptibility and mitigation studies both build their workloads from it.
 _WORKLOAD_DEFAULTS: dict[str, dict[str, object]] = {
     "cnn_mnist": {
         "num_samples": 700,
@@ -55,6 +56,18 @@ _WORKLOAD_DEFAULTS: dict[str, dict[str, object]] = {
         "training": dict(epochs=4, batch_size=32, lr=2e-3),
     },
 }
+
+
+def workload_split(model_name: str, seed: int, test_fraction: float) -> DatasetSplit:
+    """Synthesize and split the dataset of a workload."""
+    defaults = _WORKLOAD_DEFAULTS[model_name]
+    dataset = load_dataset(
+        MODEL_DATASETS[model_name],
+        num_samples=int(defaults["num_samples"]),
+        seed=seed,
+        **dict(defaults["dataset_kwargs"]),
+    )
+    return train_test_split(dataset, test_fraction, seed=seed + 1)
 
 
 @dataclass
@@ -182,13 +195,7 @@ class SusceptibilityStudy:
     def prepare_workload(self, model_name: str) -> tuple[Module, DatasetSplit]:
         """Synthesize the dataset and train the baseline model for a workload."""
         defaults = _WORKLOAD_DEFAULTS[model_name]
-        dataset = load_dataset(
-            MODEL_DATASETS[model_name],
-            num_samples=int(defaults["num_samples"]),
-            seed=self.config.seed,
-            **dict(defaults["dataset_kwargs"]),
-        )
-        split = train_test_split(dataset, self.config.test_fraction, seed=self.config.seed + 1)
+        split = workload_split(model_name, self.config.seed, self.config.test_fraction)
         model = build_model(
             model_name, profile="scaled", rng=self.config.seed, **dict(defaults["model_kwargs"])
         )
@@ -201,7 +208,7 @@ class SusceptibilityStudy:
         """Run the full study.
 
         ``prepared`` may supply already-trained ``(model, split)`` pairs per
-        workload (used by the mitigation study to avoid re-training).
+        workload, which are evaluated instead of training them here.
         """
         result = SusceptibilityResult(config=self.config)
         scenarios = generate_scenarios(

@@ -33,7 +33,12 @@ from datetime import datetime, timezone
 from time import perf_counter
 
 from repro.attacks.search.optimizers import OPTIMIZERS, make_optimizer
-from repro.attacks.search.pareto import ParetoPoint, front_payload, pareto_front
+from repro.attacks.search.pareto import (
+    ParetoPoint,
+    candidate_label,
+    front_payload,
+    pareto_front,
+)
 from repro.attacks.search.space import space_for_kind
 from repro.utils.validation import ValidationError, check_positive_int
 from repro.version import __version__
@@ -141,12 +146,6 @@ class AttackSearchResult:
         from repro.engine.spec import canonical_json
 
         return canonical_json(self.to_payload())
-
-
-def _candidate_label(kind: str, values: dict, placements: int) -> str:
-    params = ",".join(f"{k}={v}" for k, v in sorted(values["params"].items()))
-    inner = f"fraction={values['fraction']}" + (f",{params}" if params else "")
-    return f"{kind}[{inner}]x{placements}"
 
 
 # ----------------------------------------------------------------- evaluators
@@ -427,8 +426,11 @@ class AttackSearch:
                         ParetoPoint(
                             stealth=payload["num_attacked_mrs"],
                             damage=payload["drop_mean"],
-                            label=_candidate_label(
-                                config.kind, candidate.values, candidate.placements
+                            label=candidate_label(
+                                config.kind,
+                                candidate.values["fraction"],
+                                candidate.values["params"],
+                                candidate.placements,
                             ),
                             meta={
                                 "fraction": payload["fraction"],

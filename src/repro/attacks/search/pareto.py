@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "ParetoPoint",
+    "candidate_label",
     "dominates",
     "pareto_front",
     "front_dominates",
@@ -30,6 +31,15 @@ class ParetoPoint:
     damage: float
     label: str = ""
     meta: dict = field(default_factory=dict, compare=False)
+
+
+def candidate_label(
+    kind: str, fraction: float, attack_params: dict | None, placements: int
+) -> str:
+    """Label of a searched candidate's point: ``kind[fraction=f,k=v,...]xN``."""
+    params = ",".join(f"{k}={v}" for k, v in sorted((attack_params or {}).items()))
+    inner = f"fraction={fraction}" + (f",{params}" if params else "")
+    return f"{kind}[{inner}]x{placements}"
 
 
 def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:

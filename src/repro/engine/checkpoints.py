@@ -16,8 +16,9 @@ Each entry is a pair of files under ``<root>/<group>/``:
   baseline accuracy, training history, and a best-effort ``hits`` counter
   that ``python -m repro report`` surfaces).
 
-The mitigation studies (`MitigationStudy`, ``fig8_variant``, sweeps) consult
-this store before training; ``python -m repro train`` pre-warms it.
+The mitigation studies (`MitigationStudy`, ``fig8_variant``,
+``fig7_candidate``, sweeps) consult this store before training; ``python -m
+repro train`` pre-warms it.
 """
 
 from __future__ import annotations

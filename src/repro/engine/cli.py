@@ -23,8 +23,9 @@ Subcommands
 ``train``
     Pre-warm the trained-model checkpoint cache: train mitigation variant
     grids in one stacked pass and store every trained model
-    content-addressed, so later ``fig8``/``fig9``/``fig8_variant`` runs and
-    :class:`MitigationStudy` instances load instead of re-train.
+    content-addressed, so later ``fig8``/``fig9``/``fig8_variant``/
+    ``fig7_candidate`` runs and :class:`MitigationStudy` instances load
+    instead of re-train.
 ``report``
     Summarize the records accumulated in the result cache, including
     min/mean/max per-run wall time per experiment, the trained-model
@@ -1270,7 +1271,7 @@ def _collect_pareto_points(record, groups: dict[tuple, list]) -> None:
     ``fig7_candidate`` records contribute themselves; ``fig7_adversarial``
     records contribute their embedded front (already reduced per search).
     """
-    from repro.attacks.search.pareto import ParetoPoint
+    from repro.attacks.search.pareto import ParetoPoint, candidate_label
 
     if not record.ok or not record.payload:
         return
@@ -1278,14 +1279,15 @@ def _collect_pareto_points(record, groups: dict[tuple, list]) -> None:
     experiment_id = record.spec.experiment_id
     if experiment_id == "fig7_candidate":
         key = (payload["model"], payload.get("variant", ""), payload["kind"])
-        params = ",".join(
-            f"{k}={v}" for k, v in sorted((payload.get("attack_params") or {}).items())
-        )
-        inner = f"fraction={payload['fraction']}" + (f",{params}" if params else "")
         groups.setdefault(key, []).append(ParetoPoint(
             stealth=int(payload["num_attacked_mrs"]),
             damage=float(payload["drop_mean"]),
-            label=f"{payload['kind']}[{inner}]x{payload['placements']}",
+            label=candidate_label(
+                payload["kind"],
+                payload["fraction"],
+                payload.get("attack_params"),
+                payload["placements"],
+            ),
         ))
     elif experiment_id == "fig7_adversarial":
         key = (payload["model"], payload.get("variant", ""), payload["kind"])

@@ -25,9 +25,9 @@ experiment runners thread it through :mod:`repro.utils.rng`), so the same
 spec produces byte-identical payloads whether it executes inline, in a fresh
 process, in a pool worker that has already run other specs — or on the third
 retry after two injected crashes (payloads never depend on attempt count).
-Worker processes keep per-process caches of trained workloads (see
-:mod:`repro.analysis.experiments`), which makes large sweeps dramatically
-cheaper without affecting results.
+Worker processes keep the per-process memo of trained workloads (see
+:func:`repro.analysis.experiments.prepared_workload`), which makes large
+sweeps dramatically cheaper without affecting results.
 """
 
 from __future__ import annotations
@@ -537,7 +537,7 @@ class BackendExecutor(RunExecutor):
 
     Built from a worker count (``make_executor(N)``) it owns a
     :class:`~repro.engine.pool.WorkerPool`: the pool starts on the first
-    non-empty batch, keeps its workers (and their per-process caches of
+    non-empty batch, keeps its workers (and their per-process memo of
     trained workloads) across batches, and stops in :meth:`close`.  Built
     from a caller's backend it leaves that backend's lifecycle to the caller.
     A batch on an :meth:`~RunBackend.exhausted` backend quarantines its

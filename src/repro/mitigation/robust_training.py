@@ -18,6 +18,7 @@ seeds (property-tested in ``tests/test_stacked_training.py``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
@@ -121,13 +122,11 @@ def variant_spec_from_name(name: str) -> VariantSpec:
         return VariantSpec(name=name)
     if name == "L2_reg":
         return VariantSpec(name=name, l2=L2Config())
-    for prefix, with_l2 in (("l2+n", True), ("noise_n", False)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            std = round(int(name[len(prefix):]) / 10, 1)
-            noise = NoiseAwareConfig(std=std)
-            return VariantSpec(
-                name=name, l2=L2Config() if with_l2 else None, noise=noise
-            )
+    match = re.fullmatch(r"(l2\+|noise_)n([1-9])", name)
+    if match:
+        noise = NoiseAwareConfig(std=round(int(match.group(2)) / 10, 1))
+        l2 = L2Config() if match.group(1) == "l2+" else None
+        return VariantSpec(name=name, l2=l2, noise=noise)
     raise ValueError(
         f"unknown variant name {name!r}; expected 'Original', 'L2_reg', "
         "'l2+n<K>' or 'noise_n<K>' with K in 1..9"
@@ -444,11 +443,11 @@ def load_cached_variant(
 ) -> VariantResult | None:
     """Fetch and rebuild one trained variant from the checkpoint store.
 
-    The single load path shared by :class:`MitigationStudy` and the
-    ``fig8_variant`` runner: any store miss *or* reconstruction failure
-    (schema drift, shape mismatch from a stale entry) counts as a miss —
-    the caller retrains and overwrites, mirroring the store's own
-    corrupt-entry semantics.
+    The single load path, in ``MitigationStudy.train_variants``, which the
+    studies and the per-point runners all train through: any store miss *or*
+    reconstruction failure (schema drift, shape mismatch from a stale entry)
+    counts as a miss — the caller retrains and overwrites, mirroring the
+    store's own corrupt-entry semantics.
     """
     if cache is None:
         return None

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -172,10 +180,59 @@ class TestExperimentRegistry:
         assert result["total_power_w"] > 0
 
 
+#: A mixed in-process sweep over the workload memo: quantized and unquantized
+#: engines, the unmitigated workload and named variants, with and without the
+#: checkpoint store, in registry order.
+RUN_ORDER_RUNS = (
+    ("fig7_point", {"kind": "hotspot"}),
+    ("fig7_point", {"kind": "actuation", "block": "fc", "quantize_weights": False}),
+    ("fig7_grid", {"kinds": ["actuation"], "blocks": ["fc"], "fractions": [0.1],
+                   "num_placements": 1}),
+    ("fig7_candidate", {"variant": ""}),
+    ("fig7_candidate", {"variant": "l2+n3", "checkpoint_cache": True}),
+    ("fig7_candidate", {"variant": "l2+n3", "quantize_weights": False}),
+    ("fig8_variant", {"variant": "l2+n3", "checkpoint_cache": True,
+                      "fractions": [0.1], "num_placements": 1}),
+    ("fig8_variant", {"variant": "Original", "fractions": [0.1], "num_placements": 1}),
+)
+
+
+def run_digests(runs) -> list[list[str]]:
+    """Run each ``(experiment_id, params)`` in order in this process.
+
+    Returns, per run, the sha256 of its canonical payload and the sha256 of
+    the trained and engine weights of the workload it ran on.
+    """
+    from repro.analysis.experiments import prepared_workload
+    from repro.engine.spec import canonical_json
+
+    digests = []
+    for experiment_id, overrides in runs:
+        experiment = get_experiment(experiment_id)
+        payload = experiment.run(overrides)
+        params = experiment.resolve_params(overrides)
+        engine, _, _, trained = prepared_workload(
+            params["model"],
+            params.get("variant", ""),
+            params["seed"],
+            params.get("quantize_weights", True),
+            params.get("checkpoint_cache", False),
+        )
+        weights = hashlib.sha256()
+        for model in (trained.model, engine.model):
+            for name, value in sorted(model.full_state_dict().items()):
+                weights.update(name.encode() + value.tobytes())
+        digests.append(
+            [hashlib.sha256(canonical_json(payload).encode()).hexdigest(),
+             weights.hexdigest()]
+        )
+    return digests
+
+
 class TestWorkloadMemos:
     """A run's payload and weights do not depend on what ran earlier in-process."""
 
-    MEMOS = ("_FIG7_WORKLOADS", "_FIG8_SPLITS", "_FIG8_VARIANTS", "_CANDIDATE_WORKLOADS")
+    MEMOS = ("_WORKLOADS",)
 
     @pytest.fixture
     def reset_memos(self, monkeypatch, tmp_path):
@@ -191,20 +248,20 @@ class TestWorkloadMemos:
         return reset
 
     def test_unquantized_candidate_after_quantized_run(self, reset_memos):
-        from repro.analysis.experiments import prepared_candidate_workload
+        from repro.analysis.experiments import prepared_workload
 
         candidate = get_experiment("fig7_candidate")
         params = {"variant": "l2+n3", "checkpoint_cache": True}
 
         def run_unquantized():
             payload = candidate.run({**params, "quantize_weights": False})
-            engine, _, _ = prepared_candidate_workload(
+            engine, _, _, _ = prepared_workload(
                 "cnn_mnist", "l2+n3", 0, quantize_weights=False, checkpoint_cache=True
             )
             return payload, engine.model.full_state_dict()
 
         candidate.run({**params, "quantize_weights": True})
-        quantized, _, _ = prepared_candidate_workload(
+        quantized, _, _, _ = prepared_workload(
             "cnn_mnist", "l2+n3", 0, quantize_weights=True, checkpoint_cache=True
         )
         payload_after, weights_after = run_unquantized()
@@ -221,3 +278,45 @@ class TestWorkloadMemos:
             quantized_weights[key].tobytes() != value.tobytes()
             for key, value in weights_fresh.items()
         )
+
+    @pytest.mark.parametrize("experiment_id", ["fig8_variant", "fig7_candidate"])
+    def test_checkpoint_run_after_uncached_run_fills_store(
+        self, reset_memos, tmp_path, experiment_id
+    ):
+        from repro.engine.checkpoints import CheckpointCache
+
+        experiment = get_experiment(experiment_id)
+        uncached = experiment.run({"variant": "l2+n3", "checkpoint_cache": False})
+        cached = experiment.run({"variant": "l2+n3", "checkpoint_cache": True})
+
+        assert cached == uncached
+        stored = [entry["variant"] for entry in CheckpointCache(tmp_path).entries()]
+        assert stored == ["l2+n3"]
+
+    def test_payloads_independent_of_run_order(self, reset_memos, tmp_path):
+        """A shuffled in-process sweep matches a fresh process in registry order."""
+        order = random.Random(18).sample(range(len(RUN_ORDER_RUNS)), len(RUN_ORDER_RUNS))
+        assert order != sorted(order)
+        shuffled = run_digests([RUN_ORDER_RUNS[index] for index in order])
+
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests_dir.parent / "src"), env.get("PYTHONPATH", "")]
+        )
+        env["REPRO_CHECKPOINT_DIR"] = str(tmp_path / "fresh")
+        script = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_analysis import RUN_ORDER_RUNS, run_digests; "
+            "print(json.dumps(run_digests(RUN_ORDER_RUNS)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tests_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads(proc.stdout.splitlines()[-1])
+
+        assert len(fresh) == len(RUN_ORDER_RUNS)
+        for position, index in enumerate(order):
+            assert shuffled[position] == fresh[index], RUN_ORDER_RUNS[index]

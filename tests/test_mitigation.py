@@ -16,6 +16,7 @@ from repro.mitigation import (
     select_most_robust,
     train_variant,
     train_variant_grid,
+    variant_spec_from_name,
 )
 from repro.mitigation.noise_aware import PAPER_NOISE_LEVELS
 from repro.mitigation.selection import score_variant
@@ -70,6 +71,25 @@ class TestVariantGrid:
         grid = default_variant_grid(include_noise_only=True, noise_levels=(0.1, 0.2))
         names = [spec.name for spec in grid]
         assert "noise_n1" in names and "noise_n2" in names
+
+    def test_variant_names_parse_to_grid_specs(self):
+        for spec in default_variant_grid(include_noise_only=True):
+            assert variant_spec_from_name(spec.name) == spec
+
+    @pytest.mark.parametrize(
+        "name", ["l2+n0", "l2+n10", "noise_n12", "l2+n05", "l2+n\u0663", "noise_n", "l2+n3\n"]
+    )
+    def test_variant_name_needs_one_ascii_digit_1_to_9(self, name):
+        with pytest.raises(ValueError, match="unknown variant name"):
+            variant_spec_from_name(name)
+
+    def test_cli_train_rejects_out_of_range_variant(self, tmp_path, capsys):
+        from repro.engine.cli import main as cli_main
+
+        argv = ["train", "cnn_mnist", "--variants", "l2+n10", "--checkpoint-dir", str(tmp_path)]
+        assert cli_main(argv) == 1
+        assert "'l2+n10'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_variant_flags(self):
         original = VariantSpec(name="Original")
