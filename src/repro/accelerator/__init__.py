@@ -17,7 +17,7 @@ from repro.accelerator.config import AcceleratorConfig, BlockGeometry
 from repro.accelerator.blocks import BankCoordinate, MRCoordinate, slot_to_coordinate, coordinate_to_slot
 from repro.accelerator.mapping import MappedParameter, WeightMapping
 from repro.accelerator.architecture import ONNAccelerator
-from repro.accelerator.inference import AttackedInferenceEngine, evaluate_under_attack
+from repro.accelerator.inference import AttackedInferenceEngine
 from repro.accelerator.signal_sim import SignalLevelSimulator
 from repro.accelerator.power import PowerModel, PowerReport
 
@@ -32,7 +32,6 @@ __all__ = [
     "WeightMapping",
     "ONNAccelerator",
     "AttackedInferenceEngine",
-    "evaluate_under_attack",
     "SignalLevelSimulator",
     "PowerModel",
     "PowerReport",

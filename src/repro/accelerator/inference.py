@@ -6,23 +6,22 @@ onto the ONN accelerator and then running inference.  Optionally, DAC-
 resolution weight quantization is applied to both the clean and attacked
 models, reflecting the accelerator's finite imprint precision.
 
-Two evaluation paths are provided:
-
-* :meth:`AttackedInferenceEngine.accuracy_under_attack` — the per-scenario
-  reference path: corrupt, load, run the test set, restore.
-* :meth:`AttackedInferenceEngine.accuracy_under_attacks` — the scenario-batch
-  path: ``S`` outcomes are corrupted in one broadcast pass
-  (:func:`~repro.attacks.injection.corrupted_state_batch`) and evaluated in a
-  single stacked forward per data batch through the ensemble-weight layers
-  (:mod:`repro.nn.ensemble`), with memory-aware chunking over ``S``.  The
-  batch path is property-tested to produce the same accuracies as the
-  reference path.
+Every experiment evaluates attacked accuracy on one path,
+:meth:`AttackedInferenceEngine.accuracy_under_attacks`: ``S`` outcomes are
+corrupted in one broadcast pass
+(:func:`~repro.attacks.injection.corrupted_state_batch`) and evaluated in a
+single stacked forward per data batch through the ensemble-weight layers
+(:mod:`repro.nn.ensemble`), with memory-aware chunking over ``S``; a single
+scenario is a stack of one.  The per-scenario path,
+:meth:`AttackedInferenceEngine.accuracy_under_attack` (corrupt, load, run the
+test set, restore), is the reference that tests and the repository benchmark
+compare the batched path against; the batched path reproduces its accuracies
+bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,24 +40,19 @@ from repro.nn.module import Module
 from repro.nn.training import evaluate_accuracy
 from repro.utils.validation import check_positive_int
 
-__all__ = ["AttackedInferenceEngine", "evaluate_under_attack"]
+__all__ = ["AttackedInferenceEngine"]
 
 #: Upper bound on the auto-selected scenario-chunk size.
 MAX_SCENARIO_CHUNK = 256
+
+#: Approximate memory budget [MiB] for one auto-sized scenario chunk (stacked
+#: weights plus stacked activations).
+MEMORY_BUDGET_MB = 512
 
 
 def _check_scenario_chunk(value: int | None) -> int | None:
     """``None`` (memory-aware auto) or a positive number of scenarios."""
     return None if value is None else check_positive_int(value, "scenario_chunk")
-
-
-@dataclass
-class InferenceResult:
-    """Accuracy of one inference run on the accelerator."""
-
-    accuracy: float
-    attacked: bool
-    label: str = ""
 
 
 class AttackedInferenceEngine:
@@ -81,13 +75,9 @@ class AttackedInferenceEngine:
     scenario_chunk:
         Fixed positive number of attack scenarios evaluated per stacked
         forward pass in :meth:`accuracy_under_attacks`.  ``None`` (default)
-        derives a chunk from ``memory_budget_mb`` and the model/dataset
+        derives a chunk from :data:`MEMORY_BUDGET_MB` and the model/dataset
         footprint.  The per-call ``scenario_chunk`` of the batched methods
         follows the same rule; any other value raises ``ValidationError``.
-    memory_budget_mb:
-        Approximate memory budget [MiB] for one scenario chunk (stacked
-        weights plus stacked activations); only used when ``scenario_chunk``
-        is ``None``.
 
     The engine snapshots the clean (quantized) state dict once at
     construction; attacked runs corrupt and restore from that snapshot
@@ -101,14 +91,12 @@ class AttackedInferenceEngine:
         quantize_weights: bool = True,
         batch_size: int = 64,
         scenario_chunk: int | None = None,
-        memory_budget_mb: int = 512,
     ):
         self.model = copy.deepcopy(model)
         self.config = config or AcceleratorConfig.scaled_config()
         self.quantize_weights = quantize_weights
         self.batch_size = batch_size
         self.scenario_chunk = _check_scenario_chunk(scenario_chunk)
-        self.memory_budget_mb = memory_budget_mb
         if quantize_weights:
             self._quantize_mapped_weights()
         # Build the mapping after quantization so normalization scales match
@@ -225,7 +213,7 @@ class AttackedInferenceEngine:
             return fractions
         # Per scenario: the stacked corrupted copy, the diff temporary and
         # comparison headroom — all sized by the mapped weights alone.
-        budget_floats = (self.memory_budget_mb * 2**20) // 4
+        budget_floats = (MEMORY_BUDGET_MB * 2**20) // 4
         auto_chunk = int(np.clip(budget_floats // (4 * total), 1, MAX_SCENARIO_CHUNK))
         chunk = scenario_chunk or self.scenario_chunk or auto_chunk
         for start in range(0, len(outcomes), chunk):
@@ -295,18 +283,5 @@ class AttackedInferenceEngine:
         image_floats = int(np.prod(dataset.image_shape))
         batch = max(1, min(self.batch_size, len(dataset)))
         per_scenario_floats = 3 * weight_floats + 4 * batch * image_floats
-        budget_floats = (self.memory_budget_mb * 2**20) // 4
+        budget_floats = (MEMORY_BUDGET_MB * 2**20) // 4
         return int(np.clip(budget_floats // max(per_scenario_floats, 1), 1, MAX_SCENARIO_CHUNK))
-
-
-def evaluate_under_attack(
-    model: Module,
-    dataset: Dataset,
-    outcome: AttackOutcome,
-    config: AcceleratorConfig | None = None,
-    quantize_weights: bool = True,
-) -> InferenceResult:
-    """One-shot helper: map ``model``, inject ``outcome`` and measure accuracy."""
-    engine = AttackedInferenceEngine(model, config=config, quantize_weights=quantize_weights)
-    accuracy = engine.accuracy_under_attack(dataset, outcome)
-    return InferenceResult(accuracy=accuracy, attacked=True, label=outcome.spec.label())

@@ -1,25 +1,27 @@
 """Registry of the paper's experiments (tables, figures, ablations).
 
-Each entry maps an experiment id (``table1``, ``fig6`` .. ``fig9``,
-``ablation_mitigation``, ``ablation_tuning``, plus the sweepable per-point
-experiments ``fig7_point``, ``fig8_variant`` and ``signal_mc``) to a short
-description, the
-modules implementing it, and a *parameterized* runner returning a result
-summary dictionary.  The campaign engine (:mod:`repro.engine`) and
+Each experiment is one runner function, registered by the :func:`experiment`
+decorator under an id (``table1``, ``fig6`` .. ``fig9``,
+``ablation_mitigation``, ``ablation_tuning``, the sweep units ``fig7_point``,
+``fig7_grid``, ``fig7_candidate``, ``fig8_variant`` and ``signal_mc``, and
+the whole attack search ``fig7_adversarial``) with a title and the paper
+artefact it reproduces.  The campaign engine (:mod:`repro.engine`) and
 EXPERIMENTS.md are organised around these ids.
 
-Runners take keyword parameters with JSON-serializable defaults recorded in
-``ExperimentDescriptor.default_params``; the engine resolves a
-:class:`~repro.engine.spec.RunSpec`'s parameter overrides against those
-defaults, which makes every experiment runnable (and cacheable) through
-``python -m repro run/sweep``.  The per-point experiments share one
-per-process memo of trained workloads (:func:`prepared_workload`), so each
-worker-pool process trains or loads each (model, variant, seed) once and then
-evaluates many grid points against it.
+A runner's keyword parameters and their JSON-serializable defaults *are* the
+experiment's parameters: :class:`ExperimentDescriptor` reads them from the
+runner's signature, and the engine resolves a
+:class:`~repro.engine.spec.RunSpec`'s parameter overrides against them, which
+makes every experiment runnable (and cacheable) through ``python -m repro
+run/sweep``.  The per-point experiments share one per-process memo of trained
+workloads (:func:`prepared_workload`), so each worker-pool process trains or
+loads each (model, variant, seed) once and then evaluates many grid points
+against it, every one through the stacked attacked-inference path.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -28,6 +30,7 @@ from typing import Callable, Mapping
 __all__ = [
     "ExperimentDescriptor",
     "EXPERIMENTS",
+    "experiment",
     "get_experiment",
     "experiment_ids",
 ]
@@ -39,29 +42,42 @@ class ExperimentDescriptor:
 
     Attributes
     ----------
-    experiment_id, title, paper_reference, modules:
-        Descriptive metadata tying the experiment to the paper and code.
+    experiment_id, title, paper_reference:
+        Descriptive metadata tying the experiment to the paper.
     runner:
-        Callable accepting the keyword parameters listed in
-        ``default_params`` and returning a JSON-serializable summary dict.
-    default_params:
-        Default value for every parameter the runner accepts.  Overrides
-        passed to :meth:`run` are validated against this mapping, so a typo
-        in a sweep definition fails fast instead of being silently ignored.
+        Callable returning a JSON-serializable summary dict.  Every parameter
+        needs a JSON-serializable default, since the defaults are the
+        experiment's parameters; a parameter without one raises
+        ``TypeError`` here.
     attack_kind_params:
         Names of the parameters (if any) that accept registered attack
         kinds — e.g. ``("kind",)`` for the sweepable per-point experiments.
         ``python -m repro attacks`` uses this to show which experiments a
         kind can be swept through.
+    default_params:
+        Default value of every parameter the runner accepts, read from its
+        signature.  Overrides passed to :meth:`run` are validated against
+        this mapping, so a typo in a sweep definition fails fast instead of
+        being silently ignored.
     """
 
     experiment_id: str
     title: str
     paper_reference: str
-    modules: tuple[str, ...]
     runner: Callable[..., dict]
-    default_params: Mapping[str, object] = field(default_factory=dict)
     attack_kind_params: tuple[str, ...] = ()
+    default_params: Mapping[str, object] = field(init=False)
+
+    def __post_init__(self) -> None:
+        defaults = {}
+        for name, parameter in inspect.signature(self.runner).parameters.items():
+            if parameter.default is inspect.Parameter.empty:
+                raise TypeError(
+                    f"experiment {self.experiment_id!r}: runner parameter "
+                    f"{name!r} has no default, so it cannot be resolved"
+                )
+            defaults[name] = parameter.default
+        object.__setattr__(self, "default_params", MappingProxyType(defaults))
 
     @property
     def seedable(self) -> bool:
@@ -100,6 +116,27 @@ class ExperimentDescriptor:
     ) -> dict:
         """Execute the experiment with ``params`` merged over the defaults."""
         return self.runner(**self.resolve_params(params, seed=seed))
+
+
+#: Every registered experiment, in registration (= ``repro list``) order.
+EXPERIMENTS: dict[str, ExperimentDescriptor] = {}
+
+
+def experiment(
+    experiment_id: str,
+    title: str,
+    paper_reference: str,
+    attack_kind_params: tuple[str, ...] = (),
+):
+    """Register the decorated runner as experiment ``experiment_id``."""
+
+    def register(runner: Callable[..., dict]) -> Callable[..., dict]:
+        EXPERIMENTS[experiment_id] = ExperimentDescriptor(
+            experiment_id, title, paper_reference, runner, attack_kind_params
+        )
+        return runner
+
+    return register
 
 
 # ------------------------------------------------------------- workload memo
@@ -250,11 +287,12 @@ def candidate_payloads_batched(param_sets: list, seed: int) -> list[dict]:
 
     Candidates are grouped by workload (model, variant, quantization); each
     group's placement outcomes are concatenated into **one**
-    :meth:`AttackedInferenceEngine.accuracy_under_attacks` call.  Because the
-    batched path is bit-identical to the per-scenario serial path, the
-    returned payloads match :func:`_run_fig7_candidate` byte for byte — the
-    search driver exploits this to evaluate a whole optimizer generation per
-    stacked forward while still writing ordinary cacheable records.
+    :meth:`AttackedInferenceEngine.accuracy_under_attacks` call.  A stacked
+    forward gives every scenario the accuracy it gets alone, so a candidate's
+    payload does not depend on the candidates batched with it: the
+    ``fig7_candidate`` runner is this function on a one-candidate batch, and
+    the search driver evaluates a whole optimizer generation per stacked
+    forward while still writing ordinary cacheable records.
     """
     from repro.accelerator.config import AcceleratorConfig
 
@@ -311,6 +349,7 @@ def candidate_payloads_batched(param_sets: list, seed: int) -> list[dict]:
 
 
 # --------------------------------------------------------------------------- runners
+@experiment("table1", "CNN model parameter inventory", "Table I")
 def _run_table1(include_measured: bool = True) -> dict:
     from repro.nn.models.table1 import table1_rows
 
@@ -318,6 +357,7 @@ def _run_table1(include_measured: bool = True) -> dict:
     return {"rows": rows}
 
 
+@experiment("fig6", "Thermal hotspot heatmap on the CONV block", "Fig. 6")
 def _run_fig6(
     attacked_banks: tuple[int, ...] = (650, 1260),
     heater_power_mw: float = 300.0,
@@ -341,6 +381,12 @@ def _run_fig6(
     }
 
 
+@experiment(
+    "fig7",
+    "Susceptibility of CNN models to actuation and hotspot attacks",
+    "Fig. 7(a)-(c)",
+    attack_kind_params=("kinds",),
+)
 def _run_fig7(
     model_names: tuple[str, ...] = ("cnn_mnist",),
     kinds: tuple[str, ...] = ("actuation", "hotspot"),
@@ -370,6 +416,12 @@ def _run_fig7(
     }
 
 
+@experiment(
+    "fig7_point",
+    "One Fig. 7 susceptibility grid point (sweepable)",
+    "Fig. 7(a)-(c)",
+    attack_kind_params=("kind",),
+)
 def _run_fig7_point(
     model: str = "cnn_mnist",
     kind: str = "hotspot",
@@ -387,7 +439,9 @@ def _run_fig7_point(
     ``--set kind_params='{"triggered": {"base": "hotspot"}}'``.  Seeds are
     derived exactly as :func:`repro.attacks.scenario.generate_scenarios`
     derives them, so a sweep over (kind, block, fraction, placement) reproduces
-    the same scenarios as a monolithic :class:`SusceptibilityStudy` run.
+    the same scenarios as a monolithic :class:`SusceptibilityStudy` run.  The
+    point is evaluated as a one-scenario stack on the batched path, which is
+    bit-identical to the per-scenario reference.
     """
     from repro.accelerator.config import AcceleratorConfig
     from repro.attacks.base import AttackSpec
@@ -405,7 +459,7 @@ def _run_fig7_point(
         HotspotAttackConfig(),
         kind_params=kind_params,
     )
-    accuracy = engine.accuracy_under_attack(split.test, outcome)
+    accuracy = float(engine.accuracy_under_attacks(split.test, [outcome])[0])
     return {
         "model": model,
         "kind": kind,
@@ -415,10 +469,16 @@ def _run_fig7_point(
         "baseline": baseline,
         "accuracy": accuracy,
         "drop": baseline - accuracy,
-        "corrupted_fraction": engine.weight_corruption_fraction(outcome),
+        "corrupted_fraction": float(engine.weight_corruption_fractions([outcome])[0]),
     }
 
 
+@experiment(
+    "fig7_grid",
+    "A full Fig. 7 scenario grid via stacked attacked inference (sweepable)",
+    "Fig. 7(a)-(c)",
+    attack_kind_params=("kinds",),
+)
 def _run_fig7_grid(
     model: str = "cnn_mnist",
     kinds: tuple[str, ...] = ("actuation", "hotspot"),
@@ -475,6 +535,12 @@ def _run_fig7_grid(
     }
 
 
+@experiment(
+    "fig7_candidate",
+    "One attack-search candidate averaged over placements (sweepable)",
+    "Fig. 7 methodology, searched",
+    attack_kind_params=("kind",),
+)
 def _run_fig7_candidate(
     model: str = "cnn_mnist",
     variant: str = "",
@@ -497,35 +563,26 @@ def _run_fig7_candidate(
     mitigation variant.  Placement seeds are content-derived from the
     candidate identity, so every execution path samples identical placements.
     """
-    from repro.accelerator.config import AcceleratorConfig
-
-    engine, split, baseline, _ = prepared_workload(
-        model, variant, seed, quantize_weights, checkpoint_cache
+    params = dict(
+        model=model,
+        variant=variant,
+        kind=kind,
+        block=block,
+        fraction=fraction,
+        attack_params=attack_params,
+        placements=placements,
+        quantize_weights=quantize_weights,
+        checkpoint_cache=checkpoint_cache,
     )
-    outcomes = candidate_outcomes(
-        kind,
-        block,
-        fraction,
-        attack_params,
-        placements,
-        seed,
-        AcceleratorConfig.scaled_config(),
-    )
-    accuracies = engine.accuracy_under_attacks(split.test, outcomes)
-    return candidate_payload(
-        model,
-        variant,
-        kind,
-        block,
-        fraction,
-        attack_params,
-        placements,
-        baseline,
-        outcomes,
-        accuracies,
-    )
+    return candidate_payloads_batched([params], seed)[0]
 
 
+@experiment(
+    "fig7_adversarial",
+    "Black-box adversarial attack search with a Pareto front (sweepable)",
+    "beyond the paper's fixed grids",
+    attack_kind_params=("kind",),
+)
 def _run_fig7_adversarial(
     model: str = "cnn_mnist",
     variant: str = "",
@@ -581,6 +638,7 @@ def _run_fig7_adversarial(
     return AttackSearch(config, cache=cache).run().to_payload()
 
 
+@experiment("fig8", "Accuracy distribution of mitigation variants", "Fig. 8(a)-(c)")
 def _run_fig8(
     model_names: tuple[str, ...] = ("cnn_mnist",),
     checkpoint_cache: bool = False,
@@ -602,6 +660,12 @@ def _run_fig8(
     }
 
 
+@experiment(
+    "fig8_variant",
+    "One mitigation variant across the attack grid (sweepable)",
+    "Fig. 8(a)-(c)",
+    attack_kind_params=("kinds",),
+)
 def _run_fig8_variant(
     model: str = "cnn_mnist",
     variant: str = "l2+n3",
@@ -659,6 +723,11 @@ def _run_fig8_variant(
     }
 
 
+@experiment(
+    "signal_mc",
+    "Signal-level Monte-Carlo attack sweep on a bank pair (sweepable)",
+    "Figs. 4-5",
+)
 def _run_signal_mc(
     size: int = 16,
     trials: int = 200,
@@ -714,6 +783,7 @@ def _run_signal_mc(
     }
 
 
+@experiment("fig9", "Robust vs. original models under attack", "Fig. 9(a)-(c)")
 def _run_fig9(
     model_names: tuple[str, ...] = ("cnn_mnist",),
     checkpoint_cache: bool = False,
@@ -742,6 +812,9 @@ def _run_fig9(
     }
 
 
+@experiment(
+    "ablation_mitigation", "L2-only vs noise-only vs combined mitigation", "§V discussion"
+)
 def _run_ablation_mitigation(
     variants: tuple[str, ...] = ("Original", "L2_reg", "noise_n3", "l2+n3"),
     seed: int = 0,
@@ -759,6 +832,7 @@ def _run_ablation_mitigation(
     return {"median_attacked_accuracy": medians}
 
 
+@experiment("ablation_tuning", "EO vs TO tuning power/latency", "§II.B")
 def _run_ablation_tuning(shifts_nm: tuple[float, ...] = (0.2, 2.0)) -> dict:
     from repro.accelerator.config import AcceleratorConfig
     from repro.accelerator.power import PowerModel
@@ -770,216 +844,6 @@ def _run_ablation_tuning(shifts_nm: tuple[float, ...] = (0.2, 2.0)) -> dict:
     }
     payload["total_power_w"] = model.report().total_w
     return payload
-
-
-def _params(**kwargs) -> Mapping[str, object]:
-    """Freeze a default-parameter mapping (descriptors are immutable)."""
-    return MappingProxyType(kwargs)
-
-
-EXPERIMENTS: dict[str, ExperimentDescriptor] = {
-    "table1": ExperimentDescriptor(
-        experiment_id="table1",
-        title="CNN model parameter inventory",
-        paper_reference="Table I",
-        modules=("repro.nn.models",),
-        runner=_run_table1,
-        default_params=_params(include_measured=True),
-    ),
-    "fig6": ExperimentDescriptor(
-        experiment_id="fig6",
-        title="Thermal hotspot heatmap on the CONV block",
-        paper_reference="Fig. 6",
-        modules=("repro.thermal", "repro.attacks.hotspot"),
-        runner=_run_fig6,
-        default_params=_params(
-            attacked_banks=(650, 1260),
-            heater_power_mw=300.0,
-            affected_threshold_k=5.0,
-        ),
-    ),
-    "fig7": ExperimentDescriptor(
-        experiment_id="fig7",
-        title="Susceptibility of CNN models to actuation and hotspot attacks",
-        paper_reference="Fig. 7(a)-(c)",
-        modules=("repro.analysis.susceptibility", "repro.attacks", "repro.accelerator"),
-        runner=_run_fig7,
-        default_params=_params(
-            model_names=("cnn_mnist",),
-            kinds=("actuation", "hotspot"),
-            blocks=("both",),
-            fractions=(0.01, 0.10),
-            num_placements=2,
-            kind_params=None,
-            seed=0,
-        ),
-        attack_kind_params=("kinds",),
-    ),
-    "fig7_point": ExperimentDescriptor(
-        experiment_id="fig7_point",
-        title="One Fig. 7 susceptibility grid point (sweepable)",
-        paper_reference="Fig. 7(a)-(c)",
-        modules=("repro.analysis.susceptibility", "repro.attacks", "repro.engine"),
-        runner=_run_fig7_point,
-        default_params=_params(
-            model="cnn_mnist",
-            kind="hotspot",
-            block="both",
-            fraction=0.05,
-            placement=0,
-            quantize_weights=True,
-            kind_params=None,
-            seed=0,
-        ),
-        attack_kind_params=("kind",),
-    ),
-    "fig7_grid": ExperimentDescriptor(
-        experiment_id="fig7_grid",
-        title="A full Fig. 7 scenario grid via stacked attacked inference (sweepable)",
-        paper_reference="Fig. 7(a)-(c)",
-        modules=(
-            "repro.accelerator.inference",
-            "repro.attacks.injection",
-            "repro.nn.ensemble",
-        ),
-        runner=_run_fig7_grid,
-        default_params=_params(
-            model="cnn_mnist",
-            kinds=("actuation", "hotspot"),
-            blocks=("both",),
-            fractions=(0.01, 0.05, 0.10),
-            num_placements=3,
-            scenario_chunk=0,
-            quantize_weights=True,
-            kind_params=None,
-            seed=0,
-        ),
-        attack_kind_params=("kinds",),
-    ),
-    "fig7_candidate": ExperimentDescriptor(
-        experiment_id="fig7_candidate",
-        title="One attack-search candidate averaged over placements (sweepable)",
-        paper_reference="Fig. 7 methodology, searched",
-        modules=("repro.attacks.search", "repro.accelerator.inference", "repro.engine"),
-        runner=_run_fig7_candidate,
-        default_params=_params(
-            model="cnn_mnist",
-            variant="",
-            kind="hotspot",
-            block="both",
-            fraction=0.05,
-            attack_params=None,
-            placements=2,
-            quantize_weights=True,
-            checkpoint_cache=False,
-            seed=0,
-        ),
-        attack_kind_params=("kind",),
-    ),
-    "fig7_adversarial": ExperimentDescriptor(
-        experiment_id="fig7_adversarial",
-        title="Black-box adversarial attack search with a Pareto front (sweepable)",
-        paper_reference="beyond the paper's fixed grids (ROADMAP item 3)",
-        modules=("repro.attacks.search", "repro.analysis", "repro.engine"),
-        runner=_run_fig7_adversarial,
-        default_params=_params(
-            model="cnn_mnist",
-            variant="",
-            kind="hotspot",
-            block="both",
-            optimizer="random",
-            budget=32,
-            generation_size=8,
-            placements=2,
-            fraction_min=0.005,
-            fraction_max=0.10,
-            sigma=0.2,
-            mu=0,
-            eta=2,
-            quantize_weights=True,
-            checkpoint_cache=False,
-            candidate_cache="",
-            seed=0,
-        ),
-        attack_kind_params=("kind",),
-    ),
-    "fig8": ExperimentDescriptor(
-        experiment_id="fig8",
-        title="Accuracy distribution of mitigation variants",
-        paper_reference="Fig. 8(a)-(c)",
-        modules=("repro.analysis.mitigation_analysis", "repro.mitigation"),
-        runner=_run_fig8,
-        default_params=_params(
-            model_names=("cnn_mnist",),
-            checkpoint_cache=False,
-            seed=0,
-        ),
-    ),
-    "fig8_variant": ExperimentDescriptor(
-        experiment_id="fig8_variant",
-        title="One mitigation variant across the attack grid (sweepable)",
-        paper_reference="Fig. 8(a)-(c)",
-        modules=("repro.analysis.mitigation_analysis", "repro.mitigation", "repro.engine"),
-        runner=_run_fig8_variant,
-        default_params=_params(
-            model="cnn_mnist",
-            variant="l2+n3",
-            kinds=("actuation", "hotspot"),
-            blocks=("both",),
-            fractions=(0.05, 0.10),
-            num_placements=2,
-            kind_params=None,
-            checkpoint_cache=False,
-            seed=0,
-        ),
-        attack_kind_params=("kinds",),
-    ),
-    "signal_mc": ExperimentDescriptor(
-        experiment_id="signal_mc",
-        title="Signal-level Monte-Carlo attack sweep on a bank pair (sweepable)",
-        paper_reference="Figs. 4-5",
-        modules=("repro.photonics.bank_array", "repro.accelerator.signal_sim"),
-        runner=_run_signal_mc,
-        default_params=_params(
-            size=16,
-            trials=200,
-            kind="hotspot",
-            fraction=0.125,
-            max_delta_t_k=25.0,
-            seed=0,
-        ),
-    ),
-    "fig9": ExperimentDescriptor(
-        experiment_id="fig9",
-        title="Robust vs. original models under attack",
-        paper_reference="Fig. 9(a)-(c)",
-        modules=("repro.analysis.mitigation_analysis", "repro.mitigation.selection"),
-        runner=_run_fig9,
-        default_params=_params(
-            model_names=("cnn_mnist",),
-            checkpoint_cache=False,
-            seed=0,
-        ),
-    ),
-    "ablation_mitigation": ExperimentDescriptor(
-        experiment_id="ablation_mitigation",
-        title="L2-only vs noise-only vs combined mitigation",
-        paper_reference="§V discussion",
-        modules=("repro.mitigation",),
-        runner=_run_ablation_mitigation,
-        default_params=_params(
-            variants=("Original", "L2_reg", "noise_n3", "l2+n3"), seed=0
-        ),
-    ),
-    "ablation_tuning": ExperimentDescriptor(
-        experiment_id="ablation_tuning",
-        title="EO vs TO tuning power/latency",
-        paper_reference="§II.B",
-        modules=("repro.photonics.tuning", "repro.accelerator.power"),
-        runner=_run_ablation_tuning,
-        default_params=_params(shifts_nm=(0.2, 2.0)),
-    ),
-}
 
 
 def experiment_ids() -> list[str]:

@@ -59,8 +59,6 @@ class MitigationAnalysisConfig:
         physical parameters for the non-default ones.
     seed:
         Master seed.
-    scenario_chunk:
-        Scenarios per stacked forward pass (``None``: memory-aware auto).
     checkpoint_cache:
         Consult (and fill) the content-addressed trained-model store before
         training: variants whose checkpoint exists are loaded with **zero
@@ -82,7 +80,6 @@ class MitigationAnalysisConfig:
     kind_params: dict | None = None
     quantize_weights: bool = True
     test_fraction: float = 0.25
-    scenario_chunk: int | None = None
     checkpoint_cache: bool = False
     checkpoint_dir: str | None = None
 
@@ -311,7 +308,6 @@ class MitigationStudy:
                     variant.model,
                     config=self.config.accelerator,
                     quantize_weights=self.config.quantize_weights,
-                    scenario_chunk=self.config.scenario_chunk,
                 )
                 accuracies = engine.accuracy_under_attacks(
                     split.test, [outcome for _, outcome in outcomes]

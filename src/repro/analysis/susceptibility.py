@@ -91,8 +91,6 @@ class SusceptibilityConfig:
         Apply DAC-resolution quantization when mapping weights.
     test_fraction:
         Fraction of each synthetic dataset held out for accuracy measurement.
-    scenario_chunk:
-        Scenarios per stacked forward pass (``None``: memory-aware auto).
     kind_params:
         Per-kind physical parameters (kind name → params dataclass or
         mapping of overrides) for non-default grid kinds, forwarded to
@@ -110,7 +108,6 @@ class SusceptibilityConfig:
     kind_params: dict | None = None
     quantize_weights: bool = True
     test_fraction: float = 0.25
-    scenario_chunk: int | None = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_placements, "num_placements")
@@ -227,7 +224,6 @@ class SusceptibilityStudy:
                 model,
                 config=self.config.accelerator,
                 quantize_weights=self.config.quantize_weights,
-                scenario_chunk=self.config.scenario_chunk,
             )
             result.baselines[model_name] = engine.clean_accuracy(split.test)
             result.scenarios.extend(

@@ -176,10 +176,16 @@ class _BatchedEvaluator:
         if pending:
             started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
             start = perf_counter()
-            payloads = candidate_payloads_batched(
-                [dict(specs[index].params) for index in pending],
-                seed=specs[pending[0]].seed,
-            )
+            try:
+                payloads = candidate_payloads_batched(
+                    [dict(specs[index].params) for index in pending],
+                    seed=specs[pending[0]].seed,
+                )
+            except Exception as exc:
+                raise SearchError(
+                    f"{len(pending)} candidate evaluation(s) failed: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             duration = perf_counter() - start
             for index, payload in zip(pending, payloads):
                 spec = specs[index]
@@ -249,6 +255,7 @@ class _ServeEvaluator:
     def evaluate(self, specs: list) -> list:
         from repro.engine.records import RunRecord
         from repro.engine.spec import spec_fingerprint
+        from repro.serve.client import JobFailedError, ServeError
 
         first = specs[0]
         keys = sorted(first.params)
@@ -267,19 +274,25 @@ class _ServeEvaluator:
             sweep["zipped"] = {
                 key: [spec.params[key] for spec in specs] for key in varying
             }
-        job_id = self.client.submit(sweep)["job_id"]
-        final = self.client.wait(job_id, timeout=self.timeout)
-        if final.get("failures"):
-            raise SearchError(
-                f"serve job {job_id} finished with {final['failures']} failed "
-                f"candidate(s); see repro jobs --url for details"
+        try:
+            job_id = self.client.submit(sweep)["job_id"]
+            final = self.client.wait(job_id, timeout=self.timeout)
+            # The coordinator returns cache-first result docs ({label, status,
+            # cached, payload}); rebuild full records against our local specs.
+            by_label = {
+                doc.get("label"): doc
+                for doc in self.client.results(job_id)["records"]
+            }
+        except JobFailedError as exc:
+            quarantined = "; ".join(
+                f"{entry.get('label')}: {entry.get('error')}" for entry in exc.quarantined
             )
-        # The coordinator returns cache-first result docs ({label, status,
-        # cached, payload}); rebuild full records against our local specs.
-        by_label = {
-            doc.get("label"): doc
-            for doc in self.client.results(job_id)["records"]
-        }
+            raise SearchError(
+                f"serve job {exc.job.get('job_id')} {exc.state}; "
+                f"quarantined candidates: {quarantined or 'none'}"
+            ) from exc
+        except ServeError as exc:
+            raise SearchError(f"serve evaluation failed: {exc}") from exc
         records = []
         for spec in specs:
             doc = by_label.get(spec.label())

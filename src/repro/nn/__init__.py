@@ -49,7 +49,7 @@ from repro.nn.training import (
     evaluate_accuracies,
     evaluate_accuracy,
 )
-from repro.nn.ensemble import num_scenarios, stack_state_dicts, stacked_state
+from repro.nn.ensemble import stack_state_dicts, stacked_state
 from repro.nn import functional
 from repro.nn import models
 
@@ -85,7 +85,6 @@ __all__ = [
     "evaluate_accuracies",
     "stacked_state",
     "stack_state_dicts",
-    "num_scenarios",
     "functional",
     "models",
 ]

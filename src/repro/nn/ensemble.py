@@ -39,7 +39,6 @@ from repro.nn.module import Module
 __all__ = [
     "stacked_state",
     "stack_state_dicts",
-    "num_scenarios",
     "fold_scenarios",
     "unfold_scenarios",
 ]
@@ -78,15 +77,6 @@ def stack_state_dicts(states: list[dict[str, np.ndarray]]) -> dict[str, np.ndarr
                 f"{sorted(keys ^ set(state))}"
             )
     return {key: np.stack([state[key] for state in states]) for key in states[0]}
-
-
-def num_scenarios(stacked: dict[str, np.ndarray]) -> int:
-    """Scenario count ``S`` of a stacked state (1 when all rows are shared)."""
-    counts = {np.asarray(value).shape[0] for value in stacked.values()}
-    counts.discard(1)
-    if len(counts) > 1:
-        raise ValueError(f"inconsistent scenario counts: {sorted(counts)}")
-    return counts.pop() if counts else 1
 
 
 def fold_scenarios(x: np.ndarray) -> tuple[np.ndarray, int]:

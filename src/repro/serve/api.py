@@ -15,9 +15,7 @@ Routes (all JSON unless noted):
   ``?follow=1`` keeps the response open as an **HTTP/1.1 chunked stream**,
   flushing new :class:`~repro.engine.campaign.ProgressEvent` lines as they
   land and writing ``: keep-alive`` comment lines during quiet stretches so
-  buffering proxies and idle-timeout middleboxes do not kill the stream;
-  ``?follow=1&longpoll=1`` falls back to the PR 6 unframed write-through
-  (``Connection: close``) for clients that cannot consume chunked bodies.
+  buffering proxies and idle-timeout middleboxes do not kill the stream.
 * ``POST /jobs/<id>/cancel`` — cancel a queued/running job.
 * ``GET /results/<id>`` — the job's records read *cache-first*: every point
   is fetched straight from the content-addressed result cache, so repeat
@@ -111,11 +109,7 @@ class ServeAPIHandler(BaseHTTPRequestHandler):
                 else:
                     self._send_json(200, job.to_dict())
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-                self._send_events(
-                    parts[1],
-                    follow="follow=1" in query,
-                    longpoll="longpoll=1" in query,
-                )
+                self._send_events(parts[1], follow="follow=1" in query)
             elif parts == ["nodes"]:
                 self._send_json(200, {"nodes": self.service.federation.nodes()})
             elif len(parts) == 2 and parts[0] == "results":
@@ -279,7 +273,7 @@ class ServeAPIHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no route for POST {self.path}"})
 
     # --------------------------------------------------------- event streams
-    def _send_events(self, job_id: str, follow: bool, longpoll: bool = False) -> None:
+    def _send_events(self, job_id: str, follow: bool) -> None:
         if self.service.job(job_id) is None:
             self._send_json(404, {"error": f"unknown job {job_id!r}"})
             return
@@ -294,34 +288,7 @@ class ServeAPIHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
             return
-        if longpoll:
-            self._follow_longpoll(job_id)
-        else:
-            self._follow_chunked(job_id)
-
-    def _follow_longpoll(self, job_id: str) -> None:
-        """PR 6 fallback framing: unframed write-through, end = connection close.
-
-        Kept for clients that cannot consume chunked bodies; the missing
-        length framing is why the connection must close when the stream ends.
-        """
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
-        sent = 0
-        while True:
-            events = self.service.events(job_id)
-            for line in events[sent:]:
-                self.wfile.write((line + "\n").encode())
-            sent = len(events)
-            self.wfile.flush()
-            job = self.service.job(job_id)
-            if job is None or job.state in TERMINAL_STATES:
-                return
-            time.sleep(0.2)
+        self._follow_chunked(job_id)
 
     def _follow_chunked(self, job_id: str) -> None:
         """Chunked event stream with keep-alive comments during silence.

@@ -240,19 +240,18 @@ class ServeClient:
         )
 
     # ------------------------------------------------------------ streaming
-    def stream_events(self, job_id: str, longpoll: bool = False):
+    def stream_events(self, job_id: str):
         """Yield the job's progress lines live until it reaches a terminal state.
 
-        Consumes the chunked ``?follow=1`` stream (``longpoll=True`` asks for
-        the unframed fallback instead); ``: keep-alive`` comment lines are
-        filtered out.  The per-read socket timeout is ``self.timeout`` — the
-        server's keep-alive cadence (~1s) keeps an idle but healthy stream
-        alive indefinitely, while a dead daemon still times out.
+        Consumes the chunked ``?follow=1`` stream; ``: keep-alive`` comment
+        lines are filtered out.  The per-read socket timeout is
+        ``self.timeout`` — the server's keep-alive cadence (~1s) keeps an idle
+        but healthy stream alive indefinitely, while a dead daemon still times
+        out.
         """
-        query = "follow=1&longpoll=1" if longpoll else "follow=1"
         headers = {"X-Repro-Client": self.client} if self.client else {}
         request = urllib.request.Request(
-            f"{self.url}/jobs/{job_id}/events?{query}", headers=headers
+            f"{self.url}/jobs/{job_id}/events?follow=1", headers=headers
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
@@ -283,7 +282,6 @@ class ServeClient:
         poll_s: float = 0.3,
         max_poll_s: float = 2.0,
         on_event=None,
-        raise_on_failure: bool = True,
     ) -> dict:
         """Poll until the job reaches a terminal state; returns its document.
 
@@ -296,12 +294,10 @@ class ServeClient:
         short jobs stay snappy and long waits do not hammer the daemon.
 
         A job ending ``failed`` or ``cancelled`` raises
-        :class:`JobFailedError` (carrying the job document and its
+        :class:`JobFailedError` (carrying the terminal job document and its
         quarantined-point list) so callers cannot mistake a bad campaign for
-        a good one; pass ``raise_on_failure=False`` to get the terminal
-        document back regardless, as earlier versions did.  Transport
-        problems keep raising plain :class:`ServeError` — the two failure
-        modes are now different types.
+        a good one.  Transport problems raise plain :class:`ServeError` — the
+        two failure modes are different types.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         seen = 0
@@ -320,7 +316,7 @@ class ServeClient:
                 if on_event is not None:
                     for line in self.events(job_id)[seen:]:
                         on_event(line)
-                if raise_on_failure and job["state"] in ("failed", "cancelled"):
+                if job["state"] in ("failed", "cancelled"):
                     raise JobFailedError(job)
                 return job
             if job.get("done", 0) != last_done:

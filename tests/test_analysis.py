@@ -165,6 +165,15 @@ class TestExperimentRegistry:
         with pytest.raises(KeyError):
             get_experiment("fig42")
 
+    def test_runner_parameter_without_default_is_rejected(self):
+        from repro.analysis.experiments import ExperimentDescriptor
+
+        def runner(size, seed: int = 0) -> dict:
+            return {"size": size, "seed": seed}
+
+        with pytest.raises(TypeError, match="'no_default'.*'size'"):
+            ExperimentDescriptor("no_default", "title", "Fig. 0", runner)
+
     def test_table1_runner(self):
         result = get_experiment("table1").run()
         assert len(result["rows"]) == 3

@@ -30,6 +30,7 @@ from repro.attacks.search import (
     MuPlusLambdaES,
     ParetoPoint,
     RandomSearch,
+    SearchError,
     SuccessiveHalving,
     dominates,
     front_dominates,
@@ -449,6 +450,31 @@ class TestServeBackend:
         assert remote.trajectory_json() == local.trajectory_json()
         assert remote.executed + remote.cache_hits == len(remote.candidates)
 
+    def test_failed_candidates_raise_search_error(self, daemon):
+        from repro.serve.client import ServeClient
+
+        search = AttackSearch(
+            _config(model="nope", budget=2, generation_size=2),
+            client=ServeClient(daemon.url),
+        )
+        with pytest.raises(SearchError, match="failed; quarantined candidates: .*nope"):
+            search.run()
+
+    def test_unreachable_daemon_raises_search_error(self):
+        import socket
+
+        from repro.serve.client import ServeClient
+
+        with socket.socket() as sock:  # a free port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        search = AttackSearch(
+            _config(budget=2, generation_size=2),
+            client=ServeClient(f"http://127.0.0.1:{port}", retries=0),
+        )
+        with pytest.raises(SearchError, match="cannot reach"):
+            search.run()
+
 
 # ----------------------------------------------------------- experiments/CLI
 class TestExperimentAndCli:
@@ -485,6 +511,14 @@ class TestExperimentAndCli:
         assert "fraction-range" in capsys.readouterr().err
         assert cli_main(["search", "not_a_kind", "--budget", "2"]) == 1
         assert "not_a_kind" in capsys.readouterr().err
+        # A candidate failing on the default (batched) evaluator is an
+        # error line and exit 1, as on the serial evaluator.
+        assert cli_main([
+            "search", "laser_power", "--variant", "bogus", "--budget", "2",
+            "--generation", "2", "--placements", "1", "--no-cache",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "error: 2 candidate evaluation(s) failed" in err and "bogus" in err
 
     def test_cli_attacks_shows_bounds_and_choices(self, capsys):
         assert cli_main(["attacks"]) == 0

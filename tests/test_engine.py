@@ -43,11 +43,27 @@ class TestRunSpec:
 
     #: Fingerprints of default resolved specs under a fixed version string.
     #: A change here invalidates every cached result of that experiment.
+    #: Every registered experiment is pinned, in registry order.
     PINNED_FINGERPRINTS = {
-        "fig7_point": "ad0e7d62c0dbc7360527b485a46f9862ed18d5f5a59d994a1f3d96f719570c51",
-        "fig8_variant": "e7151c72f75c3cd9a48d6ee00e9e50828fb4162e2cf64f7e8157719a281e49cd",
         "table1": "4d08cd031cea66cb3f769f6c299d0c3b7287f0b89c97a65526e91815bec02018",
+        "fig6": "183e82f88440aa8313b9ad9aae95948e6fca30cdc55a44042e5b4d0ad8fc0cb7",
+        "fig7": "8a4e54c9ccbedeef21fdf18f1b847620e2e8b8a8bcb82172ae56c386271391af",
+        "fig7_point": "ad0e7d62c0dbc7360527b485a46f9862ed18d5f5a59d994a1f3d96f719570c51",
+        "fig7_grid": "f78194c29445f5c18a80c857c71e218e8df8ba724e6b85f73088a1c72771225e",
+        "fig7_candidate": "57cc77f0c495ac69cc8ff3ebdc2636a944d9f2f5caca91668bae163b8d38bcba",
+        "fig7_adversarial": "dd0afae5f5de9ca93baa090b3f4524080b81655b786a6aa2f87b7a66f8f0ac3a",
+        "fig8": "06c961a348de759d6b4387754ba30c04234ba5a99e4009157cf0e9afcd1268e9",
+        "fig8_variant": "e7151c72f75c3cd9a48d6ee00e9e50828fb4162e2cf64f7e8157719a281e49cd",
+        "signal_mc": "ebc6bf4efe5de406c2cb8b8c6877badd9b6bdd7c37ba90760405e6aed1fd0faf",
+        "fig9": "17b1f10b9d0db70e9b47fe7577db678444b08a53780faea8d4d323c73b0656a4",
+        "ablation_mitigation": "148c1e03a5003e35e0afc7221e80c7e73fd468d126242a6de7fb283466bce1a5",
+        "ablation_tuning": "a66c8116d32f13ded791e17a377e24f247600cd49b33a5ca7bfec545542871cd",
     }
+
+    def test_every_experiment_pins_its_defaults_in_registry_order(self):
+        from repro.analysis.experiments import experiment_ids
+
+        assert list(self.PINNED_FINGERPRINTS) == experiment_ids()
 
     @pytest.mark.parametrize("experiment_id", sorted(PINNED_FINGERPRINTS))
     def test_default_spec_fingerprints_are_pinned(self, experiment_id):

@@ -334,7 +334,7 @@ class TestExecutorRetry:
         plan = FaultPlan(
             [FaultRule("worker.run", "crash", probability=0.4)], seed=11
         )
-        policy = RetryPolicy(max_attempts=6, backoff_s=0.05, backoff_cap_s=0.2)
+        policy = RetryPolicy(max_attempts=12, backoff_s=0.05, backoff_cap_s=0.2)
         pool = make_executor(2, retry=policy)
         with plan.activated(set_env=True):
             records = dict(pool.run_specs(specs))
@@ -398,7 +398,7 @@ class TestExecutorRetry:
             for _, record in SerialExecutor().run_specs(specs)
         }
         plan = FaultPlan([FaultRule("worker.run", "crash", probability=0.4)], seed=23)
-        policy = RetryPolicy(max_attempts=8, backoff_s=0.01, backoff_cap_s=0.05)
+        policy = RetryPolicy(max_attempts=12, backoff_s=0.01, backoff_cap_s=0.05)
         pool = WorkerPool(workers=2)
         try:
             with plan.activated(set_env=True):

@@ -589,9 +589,9 @@ class TestPerClientQuota:
 
 # ------------------------------------------------------- streaming follow
 class TestEventStreaming:
-    def test_chunked_follow_and_longpoll_fallback(self, tmp_path):
-        """Satellite: ``?follow=1`` streams chunked progress lines ending at
-        the terminal state; ``longpoll=1`` keeps the legacy unframed shape."""
+    def test_chunked_follow_streams_until_terminal(self, tmp_path):
+        """``?follow=1`` streams chunked progress lines ending at the
+        terminal state."""
         service = CampaignService(
             jobstore_dir=tmp_path / "jobs", cache_dir=tmp_path / "cache", workers=2
         )
@@ -605,9 +605,6 @@ class TestEventStreaming:
             assert any(line.startswith("-- done") for line in chunked)
             assert not any(line.startswith(":") for line in chunked)
             assert client.job(job_id)["state"] == "done"
-            # The long-poll fallback replays the same history and also ends.
-            longpoll = list(client.stream_events(job_id, longpoll=True))
-            assert longpoll == chunked
         finally:
             daemon.shutdown()
 
@@ -659,9 +656,6 @@ class TestWaitFailureSurface:
             assert err.value.quarantined == []
             assert err.value.status == 0  # not a transport error
             assert isinstance(err.value, ServeError)  # old handlers still catch
-            # Opt-out path returns the terminal document as before.
-            doc = client.wait(job_id, timeout=30, raise_on_failure=False)
-            assert doc["state"] == "cancelled"
         finally:
             daemon.shutdown()
 
