@@ -6,6 +6,7 @@ import numpy as np
 
 __all__ = [
     "conv_output_size",
+    "batch_tile",
     "im2col",
     "col2im",
     "softmax",
@@ -27,33 +28,59 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+#: Bytes of per-sample data one batch tile covers: small enough that the
+#: several strided passes a kernel makes over a tile (im2col's and col2im's
+#: ``kernel_h * kernel_w`` passes, max pooling's window slots) run in L2
+#: cache instead of streaming the whole batch through memory on every pass.
+_TILE_BYTES = 512 * 1024
+
+
+def batch_tile(batch: int, sample_bytes: int) -> int:
+    """Samples per batch tile: as many as fit in ``_TILE_BYTES``, at least one."""
+    return max(1, min(batch, _TILE_BYTES // max(1, sample_bytes)))
+
+
 def im2col(
     x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` (NCHW) into a matrix of sliding patches.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N * out_h * out_w, C * kernel_h * kernel_w)``.
+    ``(N * out_h * out_w, C * kernel_h * kernel_w)``: one row per output
+    pixel, its patch in (C, kh, kw) order, padded with zeros.
+
+    The batch is unfolded in tiles of about ``_TILE_BYTES`` of patches: each
+    tile gathers its ``(ky, kx)`` strided slices into a cache-resident
+    buffer and transposes that buffer into its rows of ``cols``.  Every
+    element is a copy, so the tiling cannot change a value.
     """
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
+    cols = np.empty((batch, out_h, out_w, channels, kernel_h, kernel_w), dtype=x.dtype)
+    tile = batch_tile(batch, cols[:1].nbytes)
+    patches = np.empty((tile, channels, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
     if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+        # One zero-bordered tile; each tile rewrites only its interior.
+        padded = np.zeros(
+            (tile, channels, height + 2 * padding, width + 2 * padding), dtype=x.dtype
         )
-    cols = np.empty(
-        (batch, channels, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype
-    )
-    for ky in range(kernel_h):
-        y_end = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_end = kx + stride * out_w
-            cols[:, :, ky, kx, :, :] = x[:, :, ky:y_end:stride, kx:x_end:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch * out_h * out_w, channels * kernel_h * kernel_w
-    )
-    return cols, out_h, out_w
+        interior = padded[:, :, padding:padding + height, padding:padding + width]
+    for start in range(0, batch, tile):
+        stop = min(start + tile, batch)
+        count = stop - start
+        source = x[start:stop]
+        if padding > 0:
+            interior[:count] = source
+            source = padded[:count]
+        block = patches[:count]
+        for ky in range(kernel_h):
+            y_end = ky + stride * out_h
+            for kx in range(kernel_w):
+                x_end = kx + stride * out_w
+                block[:, :, ky, kx] = source[:, :, ky:y_end:stride, kx:x_end:stride]
+        cols[start:stop] = block.transpose(0, 4, 5, 1, 2, 3)
+    return cols.reshape(batch * out_h * out_w, channels * kernel_h * kernel_w), out_h, out_w
 
 
 def col2im(
@@ -67,22 +94,34 @@ def col2im(
     """Fold a patch matrix produced by :func:`im2col` back into an NCHW tensor.
 
     Overlapping patch contributions are summed, which is exactly the gradient
-    of the unfold operation.
+    of the unfold operation: each padded-output element starts at ``0.0``
+    and receives its additions in ``(ky, kx)`` order.
+
+    The fold runs over the same batch tiles as :func:`im2col`.  A tile sums
+    into a zeroed channels-last accumulator, where each ``(ky, kx)`` pass
+    adds whole ``(out_w, C)`` rows of patches at once, and is then copied
+    into its slab of the padded output.  The order of additions per element
+    is unchanged, so the tiling cannot change a value.
     """
     batch, channels, height, width = input_shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
-    cols = cols.reshape(batch, out_h, out_w, channels, kernel_h, kernel_w).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
-    )
-    for ky in range(kernel_h):
-        y_end = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_end = kx + stride * out_w
-            padded[:, :, ky:y_end:stride, kx:x_end:stride] += cols[:, :, ky, kx, :, :]
+    cols = cols.reshape(batch, out_h, out_w, channels, kernel_h, kernel_w)
+    padded_h, padded_w = height + 2 * padding, width + 2 * padding
+    padded = np.empty((batch, channels, padded_h, padded_w), dtype=cols.dtype)
+    tile = batch_tile(batch, cols[:1].nbytes)
+    sums = np.empty((tile, padded_h, padded_w, channels), dtype=cols.dtype)
+    for start in range(0, batch, tile):
+        stop = min(start + tile, batch)
+        block = cols[start:stop]
+        target = sums[: stop - start]
+        target.fill(0)
+        for ky in range(kernel_h):
+            y_end = ky + stride * out_h
+            for kx in range(kernel_w):
+                x_end = kx + stride * out_w
+                target[:, ky:y_end:stride, kx:x_end:stride, :] += block[..., ky, kx]
+        padded[start:stop] = target.transpose(0, 3, 1, 2)
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded

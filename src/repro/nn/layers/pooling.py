@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.ensemble import fold_scenarios, unfold_scenarios
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import batch_tile, col2im, im2col
 from repro.nn.module import Module
 from repro.utils.validation import check_positive_int
 
@@ -19,7 +19,12 @@ __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
 
 class MaxPool2D(Module):
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over strided windows.
+
+    Padding is ``-inf``, as in standard max pooling, so a window's maximum
+    comes from its input elements; it is at most ``kernel_size // 2`` wide,
+    so every window holds at least one.
+    """
 
     def __init__(self, kernel_size: int = 2, stride: int | None = None, padding: int = 0):
         super().__init__()
@@ -27,6 +32,11 @@ class MaxPool2D(Module):
         self.stride = check_positive_int(stride if stride is not None else kernel_size, "stride")
         if padding < 0:
             raise ValueError(f"padding must be non-negative, got {padding}")
+        if padding > self.kernel_size // 2:
+            raise ValueError(
+                f"padding must be at most kernel_size // 2 = {self.kernel_size // 2}, "
+                f"got {padding}: a wider border makes windows of padding only"
+            )
         self.padding = int(padding)
         self._cache = None
         self._window_cache = None
@@ -35,37 +45,42 @@ class MaxPool2D(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
         self._stacked_lead = None
+        self._cache = None
         self._window_cache = None
         if x.ndim == 5:
+            folded, lead = fold_scenarios(x)
             if self.training:
-                # Variant-stacked training: fold the variant axis into the
-                # batch axis so the cached pooling path (and its backward)
-                # applies unchanged, then restore the leading axis.  The
-                # ubiquitous non-overlapping, unpadded geometry takes the
-                # im2col-free window path — windows are a plain reshape with
-                # the same (kh, kw) element order as the im2col columns, so
-                # max values *and* argmax tie-breaks (hence gradient routing)
-                # are bit-identical to the windowed reference.
-                folded, lead = fold_scenarios(x)
-                if self._is_reshape_geometry(folded):
-                    out = self._forward_windows_train(folded)
-                else:
-                    out = self.forward(folded)
+                # Variant-stacked training: the variant axis folds into the
+                # batch axis, so serial and stacked training run the same
+                # kernels (and the backward unfolds the gradient again).
+                out = self._forward_train(folded)
                 self._stacked_lead = lead
                 return unfold_scenarios(out, lead)
-            folded, lead = fold_scenarios(x)
-            out = self._forward_inference(folded)
-            self._cache = None
-            return unfold_scenarios(out, lead)
+            return unfold_scenarios(self._forward_inference(folded), lead)
+        if self.training:
+            return self._forward_train(x)
+        return self._forward_im2col(x)
+
+    def _forward_train(self, x: np.ndarray) -> np.ndarray:
+        if self._is_reshape_geometry(x):
+            return self._forward_windows_train(x)
+        return self._forward_im2col(x)
+
+    def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
+        """Cached max pooling for any geometry: ``np.argmax`` over im2col columns."""
         batch, channels, _, _ = x.shape
-        k = self.kernel_size
+        k, pad = self.kernel_size, self.padding
         # Treat each channel independently so the window matrix is (N*C, ...)
         reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-        cols, out_h, out_w = im2col(reshaped, k, k, self.stride, self.padding)
+        if pad > 0:
+            reshaped = np.pad(
+                reshaped, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf
+            )
+        cols, out_h, out_w = im2col(reshaped, k, k, self.stride, 0)
         argmax = np.argmax(cols, axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
         out = out.reshape(batch, channels, out_h, out_w)
-        self._cache = (argmax, cols.shape, reshaped.shape, x.shape, out_h, out_w)
+        self._cache = (argmax, cols.shape, reshaped.shape, x.shape)
         return out
 
     def _is_reshape_geometry(self, x: np.ndarray) -> bool:
@@ -84,27 +99,50 @@ class MaxPool2D(Module):
         return [x_or_grad[..., ky::k, kx::k] for ky in range(k) for kx in range(k)]
 
     def _forward_windows_train(self, x: np.ndarray) -> np.ndarray:
-        """Cached im2col-free max pooling for non-overlapping windows.
+        """Cached max pooling for non-overlapping, unpadded windows.
 
-        Works on strided window-element views with plain elementwise maxima —
-        no im2col patch matrix and no argmax over a tiny trailing axis (both
-        are iterator-overhead-bound for 2x2 windows).  The winner chain uses
-        strict ``>`` against the running maximum, so ties keep the earliest
-        (ky, kx) in row-major order — exactly the im2col path's flat
-        ``argmax`` winner — making values *and* gradient routing bit-identical
-        to the windowed reference.
+        Bit-identical to :meth:`_forward_im2col`, without its patch matrix
+        and its ``argmax`` over a tiny trailing axis (iterator-bound for 2x2
+        windows).  Per batch tile (see :func:`~repro.nn.functional.batch_tile`),
+        the ``k*k`` strided window slots are copied into a contiguous
+        ``(k*k, n, C, OH, OW)`` buffer; everything after that is an
+        elementwise pass over cache-resident contiguous arrays:
+
+        * ``peak`` is the window maximum (NaN if the window holds one);
+        * the winner is ``np.argmax``'s: the first slot in (ky, kx) row-major
+          order equal to ``peak``, or the first NaN in a NaN window;
+        * the output is the winner's own bits, selected through an integer
+          view.  ``peak`` alone is not enough: ``np.maximum`` may return
+          either zero of a ``-0.0``/``+0.0`` tie, and any NaN of several.
+
+        The output is C-contiguous, as the im2col path's is: later
+        layout-sensitive reductions (``GaussianNoise``'s ``slab.std()``)
+        sum in memory order.
         """
-        slices = self._window_slices(x)
-        # order='C' (not the default 'K'): the im2col reference emits
-        # C-contiguous outputs, and downstream layout-sensitive reductions
-        # (e.g. the relative noise scale) must see the same memory order.
-        out = slices[0].astype(np.float32, order="C", copy=True)
-        winner = np.zeros(out.shape, dtype=np.int8)
-        for index, piece in enumerate(slices[1:], start=1):
-            better = piece > out
-            np.copyto(out, piece, where=better)
-            winner[better] = index
-        self._window_cache = (winner, x.shape)
+        slots = self._window_slices(x)
+        out = np.zeros(slots[0].shape, dtype=np.float32)
+        winner = np.zeros(out.shape, dtype=np.min_scalar_type(len(slots) - 1))
+        batch = x.shape[0]
+        tile = batch_tile(batch, x[:1].nbytes)
+        buffer = np.empty((len(slots), tile) + out.shape[1:], dtype=np.float32)
+        for start in range(0, batch, tile):
+            rows = slice(start, min(start + tile, batch))
+            windows = buffer[:, : rows.stop - start]
+            for window, slot in zip(windows, slots):
+                window[...] = slot[rows]
+            peak = windows.max(axis=0)
+            has_nan = bool(np.isnan(peak).any())
+            first = winner[rows]
+            searching = np.ones(peak.shape, dtype=bool)
+            for window in windows[:-1]:
+                searching &= window != peak
+                if has_nan:
+                    searching &= window == window  # a NaN slot wins a NaN window
+                first += searching
+            selected = out[rows].view(np.int32)
+            for index, window in enumerate(windows.view(np.int32)):
+                selected |= window * (first == index)
+        self._window_cache = (winner, x.shape, _memory_axes(x))
         return out
 
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
@@ -142,24 +180,50 @@ class MaxPool2D(Module):
     def _backward_folded(self, grad_output: np.ndarray) -> np.ndarray:
         if self._window_cache is not None:
             return self._backward_windows(grad_output)
-        argmax, cols_shape, reshaped_shape, input_shape, out_h, out_w = self._cache
+        argmax, cols_shape, reshaped_shape, input_shape = self._cache
         grad_cols = np.zeros(cols_shape, dtype=np.float32)
         grad_flat = grad_output.reshape(-1)
         grad_cols[np.arange(cols_shape[0]), argmax] = grad_flat
-        k = self.kernel_size
-        grad_reshaped = col2im(grad_cols, reshaped_shape, k, k, self.stride, self.padding)
+        k, pad = self.kernel_size, self.padding
+        grad_reshaped = col2im(grad_cols, reshaped_shape, k, k, self.stride, 0)
+        if pad > 0:
+            grad_reshaped = grad_reshaped[:, :, pad:-pad, pad:-pad]
         return grad_reshaped.reshape(input_shape)
 
     def _backward_windows(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backward of :meth:`_forward_windows_train` (non-overlapping scatter)."""
-        winner, input_shape = self._window_cache
-        grad_input = np.zeros(input_shape, dtype=np.float32)
-        for index, piece in enumerate(self._window_slices(grad_input)):
-            np.copyto(piece, grad_output, where=(winner == index))
+        """Backward of :meth:`_forward_windows_train`: route each gradient to its winner.
+
+        Bit-identical to the im2col path's ``col2im`` fold: a winner
+        receives ``0.0 + g`` (so a ``-0.0`` gradient lands as ``+0.0``) and
+        every other element ``+0.0``; the integer-view select cannot turn an
+        infinite or NaN gradient into NaN the way ``g * 0.0`` would.
+
+        The gradient is laid out like the forward input (channels-last after
+        ``Conv2D`` -> ``ReLU``), so ``ReLU.backward`` multiplies like-laid-out
+        arrays and ``Conv2D.backward``'s transpose+reshape is a view, not a
+        copy.  Windows tile the input exactly, so every element is written.
+        """
+        winner, input_shape, axes = self._window_cache
+        grad_input = np.empty([input_shape[axis] for axis in axes], dtype=np.float32)
+        grad_input = grad_input.transpose(np.argsort(axes))
+        slots = self._window_slices(grad_input.view(np.int32))
+        batch = input_shape[0]
+        tile = batch_tile(batch, grad_input[:1].nbytes)
+        for start in range(0, batch, tile):
+            rows = slice(start, min(start + tile, batch))
+            routed = np.add(grad_output[rows], np.float32(0.0), order="C").view(np.int32)
+            first = winner[rows]
+            for index, slot in enumerate(slots):
+                np.multiply(routed, first == index, out=slot[rows])
         return grad_input
 
     def __repr__(self) -> str:
         return f"MaxPool2D(kernel_size={self.kernel_size}, stride={self.stride})"
+
+
+def _memory_axes(x: np.ndarray) -> tuple[int, ...]:
+    """``x``'s axes from outermost to innermost in memory (C order for ties)."""
+    return tuple(sorted(range(x.ndim), key=lambda axis: -abs(x.strides[axis])))
 
 
 class AvgPool2D(Module):

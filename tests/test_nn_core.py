@@ -21,6 +21,46 @@ from repro.nn.init import he_normal, he_uniform, ones, xavier_normal, xavier_uni
 from repro.nn.tensor import Parameter
 
 
+def untiled_im2col(x, kernel_h, kernel_w, stride, padding):
+    """im2col in one pass over the whole batch: the reference for the tiles."""
+    batch, channels, height, width = x.shape
+    out_h = F.conv_output_size(height, kernel_h, stride, padding)
+    out_w = F.conv_output_size(width, kernel_w, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((batch, channels, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
+    for ky in range(kernel_h):
+        y_end = ky + stride * out_h
+        for kx in range(kernel_w):
+            x_end = kx + stride * out_w
+            cols[:, :, ky, kx, :, :] = x[:, :, ky:y_end:stride, kx:x_end:stride]
+    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(
+        batch * out_h * out_w, channels * kernel_h * kernel_w
+    )
+    return cols, out_h, out_w
+
+
+def untiled_col2im(cols, input_shape, kernel_h, kernel_w, stride, padding):
+    """col2im in one pass over the whole batch: the reference for the tiles."""
+    batch, channels, height, width = input_shape
+    out_h = F.conv_output_size(height, kernel_h, stride, padding)
+    out_w = F.conv_output_size(width, kernel_w, stride, padding)
+    cols = cols.reshape(batch, out_h, out_w, channels, kernel_h, kernel_w).transpose(
+        0, 3, 4, 5, 1, 2
+    )
+    padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
+    )
+    for ky in range(kernel_h):
+        y_end = ky + stride * out_h
+        for kx in range(kernel_w):
+            x_end = kx + stride * out_w
+            padded[:, :, ky:y_end:stride, kx:x_end:stride] += cols[:, :, ky, kx, :, :]
+    if padding > 0:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
+
+
 class TestParameterAndModule:
     def test_parameter_copy_is_deep(self):
         param = Parameter(np.ones(3), name="w", kind="fc")
@@ -84,6 +124,44 @@ class TestFunctional:
         assert back.shape == x.shape
         # Interior pixels are covered by 9 overlapping 3x3 patches.
         assert back[0, 0, 3, 3] == 9.0
+
+    @staticmethod
+    def _batch(kind: str, x_shape: tuple[int, int, int], kernel: int, stride: int,
+               padding: int) -> int:
+        """No sample, one, part of one tile, or several tiles plus a partial one."""
+        channels, height, width = x_shape
+        out_h = F.conv_output_size(height, kernel, stride, padding)
+        out_w = F.conv_output_size(width, kernel, stride, padding)
+        per_tile = F.batch_tile(10**9, channels * kernel * kernel * out_h * out_w * 4)
+        return {"empty": 0, "one": 1, "part": max(1, per_tile // 2),
+                "several": 2 * per_tile + per_tile // 2}[kind]
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("batch", ["empty", "one", "part", "several"])
+    def test_tiled_unfold_and_fold_match_untiled_bytes(self, rng, kernel, stride, padding, batch):
+        """Tiling over the batch changes no byte of im2col or col2im.
+
+        col2im's overlapping windows (3x3 kernels) sum several patches into
+        one pixel, so this also pins the summation order."""
+        size = self._batch(batch, (3, 8, 8), kernel, stride, padding)
+        x = rng.normal(size=(size, 3, 8, 8)).astype(np.float32)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for data in (x, channels_last):
+            cols, out_h, out_w = F.im2col(data, kernel, kernel, stride, padding)
+            ref_cols, ref_h, ref_w = untiled_im2col(data, kernel, kernel, stride, padding)
+            assert (out_h, out_w) == (ref_h, ref_w) and cols.shape == ref_cols.shape
+            assert cols.tobytes() == ref_cols.tobytes()
+        grad_cols = rng.normal(size=ref_cols.shape).astype(np.float32)
+        grad_cols[rng.random(grad_cols.shape) < 0.2] = -0.0
+        folded = F.col2im(grad_cols, x.shape, kernel, kernel, stride, padding)
+        reference = untiled_col2im(grad_cols, x.shape, kernel, kernel, stride, padding)
+        # Same layout too: callers such as BatchNorm2D.backward reduce the
+        # gradient in memory order.
+        assert folded.shape == reference.shape and folded.strides == reference.strides
+        assert folded.tobytes() == reference.tobytes()
 
     def test_softmax_rows_sum_to_one(self, rng):
         logits = rng.normal(size=(5, 7)).astype(np.float32) * 10

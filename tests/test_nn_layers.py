@@ -143,6 +143,42 @@ class TestPooling:
         assert grad[0, 0, 1, 1] == 1.0 and grad[0, 0, 0, 0] == 0.0
         assert float(grad.sum()) == 4.0
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_maxpool_padding_never_wins(self, training, stacked):
+        """Padding is -inf: border windows of all-negative inputs keep their maximum."""
+        x = -np.arange(1, 17, dtype=np.float32).reshape(1, 1, 4, 4)
+        expected = np.array([[-1.0, -2.0], [-5.0, -6.0]], dtype=np.float32)
+        if stacked:
+            x = np.stack([x, x])
+        layer = MaxPool2D(3, stride=2, padding=1)
+        layer.train(training)
+        out = layer(x)
+        assert out.shape == x.shape[:-2] + (2, 2)
+        for pooled in out.reshape(-1, 2, 2):
+            np.testing.assert_array_equal(pooled, expected)
+        if stacked and not training:
+            return  # stacked inference forwards keep no backward cache
+        grad = layer.backward(np.ones_like(out))
+        assert grad.shape == x.shape
+        # Every output routes its gradient to its real maximum, none to padding.
+        for routed in grad.reshape(-1, 4, 4):
+            assert float(routed.sum()) == 4.0
+            np.testing.assert_array_equal(routed[:2, :2], np.ones((2, 2)))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_maxpool_empty_batch(self, training):
+        layer = MaxPool2D(2)
+        layer.train(training)
+        out = layer(np.zeros((0, 3, 8, 8), dtype=np.float32))
+        assert out.shape == (0, 3, 4, 4)
+        assert layer.backward(out).shape == (0, 3, 8, 8)
+
+    @pytest.mark.parametrize("kernel,padding", [(2, 2), (3, 2), (1, 1)])
+    def test_maxpool_rejects_padding_wider_than_half_window(self, kernel, padding):
+        with pytest.raises(ValueError, match="padding"):
+            MaxPool2D(kernel, padding=padding)
+
     def test_avgpool_value_and_backward(self):
         x = np.ones((1, 2, 4, 4), dtype=np.float32)
         layer = AvgPool2D(2)

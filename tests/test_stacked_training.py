@@ -34,6 +34,7 @@ from repro.nn import (
     TrainingConfig,
 )
 from repro.nn.ensemble import stack_state_dicts
+from repro.nn.functional import batch_tile, col2im, im2col
 from repro.nn.losses import CrossEntropyLoss, l2_penalty
 from repro.nn.module import Module
 
@@ -224,26 +225,54 @@ class TestStackedBackwardFiniteDifference:
             stacked_input_gradient_check(layer, x)
 
 
+def im2col_maxpool_reference(x: np.ndarray, grad_output: np.ndarray, k: int):
+    """Max pooling as ``np.argmax`` over im2col columns, its gradient folded
+    back with ``col2im`` (each winner's gradient summed into zeros)."""
+    batch, channels, height, width = x.shape
+    flat = np.ascontiguousarray(x).reshape(batch * channels, 1, height, width)
+    cols, out_h, out_w = im2col(flat, k, k, k, 0)
+    rows = np.arange(cols.shape[0])
+    winner = np.argmax(cols, axis=1)
+    out = cols[rows, winner].reshape(batch, channels, out_h, out_w)
+    grad_cols = np.zeros_like(cols)
+    grad_cols[rows, winner] = grad_output.reshape(-1)
+    return out, col2im(grad_cols, flat.shape, k, k, k, 0).reshape(x.shape)
+
+
 class TestMaxPoolWindowsBitIdentity:
     def test_matches_im2col_path_with_ties(self):
-        """The window path (values + argmax tie-breaks) is bit-identical."""
+        """Training max pooling equals the im2col + argmax + col2im reference
+        byte for byte: every window slot sees ties, -0.0/+0.0, +-inf and NaN,
+        and the output gradient holds -0.0 (which col2im lands as +0.0).
+        Serial (4-D) and variant-stacked (5-D) forwards, C-contiguous and
+        channels-last inputs, a batch of several tiles whose last, partial
+        tile holds no NaN; the output is C-contiguous and the input gradient
+        takes the input's layout."""
         rng = np.random.default_rng(0)
-        x = rng.random((6, 3, 8, 8)).astype(np.float32)
-        x[x < 0.5] = 0.0  # post-ReLU-style ties inside windows
-
-        reference = MaxPool2D(2)
-        reference.train()
-        out_ref = reference.forward(x)
-        grad = rng.random(out_ref.shape).astype(np.float32)
-        grad_ref = reference.backward(grad)
-
-        windows = MaxPool2D(2)
-        windows.train()
-        out_win = windows._forward_windows_train(x)
-        grad_win = windows._backward_windows(grad)
-        assert np.array_equal(out_ref, out_win)
-        assert np.array_equal(grad_ref, grad_win)
-        assert out_win.flags["C_CONTIGUOUS"]
+        special = np.array(
+            [-0.0, 0.0, 0.5, 0.5, 1.0, np.inf, -np.inf, np.nan], dtype=np.float32
+        )
+        for k in (2, 3):
+            shape = (3, 4 * k, 4 * k)
+            tile = batch_tile(10**6, 4 * int(np.prod(shape)))
+            batch = VARIANTS * ((2 * tile + tile // 2) // VARIANTS)
+            nchw = rng.choice(special, size=(batch,) + shape)
+            last = nchw[2 * tile:]
+            last[np.isnan(last)] = 0.5
+            channels_last = np.ascontiguousarray(nchw.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            grad_output = rng.normal(size=(batch, 3, 4, 4)).astype(np.float32)
+            grad_output[rng.random(grad_output.shape) < 0.3] = -0.0
+            ref_out, ref_grad = im2col_maxpool_reference(nchw, grad_output, k)
+            assert np.isnan(ref_out).any() and np.isinf(ref_out).any()
+            for x in (nchw, channels_last):
+                for data in (x, x.reshape((VARIANTS, batch // VARIANTS) + shape)):
+                    layer = MaxPool2D(k)
+                    layer.train()
+                    out = layer(data)
+                    grad = layer.backward(grad_output.reshape(out.shape))
+                    assert out.tobytes() == ref_out.tobytes()
+                    assert grad.tobytes() == ref_grad.tobytes()
+                    assert out.flags.c_contiguous and grad.strides == data.strides
 
 
 class TestStackedLoss:
