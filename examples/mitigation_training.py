@@ -1,9 +1,11 @@
 """Mitigation example (paper Figs. 8 and 9).
 
 Trains the mitigation variant grid for the CNN_1 workload (Original, L2_reg
-and L2 + Gaussian noise-aware variants), evaluates every variant across the
-attack grid, selects the most robust configuration and compares it against
-the original model under CONV+FC attacks.
+and L2 + Gaussian noise-aware variants) as one ``fig8_variant`` run per
+variant, each evaluated across the same attack grid, then reduces their
+payloads the way the ``fig8`` and ``fig9`` experiments do: it selects the
+most robust configuration and compares it against the original model under
+CONV+FC attacks.
 
 Run with::
 
@@ -15,9 +17,13 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.mitigation_analysis import MitigationAnalysisConfig, MitigationStudy
+import numpy as np
+
+from repro.analysis.mitigation_analysis import robust_comparison
 from repro.analysis.reporting import format_fig8_table, format_fig9_table
-from repro.mitigation import L2Config, NoiseAwareConfig, VariantSpec, default_variant_grid
+from repro.engine import Campaign, SweepSpec
+from repro.mitigation import default_variant_grid
+from repro.mitigation.selection import select_most_robust
 
 
 def main() -> None:
@@ -30,37 +36,36 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.full_grid:
-        variants = default_variant_grid()
+        variants = [spec.name for spec in default_variant_grid()]
     else:
-        variants = [
-            VariantSpec(name="Original"),
-            VariantSpec(name="L2_reg", l2=L2Config()),
-            VariantSpec(name="l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
-            VariantSpec(name="l2+n3", l2=L2Config(), noise=NoiseAwareConfig(std=0.3)),
-            VariantSpec(name="l2+n5", l2=L2Config(), noise=NoiseAwareConfig(std=0.5)),
-        ]
-
-    config = MitigationAnalysisConfig(
-        model_names=("cnn_mnist",),
-        variants=variants,
-        num_placements=args.placements,
-        seed=0,
+        variants = ["Original", "L2_reg", "l2+n2", "l2+n3", "l2+n5"]
+    grid = {
+        "kinds": ["actuation", "hotspot"],
+        "blocks": ["conv", "fc", "both"],
+        "fractions": [0.01, 0.05, 0.10],
+        "num_placements": args.placements,
+    }
+    sweep = SweepSpec(
+        experiment_id="fig8_variant",
+        base={"model": "cnn_mnist", **grid},
+        grid={"variant": variants},
     )
-    study = MitigationStudy(config)
     print(f"Training {len(variants)} variants of CNN_1 and evaluating the attack grid...")
-    result = study.run()
+    payloads = Campaign(sweep).run().payloads
 
     print()
-    print(format_fig8_table(result.distributions, "cnn_mnist"))
-    best = result.best_variant["cnn_mnist"]
+    print(format_fig8_table(payloads, "cnn_mnist"))
+    best, scores = select_most_robust(
+        {unit["variant"]: np.asarray(unit["accuracies"]) for unit in payloads}
+    )
     print(f"\nMost robust variant: {best}")
     print("Variant ranking (median attacked accuracy):")
-    for score in result.variant_scores["cnn_mnist"]:
+    for score in scores:
         print(f"  {score.variant:10s} median={score.median_accuracy:.3f} "
               f"mean={score.mean_accuracy:.3f} worst={score.worst_accuracy:.3f}")
 
     print()
-    print(format_fig9_table(result.comparison, "cnn_mnist"))
+    print(format_fig9_table(robust_comparison(payloads, grid), "cnn_mnist"))
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 Expands the attack grid (actuation and hotspot attacks at 1/5/10% of the MRs
 on the CONV block, the FC block, and both) into a campaign of ``fig7_point``
-runs, executes it in parallel with result caching, and prints the
-per-scenario accuracy table.  Re-running the example completes from the
-cache.
+runs, executes it in parallel with result caching, groups the points of each
+workload into the shape of a ``fig7_grid`` payload and prints the per-setting
+accuracy table.  Re-running the example completes from the cache.
 
 Run with::
 
@@ -19,31 +19,32 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import format_fig7_table
-from repro.analysis.susceptibility import (
-    ScenarioAccuracy,
-    SusceptibilityConfig,
-    SusceptibilityResult,
-)
+from repro.attacks import AttackSpec
 from repro.engine import Campaign, SweepSpec
 
 
-def result_from_payloads(config: SusceptibilityConfig, payloads) -> SusceptibilityResult:
-    """Reassemble a :class:`SusceptibilityResult` from campaign payloads."""
-    result = SusceptibilityResult(config=config)
-    for payload in payloads:
-        result.baselines[payload["model"]] = payload["baseline"]
-        result.scenarios.append(
-            ScenarioAccuracy(
-                model=payload["model"],
-                kind=payload["kind"],
-                block=payload["block"],
-                fraction=payload["fraction"],
-                placement=payload["placement"],
-                accuracy=payload["accuracy"],
-                corrupted_fraction=payload["corrupted_fraction"],
-            )
+def grids_from_points(payloads) -> list[dict]:
+    """Group ``fig7_point`` payloads into one ``fig7_grid``-shaped payload per
+    workload, labelling each accuracy ``kind-block-NN%#placement``."""
+    grids: dict[str, dict] = {}
+    for point in payloads:
+        grid = grids.setdefault(
+            point["model"],
+            {"model": point["model"], "baseline": point["baseline"], "accuracies": {}},
         )
-    return result
+        setting = AttackSpec(point["kind"], point["block"], point["fraction"]).label()
+        grid["accuracies"][f"{setting}#{point['placement']}"] = point["accuracy"]
+    return list(grids.values())
+
+
+def worst_case_drop(grid: dict, kind: str) -> float:
+    """Largest accuracy drop of one attack kind in a ``fig7_grid`` payload."""
+    accuracies = [
+        accuracy
+        for label, accuracy in grid["accuracies"].items()
+        if label.startswith(f"{kind}-")
+    ]
+    return grid["baseline"] - min(accuracies)
 
 
 def main() -> None:
@@ -69,15 +70,13 @@ def main() -> None:
     model_names = (
         ("cnn_mnist", "resnet18", "vgg16_variant") if args.all else ("cnn_mnist",)
     )
-    fractions = (0.01, 0.05, 0.10)
-    blocks = ("conv", "fc", "both")
     sweep = SweepSpec(
         experiment_id="fig7_point",
         grid={
             "model": list(model_names),
             "kind": ["actuation", "hotspot"],
-            "block": list(blocks),
-            "fraction": list(fractions),
+            "block": ["conv", "fc", "both"],
+            "fraction": [0.01, 0.05, 0.10],
             "placement": list(range(args.placements)),
         },
     )
@@ -91,18 +90,11 @@ def main() -> None:
           f"{summary['executed']} executed, {summary['cache_hits']} cache hits "
           f"({summary['executor']} executor)")
 
-    config = SusceptibilityConfig(
-        model_names=model_names,
-        blocks=blocks,
-        fractions=fractions,
-        num_placements=args.placements,
-    )
-    table = result_from_payloads(config, result.payloads)
-    for model_name in model_names:
+    for grid in grids_from_points(result.payloads):
         print()
-        print(format_fig7_table(table, model_name))
-        print(f"Worst-case hotspot drop:   {table.worst_case_drop(model_name, 'hotspot'):.3f}")
-        print(f"Worst-case actuation drop: {table.worst_case_drop(model_name, 'actuation'):.3f}")
+        print(format_fig7_table(grid))
+        print(f"Worst-case hotspot drop:   {worst_case_drop(grid, 'hotspot'):.3f}")
+        print(f"Worst-case actuation drop: {worst_case_drop(grid, 'actuation'):.3f}")
 
 
 if __name__ == "__main__":

@@ -2,14 +2,15 @@
 
 * :mod:`repro.analysis.metrics` — accuracy drop / recovery metrics and
   box-plot statistics.
-* :mod:`repro.analysis.susceptibility` — the Fig. 7 susceptibility study
-  (attacked accuracy across the attack grid for each workload).
-* :mod:`repro.analysis.mitigation_analysis` — the Fig. 8 variant comparison
-  and the Fig. 9 robust-vs-original comparison.
+* :mod:`repro.analysis.susceptibility` — the workload recipes and the
+  serial baseline training behind the Fig. 7 analysis.
+* :mod:`repro.analysis.mitigation_analysis` — variant-grid training and the
+  Fig. 8 / Fig. 9 reductions over ``fig8_variant`` payloads.
 * :mod:`repro.analysis.reporting` — plain-text tables matching the paper's
   artefacts (printed by the examples and benchmarks).
 * :mod:`repro.analysis.experiments` — registry of experiment ids (Table I,
-  Fig. 6-9, ablations) with their runners.
+  Fig. 6-9, ablations) with their runners; the figures are reductions over
+  cacheable unit runs.
 """
 
 from repro.analysis.metrics import (
@@ -19,17 +20,12 @@ from repro.analysis.metrics import (
     box_stats,
     percent,
 )
-from repro.analysis.susceptibility import (
-    ScenarioAccuracy,
-    SusceptibilityConfig,
-    SusceptibilityResult,
-    SusceptibilityStudy,
-)
+from repro.analysis.susceptibility import SusceptibilityConfig, SusceptibilityStudy
 from repro.analysis.mitigation_analysis import (
     MitigationAnalysisConfig,
     MitigationStudy,
-    MitigationStudyResult,
-    RobustComparisonRow,
+    most_robust_variant,
+    robust_comparison,
 )
 from repro.analysis.reporting import (
     format_fig7_table,
@@ -51,14 +47,12 @@ __all__ = [
     "accuracy_recovery",
     "box_stats",
     "percent",
-    "ScenarioAccuracy",
     "SusceptibilityConfig",
-    "SusceptibilityResult",
     "SusceptibilityStudy",
     "MitigationAnalysisConfig",
     "MitigationStudy",
-    "MitigationStudyResult",
-    "RobustComparisonRow",
+    "most_robust_variant",
+    "robust_comparison",
     "format_table",
     "format_table1",
     "format_fig7_table",

@@ -17,6 +17,13 @@ run/sweep``.  The per-point experiments share one per-process memo of trained
 workloads (:func:`prepared_workload`), so each worker-pool process trains or
 loads each (model, variant, seed) once and then evaluates many grid points
 against it, every one through the stacked attacked-inference path.
+
+The paper figures ``fig7``, ``fig8``, ``fig9`` and ``ablation_mitigation``
+are *reductions*: generator runners that yield the specs of their units
+(``fig7_grid`` per model, ``fig8_variant`` per variant) and reduce the
+payloads sent back.  :meth:`repro.engine.Campaign.run` runs those units
+through its result cache and executor, so a unit computed for one figure (or
+by a sweep) is reused by every other.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ import inspect
 import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Generator, Mapping
+
+if TYPE_CHECKING:
+    from repro.engine.spec import RunSpec
 
 __all__ = [
     "ExperimentDescriptor",
@@ -33,6 +43,8 @@ __all__ = [
     "experiment",
     "get_experiment",
     "experiment_ids",
+    "reduce_units",
+    "run_spec",
 ]
 
 
@@ -48,7 +60,8 @@ class ExperimentDescriptor:
         Callable returning a JSON-serializable summary dict.  Every parameter
         needs a JSON-serializable default, since the defaults are the
         experiment's parameters; a parameter without one raises
-        ``TypeError`` here.
+        ``TypeError`` here.  A runner written as a generator function is a
+        *reduction* (see :meth:`start`).
     attack_kind_params:
         Names of the parameters (if any) that accept registered attack
         kinds — e.g. ``("kind",)`` for the sweepable per-point experiments.
@@ -84,6 +97,11 @@ class ExperimentDescriptor:
         """Whether the experiment exposes a ``seed`` parameter."""
         return "seed" in self.default_params
 
+    @property
+    def reduction(self) -> bool:
+        """Whether the runner is a reduction over unit runs."""
+        return inspect.isgeneratorfunction(self.runner)
+
     def resolve_params(
         self,
         overrides: Mapping[str, object] | None = None,
@@ -108,14 +126,65 @@ class ExperimentDescriptor:
             params["seed"] = seed
         return params
 
+    def spec(self, params: Mapping[str, object] | None = None, seed: int = 0) -> RunSpec:
+        """The fully resolved run spec of ``params``, with the seed in ``RunSpec.seed``.
+
+        Every default is spelled out, so the fingerprint does not depend on
+        which values were given: the same point of a ``repro run``, a sweep,
+        a search or a reduction's unit list shares one cache entry.
+        """
+        from repro.engine.spec import RunSpec
+
+        resolved = self.resolve_params(params)
+        resolved.pop("seed", None)
+        return RunSpec(self.experiment_id, resolved, seed)
+
+    def start(
+        self,
+        params: Mapping[str, object] | None = None,
+        *,
+        seed: int | None = None,
+    ) -> tuple[Generator, list[RunSpec]]:
+        """Start a reduction: its generator and the unit specs it yields.
+
+        The generator yields the list of its units once, receives their
+        payloads (in that order) through ``send`` and returns its own
+        payload; :func:`reduce_units` finishes it.
+        """
+        reduction = self.runner(**self.resolve_params(params, seed=seed))
+        return reduction, list(next(reduction))
+
     def run(
         self,
         params: Mapping[str, object] | None = None,
         *,
         seed: int | None = None,
     ) -> dict:
-        """Execute the experiment with ``params`` merged over the defaults."""
-        return self.runner(**self.resolve_params(params, seed=seed))
+        """Execute the experiment with ``params`` merged over the defaults.
+
+        A reduction runs its units here, one after another; a unit's
+        exception propagates.
+        """
+        if not self.reduction:
+            return self.runner(**self.resolve_params(params, seed=seed))
+        reduction, units = self.start(params, seed=seed)
+        return reduce_units(reduction, [run_spec(unit) for unit in units])
+
+
+def run_spec(spec: RunSpec) -> dict:
+    """Run ``spec`` in this process and return its payload (errors propagate)."""
+    descriptor = get_experiment(spec.experiment_id)
+    return descriptor.run(spec.params, seed=spec.seed if descriptor.seedable else None)
+
+
+def reduce_units(reduction: Generator, payloads: list) -> dict:
+    """Send a started reduction its units' payloads; return its own payload."""
+    try:
+        reduction.send(payloads)
+    except StopIteration as stop:
+        return stop.value
+    reduction.close()
+    raise RuntimeError("a reduction must yield its units exactly once")
 
 
 #: Every registered experiment, in registration (= ``repro list``) order.
@@ -144,7 +213,9 @@ def experiment(
 #: workload identity (see :func:`prepared_workload`).  An entry holds the
 #: dataset split, the trained variant and the attacked-inference engines built
 #: from it by ``quantize_weights``, so each worker-pool process trains (or
-#: loads) a variant once and reuses it for every grid point it executes.
+#: loads) a variant once and reuses it for every grid point it executes.  A
+#: ``{"model", "seed"}`` entry holds the dataset split every variant of that
+#: workload shares, so the split is synthesized once per process.
 _WORKLOADS: dict[str, dict] = {}
 
 
@@ -181,14 +252,16 @@ def prepared_workload(
     if key not in _WORKLOADS:
         study = MitigationStudy(
             MitigationAnalysisConfig(
-                model_names=(model,),
                 variants=(variant_spec_from_name(variant),),
                 seed=seed,
                 checkpoint_cache=checkpoint_cache,
                 checkpoint_dir=checkpoint_dir,
             )
         )
-        split = study.prepare_split(model)
+        split_key = canonical_json({"model": model, "seed": seed})
+        if split_key not in _WORKLOADS:
+            _WORKLOADS[split_key] = {"split": study.prepare_split(model)}
+        split = _WORKLOADS[split_key]["split"]
         (trained,) = study.train_variants(model, split)
         _WORKLOADS[key] = {"split": split, "trained": trained, "engines": {}}
     workload = _WORKLOADS[key]
@@ -395,24 +468,26 @@ def _run_fig7(
     num_placements: int = 2,
     kind_params: dict | None = None,
     seed: int = 0,
-) -> dict:
-    from repro.analysis.susceptibility import SusceptibilityConfig, SusceptibilityStudy
-
-    config = SusceptibilityConfig(
-        model_names=tuple(model_names),
-        kinds=tuple(kinds),
-        blocks=tuple(blocks),
-        fractions=tuple(fractions),
-        num_placements=num_placements,
-        kind_params=kind_params,
-        seed=seed,
-    )
-    result = SusceptibilityStudy(config).run()
+):
+    """Reduces one ``fig7_grid`` unit per model to its baseline and worst drop."""
+    grid = get_experiment("fig7_grid")
+    payloads = yield [
+        grid.spec(
+            {
+                "model": model,
+                "kinds": kinds,
+                "blocks": blocks,
+                "fractions": fractions,
+                "num_placements": num_placements,
+                "kind_params": kind_params,
+            },
+            seed,
+        )
+        for model in model_names
+    ]
     return {
-        "baselines": result.baselines,
-        "worst_case_drops": {
-            model: result.worst_case_drop(model) for model in result.baselines
-        },
+        "baselines": {unit["model"]: unit["baseline"] for unit in payloads},
+        "worst_case_drops": {unit["model"]: unit["worst_case_drop"] for unit in payloads},
     }
 
 
@@ -439,8 +514,8 @@ def _run_fig7_point(
     ``--set kind_params='{"triggered": {"base": "hotspot"}}'``.  Seeds are
     derived exactly as :func:`repro.attacks.scenario.generate_scenarios`
     derives them, so a sweep over (kind, block, fraction, placement) reproduces
-    the same scenarios as a monolithic :class:`SusceptibilityStudy` run.  The
-    point is evaluated as a one-scenario stack on the batched path, which is
+    the scenarios of a ``fig7_grid`` run over the same axes.  The point is
+    evaluated as a one-scenario stack on the batched path, which is
     bit-identical to the per-scenario reference.
     """
     from repro.accelerator.config import AcceleratorConfig
@@ -599,7 +674,6 @@ def _run_fig7_adversarial(
     eta: int = 2,
     quantize_weights: bool = True,
     checkpoint_cache: bool = False,
-    candidate_cache: str = "",
     seed: int = 0,
 ) -> dict:
     """One whole black-box attack search as a sweepable experiment.
@@ -610,12 +684,8 @@ def _run_fig7_adversarial(
     stealth (``num_attacked_mrs``) vs. accuracy drop.  Sweeping this
     experiment over kinds/variants/optimizers compares whole searches;
     ``mu=0`` lets the evolutionary strategy pick its default parent count.
-    ``candidate_cache`` optionally names a result-cache directory for the
-    per-candidate records (the ``repro search`` CLI wires this up
-    automatically; keep it empty for hermetic payloads).
     """
     from repro.attacks.search import AttackSearch, AttackSearchConfig
-    from repro.engine.cache import ResultCache
 
     config = AttackSearchConfig(
         kind=kind,
@@ -634,8 +704,35 @@ def _run_fig7_adversarial(
         checkpoint_cache=checkpoint_cache,
         seed=seed,
     )
-    cache = ResultCache(candidate_cache) if candidate_cache else None
-    return AttackSearch(config, cache=cache).run().to_payload()
+    return AttackSearch(config).run().to_payload()
+
+
+def _fig8_units(model_names, variants, checkpoint_cache: bool, seed: int) -> list[RunSpec]:
+    """One ``fig8_variant`` spec per (model, variant) on the Fig. 8 attack grid."""
+    from repro.analysis.mitigation_analysis import FIG8_ATTACK_GRID
+
+    unit = get_experiment("fig8_variant")
+    return [
+        unit.spec(
+            {
+                "model": model,
+                "variant": variant,
+                "checkpoint_cache": checkpoint_cache,
+                **FIG8_ATTACK_GRID,
+            },
+            seed,
+        )
+        for model in model_names
+        for variant in variants
+    ]
+
+
+def _per_model(payloads: list) -> list[list]:
+    """Split ``fig8``'s model-major unit payloads into one group per model."""
+    from repro.analysis.mitigation_analysis import FIG8_VARIANTS
+
+    size = len(FIG8_VARIANTS)
+    return [payloads[start : start + size] for start in range(0, len(payloads), size)]
 
 
 @experiment("fig8", "Accuracy distribution of mitigation variants", "Fig. 8(a)-(c)")
@@ -643,20 +740,17 @@ def _run_fig8(
     model_names: tuple[str, ...] = ("cnn_mnist",),
     checkpoint_cache: bool = False,
     seed: int = 0,
-) -> dict:
-    from repro.analysis.mitigation_analysis import MitigationAnalysisConfig, MitigationStudy
+):
+    """Reduces one ``fig8_variant`` unit per (model, variant) to each
+    model's most robust variant."""
+    from repro.analysis.mitigation_analysis import FIG8_VARIANTS, most_robust_variant
 
-    study = MitigationStudy(
-        MitigationAnalysisConfig.quick(
-            model_names=tuple(model_names),
-            checkpoint_cache=checkpoint_cache,
-            seed=seed,
-        )
-    )
-    result = study.run()
+    payloads = yield _fig8_units(model_names, FIG8_VARIANTS, checkpoint_cache, seed)
     return {
-        "best_variant": result.best_variant,
-        "num_distributions": len(result.distributions),
+        "best_variant": {
+            group[0]["model"]: most_robust_variant(group) for group in _per_model(payloads)
+        },
+        "num_distributions": len(payloads),
     }
 
 
@@ -684,8 +778,8 @@ def _run_fig8_variant(
     are directly comparable (as in the paper's Fig. 8 box plots).  With
     ``checkpoint_cache`` the trained model is loaded from / stored to the
     content-addressed checkpoint store — the same addresses
-    :class:`MitigationStudy` uses, so ``python -m repro train`` pre-warms
-    whole sweeps.
+    ``python -m repro train`` pre-warms.  This is the unit ``fig8``, ``fig9``
+    and ``ablation_mitigation`` reduce.
     """
     import numpy as np
 
@@ -788,26 +882,17 @@ def _run_fig9(
     model_names: tuple[str, ...] = ("cnn_mnist",),
     checkpoint_cache: bool = False,
     seed: int = 0,
-) -> dict:
-    from repro.analysis.mitigation_analysis import MitigationAnalysisConfig, MitigationStudy
+):
+    """Reduces ``fig8``'s units to the recovery of each model's most robust
+    variant over ``Original`` under CONV+FC attacks."""
+    from repro.analysis.mitigation_analysis import FIG8_VARIANTS, robust_comparison
 
-    study = MitigationStudy(
-        MitigationAnalysisConfig.quick(
-            model_names=tuple(model_names),
-            checkpoint_cache=checkpoint_cache,
-            seed=seed,
-        )
-    )
-    result = study.run()
+    payloads = yield _fig8_units(model_names, FIG8_VARIANTS, checkpoint_cache, seed)
     return {
         "comparison": [
-            {
-                "model": row.model,
-                "kind": row.kind,
-                "fraction": row.fraction,
-                "recovery": row.recovery,
-            }
-            for row in result.comparison
+            {key: row[key] for key in ("model", "kind", "fraction", "recovery")}
+            for group in _per_model(payloads)
+            for row in robust_comparison(group)
         ]
     }
 
@@ -818,18 +903,15 @@ def _run_fig9(
 def _run_ablation_mitigation(
     variants: tuple[str, ...] = ("Original", "L2_reg", "noise_n3", "l2+n3"),
     seed: int = 0,
-) -> dict:
-    from repro.analysis.mitigation_analysis import MitigationAnalysisConfig, MitigationStudy
-    from repro.mitigation.robust_training import variant_spec_from_name
-
-    specs = tuple(variant_spec_from_name(name) for name in variants)
-    study = MitigationStudy(MitigationAnalysisConfig.quick(variants=specs, seed=seed))
-    result = study.run()
-    medians = {
-        dist.variant: float(sorted(dist.accuracies)[len(dist.accuracies) // 2])
-        for dist in result.distributions
+):
+    """Reduces one ``fig8_variant`` unit per variant to its median accuracy."""
+    payloads = yield _fig8_units(("cnn_mnist",), variants, False, seed)
+    return {
+        "median_attacked_accuracy": {
+            unit["variant"]: float(sorted(unit["accuracies"])[len(unit["accuracies"]) // 2])
+            for unit in payloads
+        }
     }
-    return {"median_attacked_accuracy": medians}
 
 
 @experiment("ablation_tuning", "EO vs TO tuning power/latency", "§II.B")

@@ -1,24 +1,25 @@
 """Mitigation analysis (paper §VI, Figs. 8 and 9).
 
-The study trains the variant grid (Original, L2_reg, l2+n1 .. l2+n9) for each
-workload, evaluates every variant across the attack grid, selects the most
-robust variant and compares it against the original model under attacks on
-the full accelerator (CONV + FC) at 1%, 5% and 10% intensity.
+:class:`MitigationStudy` trains (or loads from the checkpoint store) a
+workload's variant grid — Original, L2_reg, l2+n1 .. l2+n9 — which is how
+``repro train`` pre-warms the store and how every ``fig8_variant`` unit gets
+its model.  Fig. 8 evaluates each variant across one attack grid
+(:data:`FIG8_VARIANTS` on :data:`FIG8_ATTACK_GRID`) and selects the most
+robust one (:func:`most_robust_variant`); Fig. 9 compares it against the
+original model under CONV+FC attacks (:func:`robust_comparison`).  Both work
+on ``fig8_variant`` payloads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.inference import AttackedInferenceEngine
 from repro.analysis.susceptibility import _WORKLOAD_DEFAULTS, workload_split
-from repro.attacks.base import PAPER_KINDS
-from repro.attacks.hotspot import HotspotAttackConfig
-from repro.attacks.scenario import DEFAULT_FRACTIONS, generate_scenarios, sample_outcome
+from repro.attacks.scenario import generate_scenarios
 from repro.datasets.base import DatasetSplit
 from repro.mitigation.robust_training import (
     VariantResult,
@@ -29,36 +30,48 @@ from repro.mitigation.robust_training import (
     train_variant_grid_stacked,
     variant_checkpoint_key,
 )
-from repro.mitigation.selection import RobustnessScore, select_most_robust
+from repro.mitigation.selection import select_most_robust
 from repro.nn.models.registry import MODEL_DATASETS
 from repro.nn.training import TrainingConfig
-from repro.utils.validation import check_positive_int
 
 __all__ = [
+    "FIG8_ATTACK_GRID",
+    "FIG8_VARIANTS",
     "MitigationAnalysisConfig",
-    "VariantDistribution",
-    "RobustComparisonRow",
-    "MitigationStudyResult",
     "MitigationStudy",
+    "most_robust_variant",
+    "robust_comparison",
 ]
+
+#: The mitigation variants Figs. 8 and 9 compare.
+FIG8_VARIANTS = ("Original", "L2_reg", "l2+n2", "l2+n5")
+
+#: The attack grid every Fig. 8/9 variant faces: both paper kinds on the full
+#: accelerator (CONV+FC) at 5% and 10%, two placements each.  The figures
+#: pass it to their ``fig8_variant`` units explicitly, so a change to that
+#: experiment's defaults cannot move them.
+FIG8_ATTACK_GRID = MappingProxyType(
+    {
+        "kinds": ("actuation", "hotspot"),
+        "blocks": ("both",),
+        "fractions": (0.05, 0.10),
+        "num_placements": 2,
+    }
+)
+
 
 @dataclass
 class MitigationAnalysisConfig:
-    """Configuration of the Fig. 8 / Fig. 9 studies.
+    """Configuration of a workload's variant training.
 
     Attributes
     ----------
-    model_names:
-        Workloads to evaluate.
     variants:
         Variant grid (defaults to the paper's Original, L2_reg, l2+n1..n9).
-    kinds, blocks, fractions, num_placements:
-        Attack grid used for the variant comparison (Fig. 8 evaluates every
-        block target; Fig. 9 uses the combined CONV+FC attacks).  ``kinds``
-        accepts any registered attack kind; ``kind_params`` carries per-kind
-        physical parameters for the non-default ones.
     seed:
-        Master seed.
+        Master seed of the dataset and the training.
+    test_fraction:
+        Fraction of each synthetic dataset held out for accuracy measurement.
     checkpoint_cache:
         Consult (and fill) the content-addressed trained-model store before
         training: variants whose checkpoint exists are loaded with **zero
@@ -68,114 +81,79 @@ class MitigationAnalysisConfig:
         ``.repro-cache/checkpoints``).
     """
 
-    model_names: Sequence[str] = ("cnn_mnist", "resnet18", "vgg16_variant")
     variants: Sequence[VariantSpec] | None = None
-    kinds: Sequence[str] = PAPER_KINDS
-    blocks: Sequence[str] = ("conv", "fc", "both")
-    fractions: Sequence[float] = DEFAULT_FRACTIONS
-    num_placements: int = 3
     seed: int = 0
-    accelerator: AcceleratorConfig = field(default_factory=AcceleratorConfig.scaled_config)
-    hotspot: HotspotAttackConfig = field(default_factory=HotspotAttackConfig)
-    kind_params: dict | None = None
-    quantize_weights: bool = True
     test_fraction: float = 0.25
     checkpoint_cache: bool = False
     checkpoint_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.num_placements, "num_placements")
 
     def variant_grid(self) -> list[VariantSpec]:
         if self.variants is not None:
             return list(self.variants)
         return default_variant_grid()
 
-    @classmethod
-    def quick(cls, **overrides) -> "MitigationAnalysisConfig":
-        """Reduced configuration for tests and benchmarks."""
-        from repro.mitigation.l2_regularization import L2Config
-        from repro.mitigation.noise_aware import NoiseAwareConfig
 
-        defaults = dict(
-            model_names=("cnn_mnist",),
-            variants=(
-                VariantSpec(name="Original"),
-                VariantSpec(name="L2_reg", l2=L2Config()),
-                VariantSpec(name="l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
-                VariantSpec(name="l2+n5", l2=L2Config(), noise=NoiseAwareConfig(std=0.5)),
-            ),
-            blocks=("both",),
-            fractions=(0.05, 0.10),
-            num_placements=2,
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
+def most_robust_variant(payloads: Sequence[Mapping]) -> str:
+    """The variant :func:`select_most_robust` picks among one model's
+    ``fig8_variant`` payloads (``Original`` is never picked)."""
+    best, _ = select_most_robust(
+        {unit["variant"]: np.asarray(unit["accuracies"]) for unit in payloads}
+    )
+    return best
 
 
-@dataclass(frozen=True)
-class VariantDistribution:
-    """Fig. 8 data point: one variant's attacked-accuracy distribution."""
+def robust_comparison(
+    payloads: Sequence[Mapping], grid: Mapping = FIG8_ATTACK_GRID
+) -> list[dict]:
+    """Fig. 9 rows: ``Original`` vs. the most robust variant of one model.
 
-    model: str
-    variant: str
-    baseline_accuracy: float
-    accuracies: np.ndarray
-
-    def summary(self) -> dict[str, float]:
-        from repro.analysis.metrics import box_stats
-
-        stats = box_stats(self.accuracies).as_dict()
-        stats["baseline"] = self.baseline_accuracy
-        return stats
-
-
-@dataclass(frozen=True)
-class RobustComparisonRow:
-    """Fig. 9 data point: original vs. robust model under one attack setting."""
-
-    model: str
-    kind: str
-    fraction: float
-    original_baseline: float
-    robust_baseline: float
-    original_accuracy_mean: float
-    original_accuracy_min: float
-    robust_accuracy_mean: float
-    robust_accuracy_min: float
-
-    @property
-    def original_drop(self) -> float:
-        return self.original_baseline - self.original_accuracy_min
-
-    @property
-    def recovery(self) -> float:
-        """Worst-case accuracy recovered by the robust model (accuracy points)."""
-        return self.robust_accuracy_min - self.original_accuracy_min
-
-
-@dataclass
-class MitigationStudyResult:
-    """Outputs of the mitigation study for all workloads."""
-
-    config: MitigationAnalysisConfig
-    distributions: list[VariantDistribution] = field(default_factory=list)
-    best_variant: dict[str, str] = field(default_factory=dict)
-    variant_scores: dict[str, list[RobustnessScore]] = field(default_factory=dict)
-    comparison: list[RobustComparisonRow] = field(default_factory=list)
-    #: Per-model training accounting: variants trained vs loaded from the
-    #: checkpoint cache, and the optimizer steps actually performed.
-    training_stats: dict[str, dict] = field(default_factory=dict)
-
-    def distributions_for(self, model: str) -> list[VariantDistribution]:
-        return [d for d in self.distributions if d.model == model]
-
-    def comparison_for(self, model: str) -> list[RobustComparisonRow]:
-        return [row for row in self.comparison if row.model == model]
+    ``payloads`` are the model's ``fig8_variant`` payloads over the attack
+    ``grid``; their accuracies come in the order of
+    :func:`~repro.attacks.scenario.generate_scenarios` on that grid, which is
+    regenerated here to slice them.  One row per (kind, fraction) of the
+    CONV+FC attacks, with both models' mean and minimum accuracy and the
+    worst-case ``recovery`` (robust minus original minimum).
+    """
+    by_variant = {unit["variant"]: unit for unit in payloads}
+    original = np.asarray(by_variant["Original"]["accuracies"])
+    robust_name = most_robust_variant(payloads)
+    robust = np.asarray(by_variant[robust_name]["accuracies"])
+    # The master seed only moves each scenario's placement seed, never the
+    # grid's order or a scenario's kind, block and fraction, so the default
+    # seed slices the units' accuracies like the seed they ran under.
+    scenarios = generate_scenarios(**grid)
+    rows = []
+    for kind in grid["kinds"]:
+        for fraction in grid["fractions"]:
+            selected = [
+                index
+                for index, scenario in enumerate(scenarios)
+                if scenario.spec.kind == kind
+                and scenario.spec.target_block == "both"
+                and np.isclose(scenario.spec.fraction, fraction)
+            ]
+            if not selected:
+                continue
+            original_min = float(original[selected].min())
+            robust_min = float(robust[selected].min())
+            rows.append(
+                {
+                    "model": by_variant["Original"]["model"],
+                    "kind": kind,
+                    "fraction": fraction,
+                    "robust_variant": robust_name,
+                    "original_mean": float(original[selected].mean()),
+                    "original_min": original_min,
+                    "robust_mean": float(robust[selected].mean()),
+                    "robust_min": robust_min,
+                    "recovery": robust_min - original_min,
+                }
+            )
+    return rows
 
 
 class MitigationStudy:
-    """Runs the Fig. 8 variant comparison and the Fig. 9 robust-vs-original study."""
+    """Trains or loads the variant grid of a workload."""
 
     def __init__(self, config: MitigationAnalysisConfig | None = None):
         self.config = config or MitigationAnalysisConfig()
@@ -271,109 +249,3 @@ class MitigationStudy:
             "training_steps": training_steps,
         }
         return [result for result in results if result is not None]
-
-    # ------------------------------------------------------------------ run
-    def run(self) -> MitigationStudyResult:
-        """Run the full mitigation study for every configured workload."""
-        result = MitigationStudyResult(config=self.config)
-        scenarios = generate_scenarios(
-            kinds=self.config.kinds,
-            blocks=self.config.blocks,
-            fractions=self.config.fractions,
-            num_placements=self.config.num_placements,
-            master_seed=self.config.seed,
-        )
-        # Pre-sample outcomes once: every variant faces the same attacks.
-        outcomes = [
-            (
-                s,
-                sample_outcome(
-                    s,
-                    self.config.accelerator,
-                    self.config.hotspot,
-                    kind_params=self.config.kind_params,
-                ),
-            )
-            for s in scenarios
-        ]
-        for model_name in self.config.model_names:
-            split = self.prepare_split(model_name)
-            variants = self.train_variants(model_name, split)
-            result.training_stats[model_name] = dict(
-                self.last_training_stats.get(model_name, {})
-            )
-            accuracy_by_variant: dict[str, np.ndarray] = {}
-            for variant in variants:
-                engine = AttackedInferenceEngine(
-                    variant.model,
-                    config=self.config.accelerator,
-                    quantize_weights=self.config.quantize_weights,
-                )
-                accuracies = engine.accuracy_under_attacks(
-                    split.test, [outcome for _, outcome in outcomes]
-                )
-                accuracy_by_variant[variant.spec.name] = accuracies
-                result.distributions.append(
-                    VariantDistribution(
-                        model=model_name,
-                        variant=variant.spec.name,
-                        baseline_accuracy=variant.baseline_accuracy,
-                        accuracies=accuracies,
-                    )
-                )
-            best, scores = select_most_robust(accuracy_by_variant)
-            result.best_variant[model_name] = best
-            result.variant_scores[model_name] = scores
-            result.comparison.extend(
-                self._compare_best(
-                    model_name, variants, accuracy_by_variant, outcomes, best
-                )
-            )
-        return result
-
-    # ------------------------------------------------------------- figure 9
-    def _compare_best(
-        self,
-        model_name: str,
-        variants: list[VariantResult],
-        accuracy_by_variant: dict[str, np.ndarray],
-        outcomes,
-        best: str,
-    ) -> list[RobustComparisonRow]:
-        """Fig. 9 rows: original vs. the selected robust variant (CONV+FC attacks).
-
-        Every (scenario, variant) accuracy is already available from the
-        Fig. 8 grid evaluation, so the comparison just slices the accuracy
-        arrays instead of re-running attacked inference.
-        """
-        by_name = {variant.spec.name: variant for variant in variants}
-        original = by_name["Original"]
-        robust = by_name[best]
-        rows: list[RobustComparisonRow] = []
-        for kind in self.config.kinds:
-            for fraction in self.config.fractions:
-                selected = [
-                    index
-                    for index, (s, _) in enumerate(outcomes)
-                    if s.spec.kind == kind
-                    and s.spec.target_block == "both"
-                    and np.isclose(s.spec.fraction, fraction)
-                ]
-                if not selected:
-                    continue
-                original_accs = np.asarray(accuracy_by_variant["Original"])[selected]
-                robust_accs = np.asarray(accuracy_by_variant[best])[selected]
-                rows.append(
-                    RobustComparisonRow(
-                        model=model_name,
-                        kind=kind,
-                        fraction=fraction,
-                        original_baseline=original.baseline_accuracy,
-                        robust_baseline=robust.baseline_accuracy,
-                        original_accuracy_mean=float(original_accs.mean()),
-                        original_accuracy_min=float(original_accs.min()),
-                        robust_accuracy_mean=float(robust_accs.mean()),
-                        robust_accuracy_min=float(robust_accs.min()),
-                    )
-                )
-        return rows

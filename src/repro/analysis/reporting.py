@@ -6,12 +6,11 @@ assert on them without depending on a plotting stack.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.analysis.metrics import box_stats, percent
-from repro.analysis.susceptibility import SusceptibilityResult
 
 __all__ = [
     "format_table",
@@ -72,43 +71,47 @@ def format_table1(rows: list[dict[str, object]]) -> str:
     return format_table(headers, table_rows, title="Table I: CNN model parameters")
 
 
-def format_fig7_table(result: SusceptibilityResult, model: str) -> str:
-    """Summarize the Fig. 7 susceptibility series for one workload."""
+def format_fig7_table(grid: Mapping) -> str:
+    """Summarize one workload's Fig. 7 series from a ``fig7_grid`` payload.
+
+    Accuracies are grouped by scenario label (``kind-block-NN%#placement``)
+    into one row per attack setting, in grid order.
+    """
     headers = ["Attack", "Block", "Fraction", "Mean acc", "Min acc", "Max drop"]
-    baseline = result.baselines.get(model, float("nan"))
+    baseline = float(grid["baseline"])
+    settings: dict[str, list[float]] = {}
+    for label, accuracy in grid["accuracies"].items():
+        settings.setdefault(label.rsplit("#", 1)[0], []).append(float(accuracy))
     rows = []
-    for kind in result.config.kinds:
-        for block in result.config.blocks:
-            for fraction in result.config.fractions:
-                accs = result.accuracies_for(model, kind=kind, block=block, fraction=fraction)
-                if accs.size == 0:
-                    continue
-                rows.append(
-                    [
-                        kind,
-                        block,
-                        f"{round(fraction * 100)}%",
-                        percent(float(accs.mean())),
-                        percent(float(accs.min())),
-                        percent(float(baseline - accs.min())),
-                    ]
-                )
-    title = f"Fig. 7 ({model}): attacked accuracy, baseline {percent(baseline)}"
+    for setting, values in settings.items():
+        kind, block, fraction = setting.rsplit("-", 2)
+        accs = np.asarray(values)
+        rows.append(
+            [
+                kind,
+                block,
+                fraction,
+                percent(float(accs.mean())),
+                percent(float(accs.min())),
+                percent(float(baseline - accs.min())),
+            ]
+        )
+    title = f"Fig. 7 ({grid['model']}): attacked accuracy, baseline {percent(baseline)}"
     return format_table(headers, rows, title=title)
 
 
-def format_fig8_table(distributions, model: str) -> str:
-    """Summarize the Fig. 8 box-plot data for one workload."""
+def format_fig8_table(payloads: Sequence[Mapping], model: str) -> str:
+    """Summarize the Fig. 8 box-plot data of one workload's ``fig8_variant`` payloads."""
     headers = ["Variant", "Baseline", "Min", "Q1", "Median", "Q3", "Max"]
     rows = []
-    for dist in distributions:
-        if dist.model != model:
+    for unit in payloads:
+        if unit["model"] != model:
             continue
-        stats = box_stats(dist.accuracies)
+        stats = box_stats(np.asarray(unit["accuracies"]))
         rows.append(
             [
-                dist.variant,
-                percent(dist.baseline_accuracy),
+                unit["variant"],
+                percent(unit["baseline"]),
                 percent(stats.minimum),
                 percent(stats.q1),
                 percent(stats.median),
@@ -119,8 +122,8 @@ def format_fig8_table(distributions, model: str) -> str:
     return format_table(headers, rows, title=f"Fig. 8 ({model}): accuracy across attack scenarios")
 
 
-def format_fig9_table(comparison_rows, model: str) -> str:
-    """Summarize the Fig. 9 robust-vs-original comparison for one workload."""
+def format_fig9_table(comparison_rows: Sequence[Mapping], model: str) -> str:
+    """Summarize the Fig. 9 rows of :func:`~repro.analysis.mitigation_analysis.robust_comparison`."""
     headers = [
         "Attack", "Fraction",
         "Original mean", "Original worst",
@@ -129,17 +132,17 @@ def format_fig9_table(comparison_rows, model: str) -> str:
     ]
     rows = []
     for row in comparison_rows:
-        if row.model != model:
+        if row["model"] != model:
             continue
         rows.append(
             [
-                row.kind,
-                f"{round(row.fraction * 100)}%",
-                percent(row.original_accuracy_mean),
-                percent(row.original_accuracy_min),
-                percent(row.robust_accuracy_mean),
-                percent(row.robust_accuracy_min),
-                percent(row.recovery),
+                row["kind"],
+                f"{round(row['fraction'] * 100)}%",
+                percent(row["original_mean"]),
+                percent(row["original_min"]),
+                percent(row["robust_mean"]),
+                percent(row["robust_min"]),
+                percent(row["recovery"]),
             ]
         )
     return format_table(

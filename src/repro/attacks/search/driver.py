@@ -380,10 +380,9 @@ class AttackSearch:
         produce — cache entries are shared across every execution path.
         """
         from repro.analysis.experiments import get_experiment
-        from repro.engine.spec import RunSpec
 
         config = self.config
-        params = get_experiment("fig7_candidate").resolve_params(
+        return get_experiment("fig7_candidate").spec(
             {
                 "model": config.model,
                 "variant": config.variant,
@@ -394,10 +393,9 @@ class AttackSearch:
                 "placements": candidate.placements,
                 "quantize_weights": config.quantize_weights,
                 "checkpoint_cache": config.checkpoint_cache,
-            }
+            },
+            config.seed,
         )
-        params.pop("seed", None)
-        return RunSpec("fig7_candidate", params, seed=config.seed)
 
     # -------------------------------------------------------------------- run
     def run(self, progress=None) -> AttackSearchResult:

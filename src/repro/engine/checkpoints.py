@@ -16,9 +16,9 @@ Each entry is a pair of files under ``<root>/<group>/``:
   baseline accuracy, training history, and a best-effort ``hits`` counter
   that ``python -m repro report`` surfaces).
 
-The mitigation studies (`MitigationStudy`, ``fig8_variant``,
-``fig7_candidate``, sweeps) consult this store before training; ``python -m
-repro train`` pre-warms it.
+Variant training (``MitigationStudy.train_variants``, behind every
+``fig8_variant`` and ``fig7_candidate`` run) consults this store before
+training; ``python -m repro train`` pre-warms it.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ Subcommands
     Pre-warm the trained-model checkpoint cache: train mitigation variant
     grids in one stacked pass and store every trained model
     content-addressed, so later ``fig8``/``fig9``/``fig8_variant``/
-    ``fig7_candidate`` runs and :class:`MitigationStudy` instances load
-    instead of re-train.
+    ``fig7_candidate`` runs with ``checkpoint_cache`` load instead of
+    re-train.
 ``report``
     Summarize the records accumulated in the result cache, including
     min/mean/max per-run wall time per experiment, the trained-model
@@ -69,7 +69,7 @@ from typing import Sequence
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.engine.campaign import Campaign, ProgressEvent
-from repro.engine.spec import RunSpec, SweepSpec
+from repro.engine.spec import SweepSpec
 from repro.version import __version__
 
 __all__ = ["main", "build_parser"]
@@ -544,13 +544,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: experiment {args.experiment_id!r} does not take a seed",
               file=sys.stderr)
         return 2
-    resolved = descriptor.resolve_params(params)
-    resolved.pop("seed", None)
-    spec = RunSpec(
-        experiment_id=args.experiment_id,
-        params=resolved,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    spec = descriptor.spec(params, args.seed if args.seed is not None else 0)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     campaign = Campaign([spec], cache=cache)
     result = campaign.run()
@@ -1120,7 +1114,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     summary: dict[str, dict] = {}
     for model in args.models:
         config = MitigationAnalysisConfig(
-            model_names=(model,),
             variants=variants,
             seed=args.seed,
             checkpoint_cache=True,

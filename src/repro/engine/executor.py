@@ -54,6 +54,7 @@ from repro.version import __version__
 
 __all__ = [
     "execute_run",
+    "run_record",
     "failure_record",
     "RetryPolicy",
     "RunFailure",
@@ -156,15 +157,26 @@ def execute_run(
     as an ordinary failed record while ``crash``/``hang`` behave exactly like
     a segfaulting or stuck native call.
     """
-    from repro.analysis.experiments import get_experiment
+    from repro.analysis.experiments import run_spec
 
+    def compute() -> dict:
+        fault_point("worker.run", key=spec.label())
+        return run_spec(spec)
+
+    return run_record(spec, compute, executor_kind, version)
+
+
+def run_record(
+    spec: RunSpec,
+    compute: Callable[[], dict],
+    executor_kind: str,
+    version: str = __version__,
+) -> RunRecord:
+    """Call ``compute`` and wrap its payload, or what it raised, in ``spec``'s record."""
     started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     start = perf_counter()
     try:
-        fault_point("worker.run", key=spec.label())
-        descriptor = get_experiment(spec.experiment_id)
-        seed = spec.seed if descriptor.seedable else None
-        payload = descriptor.run(spec.params, seed=seed)
+        payload = compute()
         status, error = "ok", None
     except Exception as exc:  # noqa: BLE001 — sweep survives bad points
         payload, status, error = {}, "error", f"{type(exc).__name__}: {exc}"

@@ -209,11 +209,10 @@ class SweepSpec:
                 raise ValidationError(
                     "sweep the seed via SweepSpec.seeds, not a parameter axis"
                 )
-            if descriptor is not None:
-                params = descriptor.resolve_params(params)
-                params.pop("seed", None)
             for seed in self.seeds:
                 specs.append(
-                    RunSpec(experiment_id=self.experiment_id, params=params, seed=seed)
+                    descriptor.spec(params, seed)
+                    if descriptor is not None
+                    else RunSpec(self.experiment_id, params, seed)
                 )
         return specs

@@ -443,8 +443,8 @@ def load_cached_variant(
 ) -> VariantResult | None:
     """Fetch and rebuild one trained variant from the checkpoint store.
 
-    The single load path, in ``MitigationStudy.train_variants``, which the
-    studies and the per-point runners all train through: any store miss *or*
+    The single load path, in ``MitigationStudy.train_variants``, which
+    ``repro train`` and the per-point runners all train through: any store miss *or*
     reconstruction failure (schema drift, shape mismatch from a stale entry)
     counts as a miss — the caller retrains and overwrites, mirroring the
     store's own corrupt-entry semantics.

@@ -19,6 +19,8 @@ tests is reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
 import time
 import urllib.error
@@ -118,21 +120,26 @@ class ServeClient:
 
     # ------------------------------------------------------------- plumbing
     def _request(self, method: str, path: str, payload: dict | None = None):
-        key = f"{method} {path}"
         for attempt in range(1, self.retries + 2):
-            final = attempt > self.retries
             try:
                 return self._request_once(method, path, payload)
             except ServeError as exc:
-                retryable = exc.status in _RETRYABLE_STATUSES or exc.status == 0
-                if final or not retryable:
+                delay = self._retry_delay(exc, attempt, f"{method} {path}")
+                if delay is None:
                     raise
-                delay = self._backoff.delay_s(attempt, key=key)
-                retry_after = exc.payload.get("retry_after")
-                if retry_after is not None:
-                    delay = max(delay, float(retry_after))
-                time.sleep(min(delay, self._backoff.backoff_cap_s))
+                time.sleep(delay)
         raise AssertionError("unreachable")  # loop always returns or raises
+
+    def _retry_delay(self, exc: ServeError, attempt: int, key: str) -> float | None:
+        """Backoff before retrying after failed ``attempt``; None: give up."""
+        retryable = exc.status in _RETRYABLE_STATUSES or exc.status == 0
+        if attempt > self.retries or not retryable:
+            return None
+        delay = self._backoff.delay_s(attempt, key=key)
+        retry_after = exc.payload.get("retry_after")
+        if retry_after is not None:
+            delay = max(delay, float(retry_after))
+        return min(delay, self._backoff.backoff_cap_s)
 
     def _request_once(self, method: str, path: str, payload: dict | None = None):
         data = json.dumps(payload).encode() if payload is not None else None
@@ -249,6 +256,10 @@ class ServeClient:
         but healthy stream alive indefinitely, while a dead daemon still times
         out.
         """
+        return (line for line in self._follow(job_id) if line)
+
+    def _follow(self, job_id: str):
+        """The job's event stream line by line, each keep-alive comment as ``""``."""
         headers = {"X-Repro-Client": self.client} if self.client else {}
         request = urllib.request.Request(
             f"{self.url}/jobs/{job_id}/events?follow=1", headers=headers
@@ -256,10 +267,8 @@ class ServeClient:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 for raw in response:
-                    line = raw.decode(errors="replace").rstrip("\n")
-                    if not line or line.startswith(":"):
-                        continue  # blank or keep-alive comment
-                    yield line
+                    for line in raw.decode(errors="replace").splitlines():
+                        yield "" if line.startswith(":") else line
         except urllib.error.HTTPError as exc:
             try:
                 payload = json.loads(exc.read() or b"{}")
@@ -269,63 +278,62 @@ class ServeClient:
                 payload.get("error", f"HTTP {exc.code}"), status=exc.code,
                 payload=payload,
             ) from exc
-        except (urllib.error.URLError, OSError) as exc:
+        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
             raise ServeError(
                 f"event stream for job {job_id} broke: {exc}"
             ) from exc
 
     # ------------------------------------------------------------ waiting
-    def wait(
-        self,
-        job_id: str,
-        timeout: float | None = None,
-        poll_s: float = 0.3,
-        max_poll_s: float = 2.0,
-        on_event=None,
-    ) -> dict:
-        """Poll until the job reaches a terminal state; returns its document.
+    def wait(self, job_id: str, timeout: float | None = None, on_event=None) -> dict:
+        """Follow the job's event stream until it is terminal; returns its document.
 
-        ``on_event`` (if given) receives every *new* progress line exactly
-        once as the wait progresses — the CLI uses it to mirror the sweep
-        command's live per-point output.
-
-        The poll interval starts at ``poll_s`` and grows 1.5× per idle poll
-        up to ``max_poll_s``, resetting whenever the job makes progress — so
-        short jobs stay snappy and long waits do not hammer the daemon.
+        ``on_event`` (if given) receives every progress line exactly once as
+        the wait progresses — the CLI uses it to mirror the sweep command's
+        live per-point output.  A stream broken by a daemon restart is
+        re-opened under the client's retry policy, skipping the lines already
+        delivered.  The daemon's keep-alive comments (about one a second) let
+        an idle wait notice its ``timeout``.
 
         A job ending ``failed`` or ``cancelled`` raises
         :class:`JobFailedError` (carrying the terminal job document and its
         quarantined-point list) so callers cannot mistake a bad campaign for
-        a good one.  Transport problems raise plain :class:`ServeError` — the
-        two failure modes are different types.
+        a good one.  Transport problems and a passed ``timeout`` raise plain
+        :class:`ServeError` — the two failure modes are different types.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        seen = 0
-        interval = poll_s
-        last_done = -1
+        delivered = 0
+        broken = 0  # consecutive failed stream attempts
         while True:
-            if on_event is not None:
-                events = self.events(job_id)
-                for line in events[seen:]:
-                    on_event(line)
-                if len(events) > seen:
-                    interval = poll_s  # progress: poll eagerly again
-                seen = len(events)
+            seen = 0
+            try:
+                with contextlib.closing(self._follow(job_id)) as lines:
+                    for line in lines:
+                        broken = 0
+                        if line:
+                            seen += 1
+                            if seen > delivered:
+                                delivered = seen
+                                if on_event is not None:
+                                    on_event(line)
+                        if deadline is not None and time.monotonic() > deadline:
+                            break
+            except ServeError as exc:
+                broken += 1
+                delay = self._retry_delay(exc, broken, f"GET /jobs/{job_id}/events")
+                if delay is None:
+                    raise
+                time.sleep(delay)
+                continue
             job = self.job(job_id)
             if job["state"] in TERMINAL_STATES:
                 if on_event is not None:
-                    for line in self.events(job_id)[seen:]:
+                    for line in self.events(job_id)[delivered:]:
                         on_event(line)
                 if job["state"] in ("failed", "cancelled"):
                     raise JobFailedError(job)
                 return job
-            if job.get("done", 0) != last_done:
-                last_done = job.get("done", 0)
-                interval = poll_s
             if deadline is not None and time.monotonic() > deadline:
                 raise ServeError(
                     f"timed out after {timeout}s waiting for job {job_id} "
                     f"({job['done']}/{job['total']} points done)"
                 )
-            time.sleep(interval)
-            interval = min(interval * 1.5, max_poll_s)

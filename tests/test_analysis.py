@@ -1,4 +1,4 @@
-"""Tests for the analysis harnesses: metrics, susceptibility, mitigation studies, reporting."""
+"""Tests for the analysis harnesses: metrics, the Fig. 7-9 reductions, reporting."""
 
 from __future__ import annotations
 
@@ -15,10 +15,6 @@ import pytest
 
 from repro.analysis import (
     EXPERIMENTS,
-    MitigationAnalysisConfig,
-    MitigationStudy,
-    SusceptibilityConfig,
-    SusceptibilityStudy,
     accuracy_drop,
     accuracy_recovery,
     box_stats,
@@ -28,10 +24,11 @@ from repro.analysis import (
     format_table,
     format_table1,
     get_experiment,
+    most_robust_variant,
     percent,
+    robust_comparison,
 )
 from repro.analysis.reporting import format_deployment_report
-from repro.mitigation import L2Config, NoiseAwareConfig, VariantSpec
 from repro.nn.models import table1_rows
 
 
@@ -76,84 +73,105 @@ class TestReportingFormatters:
 
 
 @pytest.fixture(scope="module")
-def quick_susceptibility_result():
-    config = SusceptibilityConfig.quick(
-        model_names=("cnn_mnist",),
-        num_placements=2,
-        fractions=(0.01, 0.10),
-        blocks=("both",),
+def quick_fig7_grid():
+    """The ``fig7_grid`` unit ``fig7`` reduces, on its default quick grid."""
+    return get_experiment("fig7_grid").run(
+        {"fractions": [0.01, 0.10], "num_placements": 2, "blocks": ["both"]}
     )
-    return SusceptibilityStudy(config).run()
+
+
+def grid_accuracies(grid: dict, kind: str | None = None, fraction: float | None = None):
+    """The ``fig7_grid`` accuracies whose scenario label matches the filters."""
+    values = []
+    for label, accuracy in grid["accuracies"].items():
+        label_kind, _, percent_label = label.split("#")[0].rsplit("-", 2)
+        if kind is not None and label_kind != kind:
+            continue
+        if fraction is not None and percent_label != f"{round(fraction * 100)}%":
+            continue
+        values.append(accuracy)
+    return np.asarray(values)
 
 
 class TestSusceptibilityStudy:
-    def test_baselines_and_scenarios_recorded(self, quick_susceptibility_result):
-        result = quick_susceptibility_result
-        assert result.baselines["cnn_mnist"] > 0.7
+    def test_baselines_and_scenarios_recorded(self, quick_fig7_grid):
+        grid = quick_fig7_grid
+        assert grid["model"] == "cnn_mnist" and grid["baseline"] > 0.7
         # 2 kinds x 1 block x 2 fractions x 2 placements
-        assert len(result.scenarios) == 8
-        assert all(0.0 <= s.accuracy <= 1.0 for s in result.scenarios)
+        assert grid["num_scenarios"] == len(grid["accuracies"]) == 8
+        assert all(0.0 <= a <= 1.0 for a in grid["accuracies"].values())
 
-    def test_larger_attacks_cause_larger_drops(self, quick_susceptibility_result):
-        result = quick_susceptibility_result
-        small = result.accuracies_for("cnn_mnist", fraction=0.01).mean()
-        large = result.accuracies_for("cnn_mnist", fraction=0.10).mean()
+    def test_larger_attacks_cause_larger_drops(self, quick_fig7_grid):
+        small = grid_accuracies(quick_fig7_grid, fraction=0.01).mean()
+        large = grid_accuracies(quick_fig7_grid, fraction=0.10).mean()
         assert large <= small + 0.02
 
-    def test_hotspot_at_least_as_damaging_as_actuation(self, quick_susceptibility_result):
-        result = quick_susceptibility_result
-        actuation = result.accuracies_for("cnn_mnist", kind="actuation", fraction=0.10).mean()
-        hotspot = result.accuracies_for("cnn_mnist", kind="hotspot", fraction=0.10).mean()
+    def test_hotspot_at_least_as_damaging_as_actuation(self, quick_fig7_grid):
+        actuation = grid_accuracies(quick_fig7_grid, kind="actuation", fraction=0.10).mean()
+        hotspot = grid_accuracies(quick_fig7_grid, kind="hotspot", fraction=0.10).mean()
         assert hotspot <= actuation + 0.05
 
-    def test_worst_case_drop_and_series(self, quick_susceptibility_result):
-        result = quick_susceptibility_result
-        assert result.worst_case_drop("cnn_mnist") >= 0.0
-        series = result.series_for_figure("cnn_mnist")
+    def test_worst_case_drop_and_series(self, quick_fig7_grid):
+        grid = quick_fig7_grid
+        assert grid["worst_case_drop"] == grid["baseline"] - min(grid["accuracies"].values())
+        assert grid["worst_case_drop"] >= 0.0
+        fig7 = get_experiment("fig7").run()
+        assert fig7 == {
+            "baselines": {"cnn_mnist": grid["baseline"]},
+            "worst_case_drops": {"cnn_mnist": grid["worst_case_drop"]},
+        }
+        series: dict[str, list[float]] = {}
+        for label, accuracy in grid["accuracies"].items():
+            series.setdefault(label.split("#")[0], []).append(accuracy)
         assert any(label.startswith("hotspot-both") for label in series)
         assert all(len(values) == 2 for values in series.values())
 
-    def test_fig7_formatter(self, quick_susceptibility_result):
-        text = format_fig7_table(quick_susceptibility_result, "cnn_mnist")
+    def test_fig7_formatter(self, quick_fig7_grid):
+        text = format_fig7_table(quick_fig7_grid)
         assert "hotspot" in text and "actuation" in text and "baseline" in text
+        assert len(text.splitlines()) == 3 + 4  # title, header, rule + 4 settings
+
+
+#: A reduced Fig. 8 attack grid: both paper kinds, CONV+FC, 10%, 2 placements.
+QUICK_FIG8_GRID = {
+    "kinds": ["actuation", "hotspot"],
+    "blocks": ["both"],
+    "fractions": [0.10],
+    "num_placements": 2,
+}
 
 
 @pytest.fixture(scope="module")
-def quick_mitigation_result():
-    config = MitigationAnalysisConfig.quick(
-        model_names=("cnn_mnist",),
-        variants=(
-            VariantSpec(name="Original"),
-            VariantSpec(name="l2+n3", l2=L2Config(), noise=NoiseAwareConfig(std=0.3)),
-        ),
-        fractions=(0.10,),
-        num_placements=2,
-    )
-    return MitigationStudy(config).run()
+def quick_variant_payloads():
+    """Two ``fig8_variant`` units on the reduced grid, as ``fig8`` sees them."""
+    unit = get_experiment("fig8_variant")
+    return [unit.run({"variant": name, **QUICK_FIG8_GRID}) for name in ("Original", "l2+n3")]
 
 
 class TestMitigationStudy:
-    def test_distributions_cover_all_variants(self, quick_mitigation_result):
-        result = quick_mitigation_result
-        variants = {d.variant for d in result.distributions_for("cnn_mnist")}
-        assert variants == {"Original", "l2+n3"}
-        for dist in result.distributions:
-            assert dist.accuracies.shape == (4,)  # 2 kinds x 1 fraction x 2 placements
+    def test_distributions_cover_all_variants(self, quick_variant_payloads):
+        assert {unit["variant"] for unit in quick_variant_payloads} == {"Original", "l2+n3"}
+        for unit in quick_variant_payloads:
+            assert unit["model"] == "cnn_mnist"
+            assert len(unit["accuracies"]) == 4  # 2 kinds x 1 fraction x 2 placements
 
-    def test_best_variant_is_not_original(self, quick_mitigation_result):
-        assert quick_mitigation_result.best_variant["cnn_mnist"] != "Original"
+    def test_best_variant_is_not_original(self, quick_variant_payloads):
+        assert most_robust_variant(quick_variant_payloads) != "Original"
 
-    def test_comparison_rows_have_both_kinds(self, quick_mitigation_result):
-        rows = quick_mitigation_result.comparison_for("cnn_mnist")
-        assert {row.kind for row in rows} == {"actuation", "hotspot"}
+    def test_comparison_rows_have_both_kinds(self, quick_variant_payloads):
+        rows = robust_comparison(quick_variant_payloads, QUICK_FIG8_GRID)
+        assert {row["kind"] for row in rows} == {"actuation", "hotspot"}
         for row in rows:
-            assert 0.0 <= row.original_accuracy_min <= row.original_accuracy_mean <= 1.0
-            assert 0.0 <= row.robust_accuracy_min <= row.robust_accuracy_mean <= 1.0
+            assert row["model"] == "cnn_mnist" and row["robust_variant"] == "l2+n3"
+            assert 0.0 <= row["original_min"] <= row["original_mean"] <= 1.0
+            assert 0.0 <= row["robust_min"] <= row["robust_mean"] <= 1.0
+            assert row["recovery"] == row["robust_min"] - row["original_min"]
 
-    def test_fig8_and_fig9_formatters(self, quick_mitigation_result):
-        fig8 = format_fig8_table(quick_mitigation_result.distributions, "cnn_mnist")
+    def test_fig8_and_fig9_formatters(self, quick_variant_payloads):
+        fig8 = format_fig8_table(quick_variant_payloads, "cnn_mnist")
         assert "l2+n3" in fig8
-        fig9 = format_fig9_table(quick_mitigation_result.comparison, "cnn_mnist")
+        rows = robust_comparison(quick_variant_payloads, QUICK_FIG8_GRID)
+        fig9 = format_fig9_table(rows, "cnn_mnist")
         assert "recovery" in fig9.lower()
 
 
@@ -189,10 +207,11 @@ class TestExperimentRegistry:
         assert result["total_power_w"] > 0
 
 
-#: A mixed in-process sweep over the workload memo: quantized and unquantized
-#: engines, the unmitigated workload and named variants, with and without the
-#: checkpoint store, in registry order.
+#: A mixed in-process sweep over the workload memo: two seeds, quantized and
+#: unquantized engines, the unmitigated workload and named variants, with and
+#: without the checkpoint store, in registry order.
 RUN_ORDER_RUNS = (
+    ("fig7_point", {"kind": "hotspot", "seed": 1}),
     ("fig7_point", {"kind": "hotspot"}),
     ("fig7_point", {"kind": "actuation", "block": "fc", "quantize_weights": False}),
     ("fig7_grid", {"kinds": ["actuation"], "blocks": ["fc"], "fractions": [0.1],

@@ -51,7 +51,7 @@ class TestRunSpec:
         "fig7_point": "ad0e7d62c0dbc7360527b485a46f9862ed18d5f5a59d994a1f3d96f719570c51",
         "fig7_grid": "f78194c29445f5c18a80c857c71e218e8df8ba724e6b85f73088a1c72771225e",
         "fig7_candidate": "57cc77f0c495ac69cc8ff3ebdc2636a944d9f2f5caca91668bae163b8d38bcba",
-        "fig7_adversarial": "dd0afae5f5de9ca93baa090b3f4524080b81655b786a6aa2f87b7a66f8f0ac3a",
+        "fig7_adversarial": "cd034b9c6b4562d1b4b41060862b315b44c595d2033531094820ca9d324b649b",
         "fig8": "06c961a348de759d6b4387754ba30c04234ba5a99e4009157cf0e9afcd1268e9",
         "fig8_variant": "e7151c72f75c3cd9a48d6ee00e9e50828fb4162e2cf64f7e8157719a281e49cd",
         "signal_mc": "ebc6bf4efe5de406c2cb8b8c6877badd9b6bdd7c37ba90760405e6aed1fd0faf",
@@ -282,6 +282,179 @@ class TestCampaign:
     def test_campaign_without_cache(self):
         result = Campaign([RunSpec("table1")]).run()
         assert result.executed == 1 and result.cache_hits == 0
+
+
+def count_unit_runs(monkeypatch, experiment_id: str = "fig8_variant") -> list[dict]:
+    """Record the parameters of every in-process run of ``experiment_id``."""
+    import dataclasses
+    import functools
+
+    from repro.analysis import experiments
+
+    descriptor = experiments.EXPERIMENTS[experiment_id]
+    calls: list[dict] = []
+
+    @functools.wraps(descriptor.runner)
+    def counting(**params):
+        calls.append(params)
+        return descriptor.runner(**params)
+
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, experiment_id, dataclasses.replace(descriptor, runner=counting)
+    )
+    return calls
+
+
+def payload_bytes(payload) -> str:
+    from repro.engine.spec import canonical_json
+
+    return canonical_json(dict(payload))
+
+
+class TestFigureReductions:
+    """fig7/fig8/fig9/ablation_mitigation reduce cacheable ``fig7_grid`` and
+    ``fig8_variant`` units, which ``Campaign`` runs through its cache."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, params",
+        [
+            ("fig7", {"fractions": [0.1], "num_placements": 1}),
+            ("fig8", {}),
+            ("fig9", {}),
+            ("ablation_mitigation", {"variants": ["Original", "L2_reg"]}),
+        ],
+    )
+    def test_campaign_payload_equals_descriptor_run(self, tmp_path, experiment_id, params):
+        from repro.analysis.experiments import get_experiment
+
+        descriptor = get_experiment(experiment_id)
+        assert descriptor.reduction
+        spec = descriptor.spec(params)
+        result = Campaign([spec], cache=tmp_path).run()
+        assert result.failures == 0 and result.executed == 1
+        expected = payload_bytes(descriptor.run(params))
+        assert result.records[0].canonical_payload() == expected
+        # Again with every unit read back from the JSON cache.
+        ResultCache(tmp_path).invalidate(spec)
+        again = Campaign([spec], cache=tmp_path).run()
+        assert again.records[0].canonical_payload() == expected
+
+    def test_units_share_fingerprints_with_sweep_points(self):
+        from repro.analysis.experiments import get_experiment
+
+        variants = ["Original", "L2_reg", "l2+n2", "l2+n5"]
+        cases = [
+            (get_experiment("fig8").start(seed=3)[1],
+             SweepSpec("fig8_variant", grid={"variant": variants}, seeds=(3,))),
+            (get_experiment("fig7").start({"model_names": ["cnn_mnist", "vgg16_variant"]})[1],
+             SweepSpec("fig7_grid", base={"fractions": [0.01, 0.1], "num_placements": 2},
+                       grid={"model": ["cnn_mnist", "vgg16_variant"]})),
+        ]
+        for units, sweep in cases:
+            assert [spec_fingerprint(unit, "v") for unit in units] == [
+                spec_fingerprint(point, "v") for point in sweep.expand()
+            ]
+
+    def test_fig9_after_fig8_executes_no_unit(self, tmp_path, monkeypatch):
+        from repro.analysis.experiments import get_experiment
+
+        fig8 = get_experiment("fig8").spec()
+        fig9 = get_experiment("fig9").spec()
+        expected = payload_bytes(get_experiment("fig9").run())
+        assert Campaign([fig8], cache=tmp_path).run().failures == 0
+        calls = count_unit_runs(monkeypatch)
+        result = Campaign([fig9], cache=tmp_path).run()
+        assert calls == []
+        assert result.failures == 0 and not result.records[0].cached
+        assert result.records[0].canonical_payload() == expected
+        assert len(list(ResultCache(tmp_path).records("fig8_variant"))) == 4
+
+    def test_shared_units_run_once(self, tmp_path, monkeypatch):
+        from repro.analysis.experiments import get_experiment
+
+        calls = count_unit_runs(monkeypatch)
+        specs = [get_experiment("fig8").spec(), get_experiment("fig9").spec()]
+        result = Campaign(specs, cache=tmp_path).run()
+        assert result.failures == 0 and result.executed == 2
+        assert sorted(call["variant"] for call in calls) == sorted(
+            ["Original", "L2_reg", "l2+n2", "l2+n5"]
+        )
+        assert len(list(ResultCache(tmp_path).records("fig8_variant"))) == 4
+        # A cached reduction is not expanded again.
+        calls.clear()
+        again = Campaign(specs, cache=tmp_path).run()
+        assert again.cache_hits == 2 and calls == []
+
+    def test_failing_unit_gives_one_error_record(self, tmp_path, monkeypatch):
+        from repro.analysis.experiments import get_experiment
+        from repro.engine import RetryPolicy
+
+        calls = count_unit_runs(monkeypatch)
+        spec = get_experiment("ablation_mitigation").spec({"variants": ["Original", "bogus"]})
+        result = Campaign(
+            [spec], cache=tmp_path, retry=RetryPolicy(max_attempts=2, backoff_s=0.0)
+        ).run()
+        assert result.failures == 1 and len(result.records) == 1
+        record = result.records[0]
+        assert not record.ok
+        assert "unit fig8_variant[" in record.error and "variant=bogus" in record.error
+        assert ResultCache(tmp_path).get(spec) is None
+        assert [call["variant"] for call in calls].count("bogus") == 2
+        assert len(list(ResultCache(tmp_path).records("fig8_variant"))) == 1
+        with pytest.raises(ValueError, match="bogus"):
+            get_experiment("ablation_mitigation").run({"variants": ["Original", "bogus"]})
+
+    def test_runner_that_yields_twice_is_an_error(self, tmp_path, monkeypatch):
+        from repro.analysis import experiments
+
+        def twice(seed: int = 0):
+            yield []
+            yield []
+
+        descriptor = experiments.ExperimentDescriptor("twice", "Yields twice", "-", twice)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "twice", descriptor)
+        result = Campaign([descriptor.spec()], cache=tmp_path).run()
+        assert result.failures == 1
+        assert "exactly once" in result.records[0].error
+        assert not list(ResultCache(tmp_path).records())
+        with pytest.raises(RuntimeError, match="exactly once"):
+            descriptor.run()
+
+    def test_reduction_duration_counts_the_units_run_for_it(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.analysis import experiments
+
+        def nap(seconds: float = 0.0, seed: int = 0):
+            time.sleep(seconds)
+            return {"slept": seconds}
+
+        unit = experiments.ExperimentDescriptor("nap", "Sleeps", "-", nap)
+
+        def naps(seconds: tuple = (0.0,), seed: int = 0):
+            payloads = yield [unit.spec({"seconds": value}, seed) for value in seconds]
+            return {"slept": sum(payload["slept"] for payload in payloads)}
+
+        reduction = experiments.ExperimentDescriptor("naps", "Sleeps more", "-", naps)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "nap", unit)
+        monkeypatch.setitem(experiments.EXPERIMENTS, "naps", reduction)
+        both = reduction.spec({"seconds": [0.2, 0.3]})
+        shared = reduction.spec({"seconds": [0.3]})
+        result = Campaign([both, shared], cache=tmp_path).run()
+        assert result.failures == 0
+        naps_taken = {
+            record.spec.params["seconds"]: record.duration_s
+            for record in ResultCache(tmp_path).records("nap")
+        }
+        assert sorted(naps_taken) == [0.2, 0.3]
+        # Each reduction counts the units it needed, not the campaign's wall time.
+        both_s, shared_s = (record.duration_s for record in result.records)
+        assert 0.0 <= both_s - (naps_taken[0.2] + naps_taken[0.3]) < 0.1
+        assert 0.0 <= shared_s - naps_taken[0.3] < 0.1
+        # Units the cache serves cost the reduction nothing.
+        cached_units = reduction.spec({"seconds": [0.3, 0.2]})
+        again = Campaign([cached_units], cache=tmp_path).run()
+        assert again.records[0].ok and again.records[0].duration_s < 0.1
 
 
 class TestCli:

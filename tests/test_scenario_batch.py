@@ -455,38 +455,35 @@ class TestEngineScenarioBatch:
 
 
 class TestStudyIntegration:
-    def test_susceptibility_backends_agree(self, trained_mnist_model, mnist_split):
-        """Every study row equals the per-scenario reference on its outcome."""
-        from repro.analysis.susceptibility import (
-            SusceptibilityConfig,
-            SusceptibilityStudy,
-        )
+    def test_susceptibility_backends_agree(self):
+        """Every ``fig7_grid`` accuracy equals the per-scenario reference on its outcome."""
+        from repro.analysis.experiments import get_experiment, prepared_workload
+        from repro.attacks.hotspot import HotspotAttackConfig
         from repro.attacks.scenario import generate_scenarios, sample_outcome
 
-        config = SusceptibilityConfig.quick()
-        result = SusceptibilityStudy(config).run(
-            prepared={"cnn_mnist": (trained_mnist_model, mnist_split)}
-        )
+        params = {"fractions": [0.01, 0.10], "num_placements": 2, "blocks": ["both"]}
+        grid = get_experiment("fig7_grid").run(params)
+        resolved = get_experiment("fig7_grid").resolve_params(params)
         scenarios = generate_scenarios(
-            kinds=config.kinds,
-            blocks=config.blocks,
-            fractions=config.fractions,
-            num_placements=config.num_placements,
-            master_seed=config.seed,
+            kinds=resolved["kinds"],
+            blocks=resolved["blocks"],
+            fractions=resolved["fractions"],
+            num_placements=resolved["num_placements"],
+            master_seed=resolved["seed"],
         )
-        engine = AttackedInferenceEngine(
-            trained_mnist_model,
-            config=config.accelerator,
-            quantize_weights=config.quantize_weights,
-        )
-        assert result.baselines == {"cnn_mnist": engine.clean_accuracy(mnist_split.test)}
-        assert len(result.scenarios) == len(scenarios)
-        for row, scenario in zip(result.scenarios, scenarios):
-            outcome = sample_outcome(scenario, config.accelerator, config.hotspot)
-            assert row.key() == ("cnn_mnist", scenario.spec.kind,
-                                 scenario.spec.target_block, scenario.spec.fraction)
-            assert row.placement == scenario.placement
-            assert row.accuracy == engine.accuracy_under_attack(mnist_split.test, outcome)
-            assert row.corrupted_fraction == pytest.approx(
-                engine.weight_corruption_fraction(outcome)
+        _, split, _, trained = prepared_workload("cnn_mnist", "Original", 0)
+        accelerator = AcceleratorConfig.scaled_config()
+        engine = AttackedInferenceEngine(trained.model, config=accelerator)
+        assert grid["baseline"] == engine.clean_accuracy(split.test)
+        assert list(grid["accuracies"]) == [scenario.label() for scenario in scenarios]
+        outcomes = [
+            sample_outcome(scenario, accelerator, HotspotAttackConfig())
+            for scenario in scenarios
+        ]
+        for scenario, outcome in zip(scenarios, outcomes):
+            assert grid["accuracies"][scenario.label()] == engine.accuracy_under_attack(
+                split.test, outcome
             )
+        corrupted = engine.weight_corruption_fractions(outcomes)
+        for fraction, outcome in zip(corrupted, outcomes):
+            assert fraction == pytest.approx(engine.weight_corruption_fraction(outcome))

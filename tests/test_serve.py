@@ -659,6 +659,37 @@ class TestWaitFailureSurface:
         finally:
             daemon.shutdown()
 
+    def test_wait_times_out_on_an_idle_job(self, tmp_path):
+        """A job that never progresses still ends the wait at its timeout:
+        the stream's keep-alive comments give the wait its deadline checks."""
+        service = CampaignService(
+            jobstore_dir=tmp_path / "jobs", cache_dir=tmp_path / "cache", workers=0
+        )
+        daemon = ServeDaemon(service, port=0)
+        daemon.start()
+        try:
+            client = ServeClient(daemon.url)
+            job_id = client.submit(FAST_SWEEP)["job_id"]  # queued forever
+            events: list[str] = []
+            raised: list[Exception] = []
+
+            def wait() -> None:
+                try:
+                    client.wait(job_id, timeout=1.0, on_event=events.append)
+                except ServeError as exc:
+                    raised.append(exc)
+
+            waiter = threading.Thread(target=wait, daemon=True)
+            waiter.start()
+            waiter.join(timeout=10)
+            assert not waiter.is_alive(), "wait ignored its timeout on an idle job"
+            assert len(raised) == 1 and "timed out" in str(raised[0])
+            assert not isinstance(raised[0], JobFailedError)
+            assert events == client.events(job_id)  # each line exactly once
+            assert client.job(job_id)["state"] in ("queued", "running")
+        finally:
+            daemon.shutdown()
+
 
 # --------------------------------------- restart recovery with remote leases
 class TestLeaseRecovery:

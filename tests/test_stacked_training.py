@@ -582,35 +582,44 @@ class TestCheckpointCache:
 
 
 class TestStudyCheckpointIntegration:
-    def test_warm_study_trains_zero_steps_and_matches(self, tmp_path):
-        from repro.analysis.mitigation_analysis import (
-            MitigationAnalysisConfig,
-            MitigationStudy,
-        )
+    def test_warm_study_trains_zero_steps_and_matches(self, tmp_path, monkeypatch):
+        """A warm ``fig8`` with ``checkpoint_cache`` loads every variant with
+        zero training steps and reproduces the cold run's unit payloads."""
+        from repro.analysis import experiments, mitigation_analysis
+        from repro.engine import Campaign, ResultCache
 
-        config = MitigationAnalysisConfig.quick(
-            variants=(
-                VariantSpec("Original"),
-                VariantSpec("l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
-            ),
-            fractions=(0.10,),
-            num_placements=1,
-            checkpoint_cache=True,
-            checkpoint_dir=str(tmp_path),
-        )
-        cold = MitigationStudy(config).run()
-        cold_stats = cold.training_stats["cnn_mnist"]
-        assert cold_stats["trained"] == 2 and cold_stats["training_steps"] > 0
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "checkpoints"))
+        trained: list[str] = []
+        stacked = mitigation_analysis.train_variant_grid_stacked
 
-        warm = MitigationStudy(config).run()
-        warm_stats = warm.training_stats["cnn_mnist"]
-        assert warm_stats["checkpoint_hits"] == 2
-        assert warm_stats["trained"] == 0
-        assert warm_stats["training_steps"] == 0
-        for first, second in zip(cold.distributions, warm.distributions):
-            assert first.baseline_accuracy == second.baseline_accuracy
-            assert np.array_equal(first.accuracies, second.accuracies)
-        assert cold.best_variant == warm.best_variant
+        def counting(*args, **kwargs):
+            results = stacked(*args, **kwargs)
+            trained.extend(result.spec.name for result in results)
+            return results
+
+        monkeypatch.setattr(mitigation_analysis, "train_variant_grid_stacked", counting)
+        spec = experiments.get_experiment("fig8").spec({"checkpoint_cache": True})
+        runs = {}
+        for name in ("cold", "warm"):
+            monkeypatch.setattr(experiments, "_WORKLOADS", {})  # a fresh process
+            trained.clear()
+            result = Campaign([spec], cache=tmp_path / name).run()
+            assert result.failures == 0
+            units = ResultCache(tmp_path / name).records("fig8_variant")
+            runs[name] = (
+                result.records[0].payload,
+                sorted(record.canonical_payload() for record in units),
+                list(trained),
+            )
+        cold_payload, cold_units, cold_trained = runs["cold"]
+        warm_payload, warm_units, warm_trained = runs["warm"]
+        assert sorted(cold_trained) == sorted(mitigation_analysis.FIG8_VARIANTS)
+        assert warm_trained == []
+        assert len(warm_units) == len(mitigation_analysis.FIG8_VARIANTS)
+        assert warm_units == cold_units
+        assert warm_payload == cold_payload
+        hits = [entry["hits"] for entry in CheckpointCache(tmp_path / "checkpoints").entries()]
+        assert sorted(hits) == [1] * len(mitigation_analysis.FIG8_VARIANTS)
 
     def test_stacked_and_serial_studies_agree(self):
         """The study's stacked grid pass trains the serial reference's weights."""
@@ -624,7 +633,7 @@ class TestStudyCheckpointIntegration:
             VariantSpec("Original"),
             VariantSpec("l2+n2", l2=L2Config(), noise=NoiseAwareConfig(std=0.2)),
         )
-        study = MitigationStudy(MitigationAnalysisConfig.quick(variants=variants))
+        study = MitigationStudy(MitigationAnalysisConfig(variants=variants))
         split = study.prepare_split("cnn_mnist")
         stacked = study.train_variants("cnn_mnist", split)
         defaults = _WORKLOAD_DEFAULTS["cnn_mnist"]
