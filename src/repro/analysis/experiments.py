@@ -31,6 +31,7 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass, field
+from functools import cache, partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Generator, Mapping
 
@@ -67,6 +68,12 @@ class ExperimentDescriptor:
         kinds — e.g. ``("kind",)`` for the sweepable per-point experiments.
         ``python -m repro attacks`` uses this to show which experiments a
         kind can be swept through.
+    batch:
+        Optional batch runner ``batch(param_sets, seed)``: it takes resolved
+        parameter sets without the seed (what ``RunSpec.params`` holds) and
+        returns one payload per set, in order.  The runner must equal
+        ``batch([params], seed)[0]``; the serial executor runs due runs of
+        one seed through it in one call.
     default_params:
         Default value of every parameter the runner accepts, read from its
         signature.  Overrides passed to :meth:`run` are validated against
@@ -79,6 +86,7 @@ class ExperimentDescriptor:
     paper_reference: str
     runner: Callable[..., dict]
     attack_kind_params: tuple[str, ...] = ()
+    batch: Callable[[list, int], list] | None = None
     default_params: Mapping[str, object] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -196,12 +204,13 @@ def experiment(
     title: str,
     paper_reference: str,
     attack_kind_params: tuple[str, ...] = (),
+    batch: Callable[[list, int], list] | None = None,
 ):
     """Register the decorated runner as experiment ``experiment_id``."""
 
     def register(runner: Callable[..., dict]) -> Callable[..., dict]:
         EXPERIMENTS[experiment_id] = ExperimentDescriptor(
-            experiment_id, title, paper_reference, runner, attack_kind_params
+            experiment_id, title, paper_reference, runner, attack_kind_params, batch
         )
         return runner
 
@@ -232,9 +241,10 @@ def prepared_workload(
     variant.  Every variant is trained by
     :meth:`MitigationStudy.train_variants` or, with ``checkpoint_cache``,
     loaded from (and stored to) the checkpoint addresses ``repro train``
-    pre-warms.  ``baseline`` is the engine's *clean mapped accuracy* on the
-    test split, so attacked accuracy drops are measured against the same
-    photonic datapath the attacks corrupt; ``trained`` is the
+    pre-warms.  ``baseline()`` returns the engine's *clean mapped accuracy*
+    on the test split, so attacked accuracy drops are measured against the
+    same photonic datapath the attacks corrupt; it is computed on the first
+    call and memoized per engine.  ``trained`` is the
     :class:`~repro.mitigation.robust_training.VariantResult`.
     """
     from repro.accelerator.config import AcceleratorConfig
@@ -272,7 +282,8 @@ def prepared_workload(
             config=AcceleratorConfig.scaled_config(),
             quantize_weights=quantize_weights,
         )
-        engines[quantize_weights] = (engine, engine.clean_accuracy(workload["split"].test))
+        baseline = cache(partial(engine.clean_accuracy, workload["split"].test))
+        engines[quantize_weights] = (engine, baseline)
     engine, baseline = engines[quantize_weights]
     return engine, workload["split"], baseline, workload["trained"]
 
@@ -290,9 +301,9 @@ def candidate_outcomes(
 
     The placement seed is a pure function of the candidate's identity
     (kind, block, fraction, params, placement index) under the experiment
-    seed, so any executor — the local batched evaluator, a worker-pool
-    worker or a federation node — samples byte-identical placements for the
-    same candidate.
+    seed, so every executor — a stacked group on the serial executor, a
+    worker-pool worker or a federation node — samples byte-identical
+    placements for the same candidate.
     """
     from repro.attacks.base import AttackSpec
     from repro.attacks.registry import create_attack
@@ -364,8 +375,9 @@ def candidate_payloads_batched(param_sets: list, seed: int) -> list[dict]:
     forward gives every scenario the accuracy it gets alone, so a candidate's
     payload does not depend on the candidates batched with it: the
     ``fig7_candidate`` runner is this function on a one-candidate batch, and
-    the search driver evaluates a whole optimizer generation per stacked
-    forward while still writing ordinary cacheable records.
+    it is ``fig7_candidate``'s batch runner, through which the serial
+    executor evaluates a search generation (or a sweep's points) per stacked
+    forward.
     """
     from repro.accelerator.config import AcceleratorConfig
 
@@ -414,11 +426,26 @@ def candidate_payloads_batched(param_sets: list, seed: int) -> list[dict]:
                 params["fraction"],
                 params["attack_params"],
                 params["placements"],
-                baseline,
+                baseline(),
                 outcomes,
                 chunk,
             )
     return [payload for payload in payloads if payload is not None]
+
+
+def _sample_outcomes(scenarios: list, kind_params: dict | None) -> list:
+    """Sample ``scenarios`` on the scaled accelerator, with the paper's hotspot
+    defaults under any per-kind ``kind_params``."""
+    from repro.accelerator.config import AcceleratorConfig
+    from repro.attacks.hotspot import HotspotAttackConfig
+    from repro.attacks.scenario import sample_outcome
+
+    accelerator = AcceleratorConfig.scaled_config()
+    hotspot = HotspotAttackConfig()
+    return [
+        sample_outcome(scenario, accelerator, hotspot, kind_params=kind_params)
+        for scenario in scenarios
+    ]
 
 
 # --------------------------------------------------------------------------- runners
@@ -511,29 +538,18 @@ def _run_fig7_point(
 
     ``kind`` accepts any registered attack kind (``python -m repro attacks``
     lists them) and ``kind_params`` carries its physical parameters, e.g.
-    ``--set kind_params='{"triggered": {"base": "hotspot"}}'``.  Seeds are
-    derived exactly as :func:`repro.attacks.scenario.generate_scenarios`
-    derives them, so a sweep over (kind, block, fraction, placement) reproduces
-    the scenarios of a ``fig7_grid`` run over the same axes.  The point is
-    evaluated as a one-scenario stack on the batched path, which is
+    ``--set kind_params='{"triggered": {"base": "hotspot"}}'``.  The scenario
+    is the ``placement``-th of :func:`repro.attacks.scenario.generate_scenarios`
+    on the one-point axes, so a sweep over (kind, block, fraction, placement)
+    reproduces the scenarios of a ``fig7_grid`` run over the same axes.  The
+    point is evaluated as a one-scenario stack on the batched path, which is
     bit-identical to the per-scenario reference.
     """
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.attacks.base import AttackSpec
-    from repro.attacks.hotspot import HotspotAttackConfig
-    from repro.attacks.scenario import AttackScenario, sample_outcome
-    from repro.utils.rng import RngFactory
+    from repro.attacks.scenario import generate_scenarios
 
     engine, split, baseline, _ = prepared_workload(model, "Original", seed, quantize_weights)
-    spec = AttackSpec(kind=kind, target_block=block, fraction=fraction)
-    scenario_seed = RngFactory(seed=seed).child_seed(f"{spec.label()}#{placement}")
-    scenario = AttackScenario(spec=spec, placement=placement, seed=scenario_seed)
-    outcome = sample_outcome(
-        scenario,
-        AcceleratorConfig.scaled_config(),
-        HotspotAttackConfig(),
-        kind_params=kind_params,
-    )
+    scenarios = generate_scenarios((kind,), (block,), (fraction,), placement + 1, seed)
+    [outcome] = _sample_outcomes([scenarios[placement]], kind_params)
     accuracy = float(engine.accuracy_under_attacks(split.test, [outcome])[0])
     return {
         "model": model,
@@ -541,9 +557,9 @@ def _run_fig7_point(
         "block": block,
         "fraction": fraction,
         "placement": placement,
-        "baseline": baseline,
+        "baseline": baseline(),
         "accuracy": accuracy,
-        "drop": baseline - accuracy,
+        "drop": baseline() - accuracy,
         "corrupted_fraction": float(engine.weight_corruption_fractions([outcome])[0]),
     }
 
@@ -575,38 +591,25 @@ def _run_fig7_grid(
     in ``kind_params``.  ``scenario_chunk=0`` selects the memory-aware
     automatic chunk.
     """
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.attacks.hotspot import HotspotAttackConfig
-    from repro.attacks.scenario import generate_scenarios, sample_outcome
+    from repro.attacks.scenario import generate_scenarios
 
     engine, split, baseline, _ = prepared_workload(model, "Original", seed, quantize_weights)
-    scenarios = generate_scenarios(
-        kinds=tuple(kinds),
-        blocks=tuple(blocks),
-        fractions=tuple(fractions),
-        num_placements=num_placements,
-        master_seed=seed,
-    )
-    config = AcceleratorConfig.scaled_config()
-    hotspot = HotspotAttackConfig()
-    outcomes = [
-        sample_outcome(scenario, config, hotspot, kind_params=kind_params)
-        for scenario in scenarios
-    ]
+    scenarios = generate_scenarios(kinds, blocks, fractions, num_placements, seed)
     values = engine.accuracy_under_attacks(
-        split.test, outcomes, scenario_chunk=scenario_chunk or None
+        split.test, _sample_outcomes(scenarios, kind_params),
+        scenario_chunk=scenario_chunk or None,
     )
     return {
         "model": model,
         "num_scenarios": len(scenarios),
-        "baseline": baseline,
+        "baseline": baseline(),
         "accuracies": {
             scenario.label(): float(accuracy)
             for scenario, accuracy in zip(scenarios, values)
         },
         "mean": float(values.mean()),
         "min": float(values.min()),
-        "worst_case_drop": float(baseline - values.min()),
+        "worst_case_drop": float(baseline() - values.min()),
     }
 
 
@@ -615,6 +618,7 @@ def _run_fig7_grid(
     "One attack-search candidate averaged over placements (sweepable)",
     "Fig. 7 methodology, searched",
     attack_kind_params=("kind",),
+    batch=candidate_payloads_batched,
 )
 def _run_fig7_candidate(
     model: str = "cnn_mnist",
@@ -632,10 +636,11 @@ def _run_fig7_candidate(
     averaged over random placements (engine/sweep/serve unit of work).
 
     This is the unit the :mod:`repro.attacks.search` optimizers dispatch —
-    locally in stacked batches, through a worker pool, or as sweep points on
-    a ``repro serve`` federation.  ``variant=""`` attacks the unmitigated
-    workload; a variant name (e.g. ``"l2+n3"``) attacks that trained
-    mitigation variant.  Placement seeds are content-derived from the
+    in stacked groups on the serial executor (its batch runner is
+    :func:`candidate_payloads_batched`), through a worker pool, or as sweep
+    points on a ``repro serve`` federation.  ``variant=""`` attacks the
+    unmitigated workload; a variant name (e.g. ``"l2+n3"``) attacks that
+    trained mitigation variant.  Placement seeds are content-derived from the
     candidate identity, so every execution path samples identical placements.
     """
     params = dict(
@@ -783,28 +788,15 @@ def _run_fig8_variant(
     """
     import numpy as np
 
-    from repro.accelerator.config import AcceleratorConfig
-    from repro.attacks.hotspot import HotspotAttackConfig
-    from repro.attacks.scenario import generate_scenarios, sample_outcome
+    from repro.attacks.scenario import generate_scenarios
 
     engine, split, _, trained = prepared_workload(
         model, variant, seed, checkpoint_cache=checkpoint_cache
     )
-    accelerator = AcceleratorConfig.scaled_config()
-    scenarios = generate_scenarios(
-        kinds=tuple(kinds),
-        blocks=tuple(blocks),
-        fractions=tuple(fractions),
-        num_placements=num_placements,
-        master_seed=seed,
-    )
-    hotspot = HotspotAttackConfig()
-    outcomes = [
-        sample_outcome(scenario, accelerator, hotspot, kind_params=kind_params)
-        for scenario in scenarios
-    ]
+    scenarios = generate_scenarios(kinds, blocks, fractions, num_placements, seed)
     values = np.asarray(
-        engine.accuracy_under_attacks(split.test, outcomes), dtype=float
+        engine.accuracy_under_attacks(split.test, _sample_outcomes(scenarios, kind_params)),
+        dtype=float,
     )
     return {
         "model": model,

@@ -1,36 +1,28 @@
-"""The attack-search driver: optimizer loop, evaluators, Pareto reduction.
+"""The attack-search driver: optimizer loop, generation campaigns, Pareto reduction.
 
 :class:`AttackSearch` ties one seeded optimizer to one (model,
 mitigation-variant, attack-kind) workload and spends a fixed budget of
 *scenario evaluations* (each candidate costs its placement count) finding
 configurations that maximize accuracy drop per attacked MR.  Every candidate
-is an ordinary ``fig7_candidate`` :class:`~repro.engine.spec.RunSpec`, so
-every evaluation flows through the engine's content-addressed result cache:
-an interrupted search re-run under the same seed re-evaluates only the
-cache-missing candidates and lands on a byte-identical trajectory and front.
+is an ordinary ``fig7_candidate`` :class:`~repro.engine.spec.RunSpec`, and
+every generation is one :class:`~repro.engine.campaign.Campaign` through the
+result cache: an interrupted search re-run under the same seed re-evaluates
+only the cache-missing candidates and lands on a byte-identical trajectory
+and front.
 
-Three interchangeable evaluation backends produce bit-identical records:
-
-``batched``
-    The default local path — each optimizer generation's cache-missing
-    candidates are concatenated into **one** stacked
-    :meth:`AttackedInferenceEngine.accuracy_under_attacks` forward.
-``campaign``
-    A :class:`~repro.engine.campaign.Campaign` per generation (serial or
-    worker pool), sharing one long-lived executor — and so one pool —
-    across generations.
-``serve``
-    Each generation is submitted to a ``repro serve`` coordinator as one
-    zipped sweep, so searches run on the worker federation and inherit its
-    retry/quarantine policy.
+The campaign's executor is the search's one executor, closed when the search
+ends: the serial executor (a generation's candidates in one stacked
+:meth:`AttackedInferenceEngine.accuracy_under_attacks` forward), a worker
+pool (``workers=N``; one pool for every generation), or a ``repro serve``
+daemon (``client``; each generation one zipped sweep).  All three produce
+byte-identical payloads under the same retry policy.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from time import perf_counter
+from typing import Iterator, Sequence
 
 from repro.attacks.search.optimizers import OPTIMIZERS, make_optimizer
 from repro.attacks.search.pareto import (
@@ -40,6 +32,9 @@ from repro.attacks.search.pareto import (
     pareto_front,
 )
 from repro.attacks.search.space import space_for_kind
+from repro.engine.executor import RetryPolicy, RunExecutor, failure_record, make_executor
+from repro.engine.records import RunRecord
+from repro.engine.spec import RunSpec, spec_fingerprint
 from repro.utils.validation import ValidationError, check_positive_int
 from repro.version import __version__
 
@@ -148,178 +143,82 @@ class AttackSearchResult:
         return canonical_json(self.to_payload())
 
 
-# ----------------------------------------------------------------- evaluators
-class _BatchedEvaluator:
-    """Local default: one stacked forward per generation of cache misses."""
+# ------------------------------------------------------------- serve executor
+class _ServeExecutor(RunExecutor):
+    """Runs each spec list on a ``repro serve`` daemon as one zipped sweep.
 
-    name = "batched"
+    It never raises: a failed, quarantined or missing run, or an unreachable
+    daemon, comes back as an error record.  A record is ``cached`` when the
+    daemon served it from its result cache, including every record of an
+    identical job that was already done.
+    """
 
-    def __init__(self, cache=None):
-        self.cache = cache
-        self.executed = 0
-        self.cache_hits = 0
+    kind = "serve"
 
-    def evaluate(self, specs: list) -> list:
-        from repro.analysis.experiments import candidate_payloads_batched
-        from repro.engine.records import RunRecord
-        from repro.engine.spec import spec_fingerprint
-
-        records: list = [None] * len(specs)
-        pending: list[int] = []
-        for index, spec in enumerate(specs):
-            cached = self.cache.get(spec) if self.cache is not None else None
-            if cached is not None:
-                records[index] = cached
-                self.cache_hits += 1
-            else:
-                pending.append(index)
-        if pending:
-            started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            start = perf_counter()
-            try:
-                payloads = candidate_payloads_batched(
-                    [dict(specs[index].params) for index in pending],
-                    seed=specs[pending[0]].seed,
-                )
-            except Exception as exc:
-                raise SearchError(
-                    f"{len(pending)} candidate evaluation(s) failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            duration = perf_counter() - start
-            for index, payload in zip(pending, payloads):
-                spec = specs[index]
-                record = RunRecord(
-                    fingerprint=spec_fingerprint(spec, __version__),
-                    spec=spec,
-                    payload=payload,
-                    status="ok",
-                    error=None,
-                    duration_s=duration / len(pending),
-                    started_at=started_at,
-                    provenance={
-                        "version": __version__,
-                        "executor": "search-batched",
-                        "pid": os.getpid(),
-                    },
-                )
-                records[index] = record
-                self.executed += 1
-                if self.cache is not None:
-                    try:
-                        self.cache.put(record)
-                    except OSError:
-                        pass  # losing a cache write costs reuse, not results
-        return records
-
-    def close(self) -> None:
-        pass
-
-
-class _CampaignEvaluator:
-    """One :class:`Campaign` per generation over a shared executor."""
-
-    name = "campaign"
-
-    def __init__(self, cache=None, workers=None, retry=None):
-        from repro.engine.executor import make_executor
-
-        self.cache = cache
-        self.executor = make_executor(workers, retry=retry)
-        self.executed = 0
-        self.cache_hits = 0
-
-    def evaluate(self, specs: list) -> list:
-        from repro.engine.campaign import Campaign
-
-        result = Campaign(specs, cache=self.cache, workers=self.executor).run()
-        self.executed += result.executed
-        self.cache_hits += result.cache_hits
-        return result.records
-
-    def close(self) -> None:
-        self.executor.close()
-
-
-class _ServeEvaluator:
-    """Each generation becomes one zipped sweep on a ``repro serve`` job queue."""
-
-    name = "serve"
-
-    def __init__(self, client, timeout: float = 3600.0):
+    def __init__(self, client, timeout: float = 3600.0, retry: RetryPolicy | None = None):
         self.client = client
         self.timeout = float(timeout)
-        self.executed = 0
-        self.cache_hits = 0
+        self.retry = retry
 
-    def evaluate(self, specs: list) -> list:
-        from repro.engine.records import RunRecord
-        from repro.engine.spec import spec_fingerprint
-        from repro.serve.client import JobFailedError, ServeError
-
+    def _sweep(self, specs: Sequence[RunSpec]) -> dict:
+        """The ``POST /sweeps`` body: varying parameters zipped, the rest in ``base``."""
         first = specs[0]
         keys = sorted(first.params)
-        constant = {
-            key: first.params[key]
-            for key in keys
-            if all(spec.params[key] == first.params[key] for spec in specs)
-        }
-        varying = [key for key in keys if key not in constant]
-        sweep: dict = {
+        varying = [
+            key for key in keys if any(spec.params[key] != first.params[key] for spec in specs)
+        ]
+        sweep = {
             "experiment_id": first.experiment_id,
-            "base": constant,
+            "base": {key: first.params[key] for key in keys if key not in varying},
+            "zipped": {key: [spec.params[key] for spec in specs] for key in varying},
             "seeds": [first.seed],
         }
-        if varying:
-            sweep["zipped"] = {
-                key: [spec.params[key] for spec in specs] for key in varying
-            }
-        try:
-            job_id = self.client.submit(sweep)["job_id"]
-            final = self.client.wait(job_id, timeout=self.timeout)
-            # The coordinator returns cache-first result docs ({label, status,
-            # cached, payload}); rebuild full records against our local specs.
-            by_label = {
-                doc.get("label"): doc
-                for doc in self.client.results(job_id)["records"]
-            }
-        except JobFailedError as exc:
-            quarantined = "; ".join(
-                f"{entry.get('label')}: {entry.get('error')}" for entry in exc.quarantined
-            )
-            raise SearchError(
-                f"serve job {exc.job.get('job_id')} {exc.state}; "
-                f"quarantined candidates: {quarantined or 'none'}"
-            ) from exc
-        except ServeError as exc:
-            raise SearchError(f"serve evaluation failed: {exc}") from exc
-        records = []
-        for spec in specs:
-            doc = by_label.get(spec.label())
-            if doc is None or doc.get("status") != "ok":
-                raise SearchError(
-                    f"serve job {job_id} returned no ok record for "
-                    f"{spec.label()} (got {doc!r})"
-                )
-            records.append(
-                RunRecord(
-                    fingerprint=spec_fingerprint(spec, __version__),
-                    spec=spec,
-                    payload=doc["payload"],
-                    status="ok",
-                    error=None,
-                    duration_s=0.0,
-                    started_at="",
-                    provenance={"version": __version__, "executor": "serve"},
-                    cached=bool(doc.get("cached")),
-                )
-            )
-        self.executed += int(final.get("executed", 0))
-        self.cache_hits += int(final.get("cache_hits", 0))
-        return records
+        if self.retry is not None:
+            sweep["policy"] = self.retry.to_dict()
+        return sweep
 
-    def close(self) -> None:
-        pass
+    def run_specs(self, specs: Sequence[RunSpec]) -> Iterator[tuple[int, RunRecord]]:
+        from repro.serve.client import JobFailedError, ServeError
+
+        if not specs:
+            return
+        docs: dict = {}
+        events: list[str] = []
+        error, replayed = None, False
+        try:
+            job = self.client.submit(self._sweep(specs))
+            job_id, replayed = job["job_id"], job["state"] == "done"
+            try:
+                self.client.wait(job_id, timeout=self.timeout, on_event=events.append)
+            except JobFailedError as exc:
+                quarantined = "; ".join(
+                    f"{entry.get('label')}: {entry.get('error')}" for entry in exc.quarantined
+                )
+                error = (
+                    f"serve job {job_id} {exc.state}; "
+                    f"quarantined candidates: {quarantined or 'none'}"
+                )
+            # Cache-first result docs ({label, status, payload}) rebuild the
+            # records against the local specs.
+            docs = {doc.get("label"): doc for doc in self.client.results(job_id)["records"]}
+        except ServeError as exc:
+            error = f"serve evaluation failed: {exc}"
+        # Progress lines read "[i/n] <label> (cache)" for a daemon cache hit.
+        progress = {line.split("] ", 1)[-1] for line in events}
+        for index, spec in enumerate(specs):
+            label = spec.label()
+            doc = docs.get(label, {})
+            if doc.get("status") != "ok":
+                reason = error or f"serve job returned no ok record for {label} (got {doc!r})"
+                yield index, failure_record(spec, reason, self.kind)
+                continue
+            yield index, RunRecord(
+                fingerprint=spec_fingerprint(spec, __version__),
+                spec=spec,
+                payload=doc["payload"],
+                provenance={"version": __version__, "executor": self.kind},
+                cached=replayed or f"{label} (cache)" in progress,
+            )
 
 
 # --------------------------------------------------------------------- driver
@@ -335,15 +234,15 @@ class AttackSearch:
         per-candidate records flow through — enables resume and cross-search
         reuse.
     workers:
-        When set, evaluate generations through a
-        :class:`~repro.engine.campaign.Campaign` executor instead of the
-        stacked local path (``"serial"`` or a worker-pool size).
+        Executor knob for :func:`~repro.engine.executor.make_executor`:
+        ``None``/``1``/``"serial"`` runs serially, a larger count on one
+        worker pool.
     client:
         A :class:`~repro.serve.client.ServeClient`; when set, generations are
         submitted to the coordinator as zipped sweeps (overrides ``workers``).
     retry:
-        Optional :class:`~repro.engine.executor.RetryPolicy` for the
-        campaign backend.
+        Optional :class:`~repro.engine.executor.RetryPolicy`; with
+        ``client`` it becomes each job's ``policy``.
     """
 
     def __init__(self, config: AttackSearchConfig, cache=None, workers=None,
@@ -354,12 +253,11 @@ class AttackSearch:
         if isinstance(cache, str) and cache:
             cache = ResultCache(cache)
         self.cache = cache or None
-        if client is not None:
-            self.evaluator = _ServeEvaluator(client, timeout=serve_timeout)
-        elif workers is not None:
-            self.evaluator = _CampaignEvaluator(cache=self.cache, workers=workers, retry=retry)
-        else:
-            self.evaluator = _BatchedEvaluator(cache=self.cache)
+        self.executor = (
+            _ServeExecutor(client, serve_timeout, retry)
+            if client is not None
+            else make_executor(workers, retry=retry)
+        )
         self.space = space_for_kind(config.kind, fraction_range=config.fraction_range)
         kwargs: dict = {
             "seed": config.seed,
@@ -400,6 +298,8 @@ class AttackSearch:
     # -------------------------------------------------------------------- run
     def run(self, progress=None) -> AttackSearchResult:
         """Drive ask → evaluate → tell until the budget (or schedule) ends."""
+        from repro.engine.campaign import Campaign
+
         start = perf_counter()
         config = self.config
         result = AttackSearchResult(config=config)
@@ -418,12 +318,14 @@ class AttackSearch:
                 if not generation:
                     break
                 specs = [self.candidate_spec(c) for c in generation]
-                records = self.evaluator.evaluate(specs)
-                failed = [r for r in records if r is None or not r.ok]
+                campaign = Campaign(specs, cache=self.cache, workers=self.executor)
+                records = campaign.run().records
+                hits = sum(record.cached for record in records)
+                result.cache_hits += hits
+                result.executed += len(records) - hits
+                failed = [r for r in records if not r.ok]
                 if failed:
-                    errors = "; ".join(
-                        str(r.error) for r in failed if r is not None
-                    ) or "missing record"
+                    errors = "; ".join(dict.fromkeys(str(r.error) for r in failed))
                     raise SearchError(
                         f"{len(failed)} candidate evaluation(s) failed: {errors}"
                     )
@@ -456,9 +358,7 @@ class AttackSearch:
                 if progress is not None:
                     progress(result)
         finally:
-            self.evaluator.close()
+            self.executor.close()
         result.front = pareto_front(points)
-        result.executed = self.evaluator.executed
-        result.cache_hits = self.evaluator.cache_hits
         result.duration_s = perf_counter() - start
         return result

@@ -434,24 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=0, help="search seed")
     search.add_argument(
         "--workers", "-j", default=None,
-        help="evaluate generations on one worker pool of this size instead "
-             "of the stacked in-process path",
-    )
-    search.add_argument(
-        "--serial", action="store_true",
-        help="evaluate generations through the serial campaign executor",
+        help="worker-pool size for every generation (default/1: run serially)",
     )
     search.add_argument(
         "--serve", action="store_true",
-        help="submit each generation to a repro serve daemon as a zipped "
-             "sweep (inherits its retry/quarantine policy)",
+        help="submit each generation to a repro serve daemon as a zipped sweep",
     )
     add_client_args(search)
     search.add_argument(
         "--timeout", type=float, default=3600.0,
         help="[--serve] max seconds to wait per generation (default: 3600)",
     )
-    add_retry_args(search, scope="campaign/serve backends")
+    add_retry_args(
+        search, scope="default: 1; with --serve the daemon's, unless a retry flag is given"
+    )
     search.add_argument(
         "--checkpoint-cache", action="store_true",
         help="load/store the variant's trained-model checkpoint",
@@ -658,7 +654,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     retry = RetryPolicy.from_dict(overrides) if overrides else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     client = _make_client(args) if args.serve else None
-    workers = "serial" if args.serial else args.workers
     variants = (
         [part.strip() for part in args.variant.split(",")] if args.variant else [""]
     )
@@ -682,7 +677,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
             search = AttackSearch(
-                config, cache=cache, workers=workers, client=client,
+                config, cache=cache, workers=args.workers, client=client,
                 retry=retry, serve_timeout=args.timeout,
             )
         except (KeyError, ValueError) as exc:
@@ -693,7 +688,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(
             f"search {args.kind} on {args.model} {name}: "
             f"{args.optimizer} optimizer, budget {args.budget} "
-            f"({search.evaluator.name} evaluation)",
+            f"({search.executor.kind})",
             file=sys.stderr,
         )
 

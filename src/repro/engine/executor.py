@@ -5,7 +5,9 @@ strategy — it resolves the experiment, runs it with the spec's parameters
 and seed, and wraps the outcome (or the failure) into a
 :class:`~repro.engine.records.RunRecord`.  It is a module-level function so
 worker processes can run it by reference; only the plain-data
-:class:`~repro.engine.spec.RunSpec` crosses process boundaries.
+:class:`~repro.engine.spec.RunSpec` crosses process boundaries.  The serial
+executor runs same-seed runs of an experiment that declares a batch runner
+in one call (:func:`execute_batch`), with the same payloads.
 
 Failure policy: :class:`RunLedger` is the one retry/deadline/quarantine
 state machine, driven by the :class:`SerialExecutor`, by
@@ -40,6 +42,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from time import monotonic, perf_counter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -166,6 +169,36 @@ def execute_run(
     return run_record(spec, compute, executor_kind, version)
 
 
+def execute_batch(
+    specs: Sequence[RunSpec],
+    version: str = __version__,
+    executor_kind: str = "serial",
+) -> list[RunRecord]:
+    """Execute runs of one experiment and seed through its batch runner
+    (never raises); returns their records in spec order.
+
+    ``worker.run`` fires once per run, in order, before the call: a run it
+    fails keeps that error record and stays out of the call.  When the call
+    raises, each run executes alone through its runner, so a poison run
+    fails alone.
+    """
+    from repro.analysis.experiments import get_experiment, run_spec
+
+    def wrap(spec: RunSpec, compute: Callable[[], dict]) -> RunRecord:
+        return run_record(spec, compute, executor_kind, version)
+
+    # fault_point returns no payload: only the error records are kept.
+    fired = [wrap(spec, partial(fault_point, "worker.run", spec.label())) for spec in specs]
+    ready = [spec for spec, record in zip(specs, fired) if record.ok]
+    batch = get_experiment(specs[0].experiment_id).batch
+    params = [dict(spec.params) for spec in ready]
+    records = run_records(ready, partial(batch, params, specs[0].seed), executor_kind, version)
+    if not all(record.ok for record in records):
+        records = [wrap(spec, partial(run_spec, spec)) for spec in ready]
+    executed = iter(records)
+    return [next(executed) if record.ok else record for record in fired]
+
+
 def run_record(
     spec: RunSpec,
     compute: Callable[[], dict],
@@ -173,27 +206,46 @@ def run_record(
     version: str = __version__,
 ) -> RunRecord:
     """Call ``compute`` and wrap its payload, or what it raised, in ``spec``'s record."""
+    return run_records([spec], lambda: [compute()], executor_kind, version)[0]
+
+
+def run_records(
+    specs: Sequence[RunSpec],
+    compute: Callable[[], list],
+    executor_kind: str,
+    version: str = __version__,
+) -> list[RunRecord]:
+    """Call ``compute`` for one payload per spec and wrap them, or what it
+    raised, in the specs' records.
+
+    The records share the call's start time and split its duration evenly.
+    """
+    if not specs:
+        return []
     started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     start = perf_counter()
     try:
-        payload = compute()
+        payloads = list(compute())
+        if len(payloads) != len(specs):
+            raise RuntimeError(f"{len(payloads)} payloads for {len(specs)} runs")
         status, error = "ok", None
     except Exception as exc:  # noqa: BLE001 — sweep survives bad points
-        payload, status, error = {}, "error", f"{type(exc).__name__}: {exc}"
-    return RunRecord(
-        fingerprint=spec_fingerprint(spec, version),
-        spec=spec,
-        payload=payload,
-        status=status,
-        error=error,
-        duration_s=perf_counter() - start,
-        started_at=started_at,
-        provenance={
-            "version": version,
-            "executor": executor_kind,
-            "pid": os.getpid(),
-        },
-    )
+        payloads = [{}] * len(specs)
+        status, error = "error", f"{type(exc).__name__}: {exc}"
+    duration_s = (perf_counter() - start) / len(specs)
+    return [
+        RunRecord(
+            fingerprint=spec_fingerprint(spec, version),
+            spec=spec,
+            payload=payload,
+            status=status,
+            error=error,
+            duration_s=duration_s,
+            started_at=started_at,
+            provenance={"version": version, "executor": executor_kind, "pid": os.getpid()},
+        )
+        for spec, payload in zip(specs, payloads)
+    ]
 
 
 def failure_record(
@@ -514,11 +566,23 @@ class RunLedger:
         return outcome.with_provenance(attempts=attempts)
 
 
+#: Most runs one :func:`execute_batch` call of the serial executor takes:
+#: 8x a default search generation, and 128 scenarios at 2 placements, inside
+#: ``MAX_SCENARIO_CHUNK``.  A group's records are yielded together, so an
+#: interrupted serial sweep loses at most one group.
+_MAX_GROUP_RUNS = 64
+
+
 class SerialExecutor(RunExecutor):
     """Runs specs one after another in the current process.
 
-    Records come back in spec order, except that a retried run completes
-    after its backoff (the runs behind it go ahead while it waits).
+    Due runs of one seed of an experiment that declares a batch runner
+    (:attr:`~repro.analysis.experiments.ExperimentDescriptor.batch`) run as
+    a group in one :func:`execute_batch` call; every other run executes,
+    settles and is yielded before the next starts.  Each dispatch charges
+    one attempt.  Records come back in spec order, except that a retried
+    run completes after its backoff (the runs behind it go ahead while it
+    waits).
     """
 
     kind = "serial"
@@ -527,21 +591,37 @@ class SerialExecutor(RunExecutor):
         self.retry = retry if retry is not None else RetryPolicy()
 
     def run_specs(self, specs: Sequence[RunSpec]) -> Iterator[tuple[int, RunRecord]]:
+        from repro.analysis.experiments import EXPERIMENTS
+
+        batchable = {name for name, descriptor in EXPERIMENTS.items() if descriptor.batch}
         ledger = RunLedger(enumerate(specs), self.retry)
-        finished: list[tuple[int, RunRecord]] = []
-
-        def run_inline(token: tuple, spec: RunSpec) -> "SerialExecutor":
-            finished.append((token[1], execute_run(spec, executor_kind=self.kind)))
-            return self
-
         while ledger.active:
-            if not ledger.dispatch(run_inline):
+            group: list[tuple[int, RunSpec]] = []
+
+            def join(token: tuple, spec: RunSpec) -> "SerialExecutor | None":
+                if group:
+                    first = group[0][1]
+                    if first.experiment_id not in batchable or len(group) == _MAX_GROUP_RUNS:
+                        return None
+                    if (spec.experiment_id, spec.seed) != (first.experiment_id, first.seed):
+                        return None
+                group.append((token[1], spec))
+                return self
+
+            while ledger.dispatch(join):
+                pass
+            if not group:
                 time.sleep(ledger.next_due_s())  # only backoffs are left
                 continue
-            index, record = finished.pop()
-            final = ledger.final_record(index, ledger.report(index, record), self.kind)
-            if final is not None:
-                yield index, final
+            group_specs = [spec for _, spec in group]
+            if len(group) == 1:
+                records = [execute_run(group_specs[0], executor_kind=self.kind)]
+            else:
+                records = execute_batch(group_specs, executor_kind=self.kind)
+            for (index, _), record in zip(group, records):
+                final = ledger.final_record(index, ledger.report(index, record), self.kind)
+                if final is not None:
+                    yield index, final
 
 
 class BackendExecutor(RunExecutor):

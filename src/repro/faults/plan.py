@@ -11,8 +11,9 @@ a seeded :mod:`repro.utils.rng` stream — whether each call fires an effect.
 Fault points instrumented across the library:
 
 ====================  =======================================================
-``worker.run``        inside :func:`repro.engine.executor.execute_run`, i.e.
-                      in every executor (serial, or on a pool worker)
+``worker.run``        once per run in :func:`repro.engine.executor.execute_run`
+                      or ``execute_batch``, i.e. in every executor (serial,
+                      or on a pool worker)
 ``cache.put``         :meth:`repro.engine.cache.ResultCache.put` write step
 ``jobstore.save``     :meth:`repro.serve.jobstore.JobStore.save` write step
 ``api.handle``        the serve daemon's HTTP request dispatch

@@ -12,7 +12,8 @@
   points of *all* active jobs onto the shared
   :class:`~repro.engine.pool.WorkerPool` queue (work-stealing across
   concurrently submitted sweeps), drains completions, persists progress after
-  every point, and replaces dead workers, re-dispatching their lost tasks;
+  every point, and replaces dead workers, re-dispatching their lost tasks
+  (or quarantining them once no worker or node is left to run them);
 * **failure policy** is run-level and lives in one
   :class:`~repro.engine.executor.RunLedger` per active job — the same state
   machine ``repro sweep`` uses: every failed execution (an error record, a
@@ -383,6 +384,7 @@ class CampaignService:
                 self._drain()
                 self._enforce_deadlines()
                 self._reap_backends()
+                self._abandon_stranded()
             except Exception as exc:  # noqa: BLE001 — scheduler must survive
                 # A scheduler crash would silently freeze every job; log the
                 # tick's failure to the affected stores and keep ticking.
@@ -541,6 +543,23 @@ class CampaignService:
                 state = self._active.get(job_id)
                 failure = state and state.ledger.fail(index, "worker died mid-run")
                 if failure:
+                    self._on_failure(state, failure)
+
+    def _abandon_stranded(self) -> None:
+        """Quarantine every active job's unsettled runs once nothing can run them.
+
+        That is when the local pool is exhausted (every worker dead, its
+        respawn budget spent) and no eligible federated node is registered;
+        a coordinator-only daemon (no local pool) keeps waiting for nodes.
+        """
+        if self.pool is None or not self.pool.exhausted():
+            return
+        # A node summary reads "alive" only while the node may claim leases.
+        if any(node["state"] == "alive" for node in self.federation.nodes()):
+            return
+        with self._lock:
+            for state in list(self._active.values()):
+                for failure in state.ledger.abandon("no workers left to run it"):
                     self._on_failure(state, failure)
 
     def _emit(self, job_id: str, record: RunRecord, state: _ActiveJob) -> None:

@@ -307,6 +307,24 @@ class TestWorkloadMemos:
             for key, value in weights_fresh.items()
         )
 
+    def test_clean_accuracy_is_computed_on_first_read(self, reset_memos, monkeypatch):
+        from repro.accelerator.inference import AttackedInferenceEngine
+
+        calls = []
+        clean_accuracy = AttackedInferenceEngine.clean_accuracy
+
+        def counting(engine, dataset):
+            calls.append(engine)
+            return clean_accuracy(engine, dataset)
+
+        monkeypatch.setattr(AttackedInferenceEngine, "clean_accuracy", counting)
+        get_experiment("fig8_variant").run()
+        assert calls == []  # fig8_variant reports the trained variant's accuracy
+        candidate = get_experiment("fig7_candidate")
+        candidate.run({"variant": "l2+n3"})
+        candidate.run({"variant": "l2+n3", "fraction": 0.1})
+        assert len(calls) == 1  # memoized per engine
+
     @pytest.mark.parametrize("experiment_id", ["fig8_variant", "fig7_candidate"])
     def test_checkpoint_run_after_uncached_run_fills_store(
         self, reset_memos, tmp_path, experiment_id

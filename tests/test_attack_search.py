@@ -1,11 +1,12 @@
 """Tests for repro.attacks.search: spaces, optimizers, Pareto, driver, CLI.
 
-The driver tests exercise the three evaluation backends (stacked in-process,
-serial/worker-pool campaign, live ``repro serve`` daemon) against real
-``cnn_mnist`` candidate evaluations — the workload trains once per process
-and is cached, so these stay fast.  The kill-resume test drives the real CLI
-in a subprocess and SIGKILLs it mid-search to prove the content-addressed
-cache resumes interrupted searches.
+Every search generation is one ``Campaign``; the driver tests run it on the
+three executors (serial, where a generation is one stacked group; a worker
+pool; a live ``repro serve`` daemon) against real ``cnn_mnist`` candidate
+evaluations — the workload trains once per process and is cached, so these
+stay fast.  The kill-resume test drives the real CLI in a subprocess and
+SIGKILLs it mid-search to prove the content-addressed cache resumes
+interrupted searches.
 """
 
 from __future__ import annotations
@@ -42,9 +43,20 @@ from repro.attacks.search import (
 from repro.attacks.search.space import Dimension, quantize
 from repro.engine.cache import ResultCache
 from repro.engine.cli import main as cli_main
+from repro.engine.executor import RetryPolicy
+from repro.faults import FaultPlan, FaultRule
 from repro.utils.validation import ValidationError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _free_port() -> int:
+    """A localhost port nothing listens on."""
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 # ------------------------------------------------------------- search space
@@ -284,19 +296,19 @@ class TestAttackSearchDriver:
             _config(budget=0)
 
     def test_backends_produce_identical_trajectories(self, tmp_path):
-        batched = AttackSearch(_config()).run()
-        serial = AttackSearch(_config(), workers="serial").run()
+        # Serial generations run as stacked groups; pool workers evaluate
+        # one candidate per run.
+        stacked = AttackSearch(_config()).run()
         pool_cache = ResultCache(tmp_path / "pool")
         pooled = AttackSearch(_config(), cache=pool_cache, workers=2).run()
-        assert batched.trajectory_json() == serial.trajectory_json()
-        assert batched.trajectory_json() == pooled.trajectory_json()
-        assert front_payload(batched.front) == front_payload(pooled.front)
+        assert stacked.trajectory_json() == pooled.trajectory_json()
+        assert front_payload(stacked.front) == front_payload(pooled.front)
         # One pool serves every generation: its two workers ran all candidates.
         pids = {r.provenance["pid"] for r in pool_cache.records("fig7_candidate")}
         assert pooled.generations == 2 and 1 <= len(pids) <= 2
-        assert batched.evaluations == 6 and batched.generations == 2
-        assert len(batched.front) >= 1
-        assert batched.baseline > 0.5  # trained workload, sane clean accuracy
+        assert stacked.evaluations == 6 and stacked.generations == 2
+        assert len(stacked.front) >= 1
+        assert stacked.baseline > 0.5  # trained workload, sane clean accuracy
 
     def test_cache_resume_skips_completed_candidates(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -316,6 +328,23 @@ class TestAttackSearchDriver:
         assert full.cache_hits == 3 and full.executed == len(full.candidates) - 3
         reference = AttackSearch(_config()).run()
         assert full.trajectory_json() == reference.trajectory_json()
+
+    def test_default_search_honours_the_retry_policy(self):
+        """A one-shot injected raise fails the default search at one attempt,
+        and a second attempt lands on the fault-free trajectory."""
+
+        def one_raise() -> FaultPlan:
+            return FaultPlan([FaultRule("worker.run", "raise", max_fires=1)])
+
+        with one_raise().activated():
+            with pytest.raises(SearchError, match="1 candidate .*InjectedFault"):
+                AttackSearch(_config(), retry=RetryPolicy(max_attempts=1)).run()
+        with one_raise().activated():
+            retried = AttackSearch(
+                _config(), retry=RetryPolicy(max_attempts=2, backoff_s=0.01)
+            ).run()
+        assert retried.executed == len(retried.candidates)
+        assert retried.trajectory_json() == AttackSearch(_config()).run().trajectory_json()
 
     def test_evolutionary_and_halving_run_end_to_end(self):
         es = AttackSearch(
@@ -423,6 +452,101 @@ class TestAttackSearchDriver:
         assert resumed.trajectory_json() == reference.trajectory_json()
 
 
+# ------------------------------------------------------------ serial groups
+class TestSerialGroups:
+    """The serial executor runs due same-seed ``fig7_candidate`` runs in one
+    call of the experiment's batch runner."""
+
+    FOUR = ({"fraction": 0.01}, {"fraction": 0.03}, {"fraction": 0.05, "block": "fc"},
+            {"fraction": 0.08})
+
+    @pytest.fixture
+    def batch_calls(self, monkeypatch) -> list:
+        """The sizes of the ``fig7_candidate`` batch calls, in call order."""
+        import dataclasses
+
+        from repro.analysis import experiments
+
+        calls: list[int] = []
+
+        def counting(param_sets, seed):
+            calls.append(len(param_sets))
+            return experiments.candidate_payloads_batched(param_sets, seed)
+
+        descriptor = experiments.EXPERIMENTS["fig7_candidate"]
+        monkeypatch.setitem(
+            experiments.EXPERIMENTS, "fig7_candidate",
+            dataclasses.replace(descriptor, batch=counting),
+        )
+        return calls
+
+    @staticmethod
+    def _specs(*overrides, seeds=None):
+        from repro.analysis.experiments import get_experiment
+
+        candidate = get_experiment("fig7_candidate")
+        seeds = seeds or [0] * len(overrides)
+        return [
+            candidate.spec({"kind": "laser_power", "placements": 1, **params}, seed)
+            for params, seed in zip(overrides, seeds)
+        ]
+
+    @staticmethod
+    def _assert_one_at_a_time_payloads(specs, records):
+        from repro.analysis.experiments import get_experiment
+
+        candidate = get_experiment("fig7_candidate")
+        for spec, record in zip(specs, records):
+            if record.ok:
+                assert record.payload == candidate.run(spec.params, seed=spec.seed)
+
+    def test_one_batch_call_with_one_at_a_time_payloads(self, batch_calls):
+        from repro.engine.campaign import Campaign
+
+        specs = self._specs(*self.FOUR)
+        records = Campaign(specs).run().records
+        assert batch_calls == [len(specs)]
+        assert all(record.ok for record in records)
+        assert {record.provenance["executor"] for record in records} == {"serial"}
+        assert len({record.started_at for record in records}) == 1
+        self._assert_one_at_a_time_payloads(specs, records)
+
+    def test_groups_split_by_seed_and_size(self, batch_calls, monkeypatch):
+        from repro.engine import executor
+        from repro.engine.campaign import Campaign
+
+        monkeypatch.setattr(executor, "_MAX_GROUP_RUNS", 2)
+        specs = self._specs(*self.FOUR, {"fraction": 0.02}, seeds=[0, 0, 0, 1, 1])
+        records = Campaign(specs).run().records
+        # Groups: two of seed 0, the third alone (its runner), two of seed 1.
+        assert batch_calls == [2, 2]
+        assert all(record.ok for record in records)
+        self._assert_one_at_a_time_payloads(specs, records)
+
+    def test_poison_candidate_fails_alone(self, batch_calls):
+        from repro.engine.campaign import Campaign
+
+        specs = self._specs({"fraction": 0.01}, {"fraction": 0.03, "variant": "bogus"},
+                            {"fraction": 0.05})
+        records = Campaign(specs).run().records
+        assert batch_calls == [3]  # it raised; then each run went alone
+        assert [record.ok for record in records] == [True, False, True]
+        assert "bogus" in records[1].error
+        self._assert_one_at_a_time_payloads(specs, records)
+
+    def test_injected_raise_fails_only_its_run(self, batch_calls):
+        from repro.engine.campaign import Campaign
+
+        specs = self._specs(*self.FOUR)
+        plan = FaultPlan([FaultRule("worker.run", "raise", match=specs[1].label())])
+        with plan.activated():
+            records = Campaign(specs).run().records
+        assert batch_calls == [3]
+        assert [record.ok for record in records] == [True, False, True, True]
+        assert "InjectedFault" in records[1].error
+        self._assert_one_at_a_time_payloads(specs, records)
+
+
 # -------------------------------------------------------------------- serve
 class TestServeBackend:
     @pytest.fixture(scope="class")
@@ -444,7 +568,7 @@ class TestServeBackend:
 
         config = _config(budget=4, generation_size=2)
         search = AttackSearch(config, client=ServeClient(daemon.url))
-        assert search.evaluator.name == "serve"
+        assert search.executor.kind == "serve"
         remote = search.run()
         local = AttackSearch(config).run()
         assert remote.trajectory_json() == local.trajectory_json()
@@ -461,19 +585,50 @@ class TestServeBackend:
             search.run()
 
     def test_unreachable_daemon_raises_search_error(self):
-        import socket
-
         from repro.serve.client import ServeClient
 
-        with socket.socket() as sock:  # a free port nothing listens on
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
         search = AttackSearch(
             _config(budget=2, generation_size=2),
-            client=ServeClient(f"http://127.0.0.1:{port}", retries=0),
+            client=ServeClient(f"http://127.0.0.1:{_free_port()}", retries=0),
         )
         with pytest.raises(SearchError, match="cannot reach"):
             search.run()
+
+    def test_daemon_cache_hits_count_as_cache_hits(self, daemon):
+        from repro.serve.client import ServeClient
+
+        config = _config(budget=4, generation_size=2, seed=9)
+        fresh = AttackSearch(config, client=ServeClient(daemon.url)).run()
+        assert fresh.executed == len(fresh.candidates) and fresh.cache_hits == 0
+        # The identical jobs are already done: the daemon serves every record.
+        again = AttackSearch(config, client=ServeClient(daemon.url)).run()
+        assert again.executed == 0 and again.cache_hits == len(again.candidates)
+        assert again.trajectory_json() == fresh.trajectory_json()
+
+    def test_local_cache_replays_without_submitting(self, daemon, tmp_path):
+        from repro.serve.client import ServeClient
+
+        config = _config(budget=4, generation_size=2, seed=7)
+        cache = ResultCache(tmp_path / "local")
+        first = AttackSearch(config, cache=cache, client=ServeClient(daemon.url)).run()
+        assert len(list(cache.records("fig7_candidate"))) == len(first.candidates)
+        # Every candidate is a local cache hit, so no daemon is contacted.
+        nowhere = ServeClient(f"http://127.0.0.1:{_free_port()}", retries=0)
+        replay = AttackSearch(config, cache=cache, client=nowhere).run()
+        assert replay.executed == 0 and replay.cache_hits == len(first.candidates)
+        assert replay.trajectory_json() == first.trajectory_json()
+
+    def test_retry_policy_reaches_the_job(self, daemon):
+        from repro.serve.client import ServeClient
+
+        client = ServeClient(daemon.url)
+        policy = RetryPolicy(max_attempts=4, backoff_s=0.05)
+        before = {job["job_id"] for job in client.jobs()}
+        AttackSearch(
+            _config(budget=2, generation_size=2, seed=11), client=client, retry=policy
+        ).run()
+        [job] = [job for job in client.jobs() if job["job_id"] not in before]
+        assert job["policy"] == policy.to_dict()
 
 
 # ----------------------------------------------------------- experiments/CLI
@@ -511,14 +666,19 @@ class TestExperimentAndCli:
         assert "fraction-range" in capsys.readouterr().err
         assert cli_main(["search", "not_a_kind", "--budget", "2"]) == 1
         assert "not_a_kind" in capsys.readouterr().err
-        # A candidate failing on the default (batched) evaluator is an
-        # error line and exit 1, as on the serial evaluator.
+        # Failing candidates are one error line and exit 1, not a traceback.
         assert cli_main([
             "search", "laser_power", "--variant", "bogus", "--budget", "2",
             "--generation", "2", "--placements", "1", "--no-cache",
         ]) == 1
         err = capsys.readouterr().err
         assert "error: 2 candidate evaluation(s) failed" in err and "bogus" in err
+
+    def test_cli_search_has_no_serial_switch(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["search", "laser_power", "--serial"])
+        assert exit_info.value.code == 2
+        assert "--serial" in capsys.readouterr().err
 
     def test_cli_attacks_shows_bounds_and_choices(self, capsys):
         assert cli_main(["attacks"]) == 0

@@ -762,6 +762,36 @@ class TestServeChaos:
             assert record["status"] == "ok", record
             assert canonical(record["payload"]) == canonical(baseline[label])
 
+    def test_job_ends_when_its_pool_runs_out_of_workers(self, tmp_path):
+        """Regression: once the local pool had spent its respawn budget with
+        no node registered, the job's re-dispatched runs sat in a task queue
+        no worker read and the job stayed running; now they are quarantined
+        and the job fails."""
+        plan = FaultPlan([FaultRule("worker.run", "crash")])  # always crash
+        service = CampaignService(
+            jobstore_dir=tmp_path / "jobs", cache_dir=tmp_path / "cache", workers=1
+        )
+        service.pool.max_respawns = 1
+        sweep = {
+            "experiment_id": "ablation_tuning",
+            "grid": {"shifts_nm": [[0.1], [0.2], [0.3]]},
+        }
+        with plan.activated(set_env=True):
+            try:
+                service.start()
+                job, _ = service.submit(sweep)
+                deadline = monotonic() + 60
+                while not service.job(job.job_id).finished:
+                    assert monotonic() < deadline, "the job outlived its workers"
+                    time.sleep(0.1)
+            finally:
+                service.shutdown()
+        final = service.job(job.job_id)
+        assert final.state == "failed" and final.failures == final.total == 3
+        assert len(final.quarantined) == 3
+        assert any("no workers left" in entry["error"] for entry in final.quarantined)
+        assert service.pool.respawns == 1
+
     def test_degraded_pool_is_surfaced_by_health(self, tmp_path):
         """Satellite: /healthz flips status to "degraded" (with the explicit
         boolean) once the respawn budget is spent with reduced capacity."""
