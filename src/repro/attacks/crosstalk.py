@@ -119,14 +119,13 @@ class CrosstalkAttack(AttackKind):
                 self.params.grid_rows,
                 self.params.grid_cols,
             )
-            affected = {
-                int(bank): float(rise)
-                for bank, rise in enumerate(heat)
-                if rise >= self.params.min_rise_k
-            }
+            affected = np.flatnonzero(heat >= self.params.min_rise_k)
             outcome.add_effect(
                 block,
-                BlockEffect(bank_delta_t=affected, attacked_banks=()),
+                BlockEffect(
+                    bank_delta_t=dict(zip(affected.tolist(), heat[affected].tolist())),
+                    attacked_banks=(),
+                ),
                 attacked_mrs=num_sources * geometry.cols,
             )
         return outcome

@@ -20,7 +20,7 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.attacks.base import AttackOutcome, BlockEffect
 from repro.attacks.registry import AttackKind, register_attack
 from repro.utils.rng import default_rng, seed_int
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["HotspotAttackConfig", "HotspotAttack", "solve_bank_heat"]
 
@@ -102,22 +102,33 @@ def solve_bank_heat(
     """Per-bank steady-state temperature rise for one block.
 
     Shared by every thermal attack kind (hotspot heater overdrive, crosstalk
-    leakage): the heat sources differ, the substrate physics does not.
-    Returns a fresh array on every call; callers may modify it in place.
+    leakage): the heat sources differ, the substrate physics does not.  Each
+    call is one :func:`~repro.thermal.heatmap.simulate_hotspot_attack`, so
+    one :meth:`~repro.thermal.grid_solver.GridThermalSolver.solve`, on the
+    block's default floorplan; the floorplan, its tiling of the grid and the
+    solver's factorization are all computed once per process.  Returns a
+    fresh array on every call; callers may modify it in place.
     """
-    from repro.thermal.floorplan import Floorplan
     from repro.thermal.grid_solver import ThermalSolverConfig
     from repro.thermal.heatmap import simulate_hotspot_attack
 
     solver = _shared_solver(ThermalSolverConfig(grid_rows=grid_rows, grid_cols=grid_cols))
     result = simulate_hotspot_attack(
-        Floorplan(num_banks=num_banks),
-        attacked_banks=[int(b) for b in heated_banks],
+        _block_floorplan(check_positive_int(num_banks, "num_banks")),
+        attacked_banks=heated_banks,
         heater_power_mw=heater_power_mw,
         baseline_power_mw=baseline_power_mw,
         solver=solver,
     )
     return result.bank_temperature_rise_k
+
+
+@functools.lru_cache(maxsize=8)
+def _block_floorplan(num_banks: int):
+    """The default floorplan of a ``num_banks`` block (keyed by a validated int)."""
+    from repro.thermal.floorplan import Floorplan
+
+    return Floorplan(num_banks=num_banks)
 
 
 @register_attack("hotspot")
@@ -170,16 +181,12 @@ class HotspotAttack(AttackKind):
             heat[attacked] = np.maximum(
                 heat[attacked], self.params.attacked_bank_min_rise_k
             )
-            affected = {
-                int(bank): float(rise)
-                for bank, rise in enumerate(heat)
-                if rise >= self.params.min_rise_k
-            }
+            affected = np.flatnonzero(heat >= self.params.min_rise_k)
             outcome.add_effect(
                 block,
                 BlockEffect(
-                    bank_delta_t=affected,
-                    attacked_banks=tuple(int(b) for b in attacked),
+                    bank_delta_t=dict(zip(affected.tolist(), heat[affected].tolist())),
+                    attacked_banks=tuple(attacked.tolist()),
                 ),
                 attacked_mrs=num_banks * geometry.cols,
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.attacks.search.optimizers import OPTIMIZERS, make_optimizer
 from repro.attacks.search.pareto import (
@@ -149,16 +149,18 @@ class _ServeExecutor(RunExecutor):
 
     It never raises: a failed, quarantined or missing run, or an unreachable
     daemon, comes back as an error record.  A record is ``cached`` when the
-    daemon served it from its result cache, including every record of an
-    identical job that was already done.
+    job's result document says the daemon served it from its result cache
+    (every record of an identical job that was already done).  ``policy`` is
+    the job's retry-policy document: partial overrides of the daemon's own
+    policy, or ``None`` for the daemon's policy as is.
     """
 
     kind = "serve"
 
-    def __init__(self, client, timeout: float = 3600.0, retry: RetryPolicy | None = None):
+    def __init__(self, client, timeout: float = 3600.0, policy: dict | None = None):
         self.client = client
         self.timeout = float(timeout)
-        self.retry = retry
+        self.policy = policy
 
     def _sweep(self, specs: Sequence[RunSpec]) -> dict:
         """The ``POST /sweeps`` body: varying parameters zipped, the rest in ``base``."""
@@ -173,8 +175,8 @@ class _ServeExecutor(RunExecutor):
             "zipped": {key: [spec.params[key] for spec in specs] for key in varying},
             "seeds": [first.seed],
         }
-        if self.retry is not None:
-            sweep["policy"] = self.retry.to_dict()
+        if self.policy is not None:
+            sweep["policy"] = dict(self.policy)
         return sweep
 
     def run_specs(self, specs: Sequence[RunSpec]) -> Iterator[tuple[int, RunRecord]]:
@@ -183,13 +185,11 @@ class _ServeExecutor(RunExecutor):
         if not specs:
             return
         docs: dict = {}
-        events: list[str] = []
-        error, replayed = None, False
+        error = None
         try:
-            job = self.client.submit(self._sweep(specs))
-            job_id, replayed = job["job_id"], job["state"] == "done"
+            job_id = self.client.submit(self._sweep(specs))["job_id"]
             try:
-                self.client.wait(job_id, timeout=self.timeout, on_event=events.append)
+                self.client.wait(job_id, timeout=self.timeout)
             except JobFailedError as exc:
                 quarantined = "; ".join(
                     f"{entry.get('label')}: {entry.get('error')}" for entry in exc.quarantined
@@ -198,13 +198,11 @@ class _ServeExecutor(RunExecutor):
                     f"serve job {job_id} {exc.state}; "
                     f"quarantined candidates: {quarantined or 'none'}"
                 )
-            # Cache-first result docs ({label, status, payload}) rebuild the
-            # records against the local specs.
+            # Cache-first result docs ({label, status, cached, payload})
+            # rebuild the records against the local specs.
             docs = {doc.get("label"): doc for doc in self.client.results(job_id)["records"]}
         except ServeError as exc:
             error = f"serve evaluation failed: {exc}"
-        # Progress lines read "[i/n] <label> (cache)" for a daemon cache hit.
-        progress = {line.split("] ", 1)[-1] for line in events}
         for index, spec in enumerate(specs):
             label = spec.label()
             doc = docs.get(label, {})
@@ -217,7 +215,7 @@ class _ServeExecutor(RunExecutor):
                 spec=spec,
                 payload=doc["payload"],
                 provenance={"version": __version__, "executor": self.kind},
-                cached=replayed or f"{label} (cache)" in progress,
+                cached=bool(doc.get("cached")),
             )
 
 
@@ -241,8 +239,11 @@ class AttackSearch:
         A :class:`~repro.serve.client.ServeClient`; when set, generations are
         submitted to the coordinator as zipped sweeps (overrides ``workers``).
     retry:
-        Optional :class:`~repro.engine.executor.RetryPolicy`; with
-        ``client`` it becomes each job's ``policy``.
+        Optional :class:`~repro.engine.executor.RetryPolicy`, or a mapping
+        of partial overrides (``max_attempts``, ``backoff_s``, …) over the
+        default policy.  With ``client`` it becomes each job's ``policy``:
+        a whole policy replaces the daemon's, partial overrides only change
+        the fields they name.
     """
 
     def __init__(self, config: AttackSearchConfig, cache=None, workers=None,
@@ -253,8 +254,12 @@ class AttackSearch:
         if isinstance(cache, str) and cache:
             cache = ResultCache(cache)
         self.cache = cache or None
+        if isinstance(retry, Mapping):
+            policy, retry = dict(retry), RetryPolicy.from_dict(retry)
+        else:
+            policy = None if retry is None else retry.to_dict()
         self.executor = (
-            _ServeExecutor(client, serve_timeout, retry)
+            _ServeExecutor(client, serve_timeout, policy)
             if client is not None
             else make_executor(workers, retry=retry)
         )

@@ -446,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="[--serve] max seconds to wait per generation (default: 3600)",
     )
     add_retry_args(
-        search, scope="default: 1; with --serve the daemon's, unless a retry flag is given"
+        search, scope="default: 1; with --serve the daemon's, where only the given flags "
+                      "override its policy"
     )
     search.add_argument(
         "--checkpoint-cache", action="store_true",
@@ -639,7 +640,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     """Run one black-box attack search per requested mitigation variant."""
     from repro.analysis.reporting import format_pareto_table
     from repro.attacks.search import AttackSearch, AttackSearchConfig, SearchError
-    from repro.engine.executor import RetryPolicy
 
     try:
         parts = [float(part) for part in args.fraction_range.split(",")]
@@ -650,8 +650,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print("error: --fraction-range expects LO,HI (e.g. 0.005,0.1)",
               file=sys.stderr)
         return 2
-    overrides = _retry_overrides(args)
-    retry = RetryPolicy.from_dict(overrides) if overrides else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     client = _make_client(args) if args.serve else None
     variants = (
@@ -678,7 +676,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
             search = AttackSearch(
                 config, cache=cache, workers=args.workers, client=client,
-                retry=retry, serve_timeout=args.timeout,
+                retry=_retry_overrides(args), serve_timeout=args.timeout,
             )
         except (KeyError, ValueError) as exc:
             message = exc.args[0] if exc.args else exc

@@ -98,6 +98,11 @@ class JobRecord:
         Poison runs: points that exhausted their retry budget, recorded as
         ``{"index", "label", "attempts", "error"}`` so operators can see
         exactly what was given up on and why.
+    cached:
+        Indices of the points the job served from the result cache instead
+        of executing: the cache hits when the job was last activated, and
+        every point once a finished ``done`` job is resubmitted.  ``GET
+        /results/<id>`` reports each record's ``cached`` flag from it.
     client:
         The submitting client's self-declared identity (``X-Repro-Client``
         header); the key the per-client admission quota charges.  ``""`` for
@@ -122,6 +127,7 @@ class JobRecord:
     note: str = ""
     policy: Mapping[str, object] = field(default_factory=dict)
     quarantined: tuple[Mapping[str, object], ...] = ()
+    cached: tuple[int, ...] = ()
     client: str = ""
 
     def __post_init__(self) -> None:
@@ -133,6 +139,7 @@ class JobRecord:
         object.__setattr__(self, "specs", tuple(dict(s) for s in self.specs))
         object.__setattr__(self, "policy", dict(self.policy))
         object.__setattr__(self, "quarantined", tuple(dict(q) for q in self.quarantined))
+        object.__setattr__(self, "cached", tuple(int(index) for index in self.cached))
         if not self.total:
             object.__setattr__(self, "total", len(self.specs))
 
@@ -155,8 +162,9 @@ class JobRecord:
         Progress is *not* lost — completed points live in the result cache
         and are re-counted as cache hits when the scheduler activates the
         job, so only the missing points execute.  Quarantined points get a
-        fresh chance (the quarantine list resets); the submitted retry policy
-        sticks with the job.
+        fresh chance (the quarantine list resets, and so does ``cached``,
+        which activation fills again); the submitted retry policy sticks with
+        the job.
         """
         return replace(
             self,
@@ -170,6 +178,7 @@ class JobRecord:
             finished_at="",
             note=note,
             quarantined=(),
+            cached=(),
             updated_at=_utc_now(),
         )
 
@@ -194,6 +203,7 @@ class JobRecord:
             "note": self.note,
             "policy": dict(self.policy),
             "quarantined": [dict(q) for q in self.quarantined],
+            "cached": list(self.cached),
             "client": self.client,
         }
 
@@ -202,7 +212,7 @@ class JobRecord:
         return {
             key: value
             for key, value in self.to_dict().items()
-            if key not in ("specs", "sweep")
+            if key not in ("specs", "sweep", "cached")
         } | {"experiment_id": self.sweep.get("experiment_id")}
 
     @classmethod
@@ -226,6 +236,7 @@ class JobRecord:
             note=str(data.get("note", "")),
             policy=dict(data.get("policy", {})),  # type: ignore[arg-type]
             quarantined=tuple(data.get("quarantined", ())),  # type: ignore[arg-type]
+            cached=tuple(data.get("cached", ())),  # type: ignore[arg-type]
             client=str(data.get("client", "")),
         )
 

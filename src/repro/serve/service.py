@@ -241,6 +241,9 @@ class CampaignService:
                 updates: dict = {"submits": existing.submits + 1}
                 if policy_fields is not None:
                     updates["policy"] = dict(policy_fields)
+                if existing.state == "done":
+                    # The resubmission runs nothing: the cache serves every point.
+                    updates["cached"] = tuple(range(existing.total))
                 existing = self.store.update(job_id, **updates)
                 if existing.state in ("failed", "cancelled"):
                     existing = self.store.save(
@@ -316,13 +319,19 @@ class CampaignService:
             return job
 
     def results(self, job_id: str) -> dict | None:
-        """Cache-first result read: every point fetched straight from the cache."""
+        """Cache-first result read: every point fetched straight from the cache.
+
+        A record's ``cached`` flag says whether the job served that point
+        from the cache rather than executing it (the job's ``cached``
+        indices), not merely that the read came from the cache.
+        """
         job = self.store.get(job_id)
         if job is None:
             return None
         records = []
         payloads = []
         quarantined = {int(entry.get("index", -1)) for entry in job.quarantined}
+        cached = set(job.cached)
         for index, spec in enumerate(job.run_specs()):
             record = self.cache.get(spec)
             if record is None:
@@ -333,7 +342,7 @@ class CampaignService:
                     {
                         "label": spec.label(),
                         "status": record.status,
-                        "cached": record.cached,
+                        "cached": index in cached,
                         "payload": dict(record.payload),
                     }
                 )
@@ -414,9 +423,11 @@ class CampaignService:
                     lost_task_grace_s=self.lost_task_grace_s,
                 )
                 state = _ActiveJob(job_id=job.job_id, total=job.total, ledger=ledger)
+                served = []
                 for index, spec in enumerate(job.run_specs()):
                     cached = self.cache.get(spec)
                     if cached is not None:
+                        served.append(index)
                         state.done += 1
                         state.cache_hits += 1
                         self._emit(job.job_id, cached, state)
@@ -424,7 +435,11 @@ class CampaignService:
                         ledger.pending.append((index, spec))
                 self._active[job.job_id] = state
                 self.store.update(
-                    job.job_id, state="running", started_at=_now(), **state.counters()
+                    job.job_id,
+                    state="running",
+                    started_at=_now(),
+                    cached=tuple(served),
+                    **state.counters(),
                 )
                 self._finish_if_complete(job.job_id, state)
 

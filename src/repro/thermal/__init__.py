@@ -6,7 +6,8 @@ steady-state finite-difference heat-diffusion solver over a floorplan of MR
 banks:
 
 * :mod:`repro.thermal.floorplan` — geometric layout of the MR banks of an
-  accelerator block on the chip surface;
+  accelerator block on the chip surface, and its cached tiling of a
+  thermal grid;
 * :mod:`repro.thermal.grid_solver` — steady-state 2-D diffusion solver with
   per-cell power injection and convective sinking to ambient;
 * :mod:`repro.thermal.heatmap` — assembles attacked-heater power maps,

@@ -8,6 +8,7 @@ right place and per-bank temperatures can be read back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from repro.utils.validation import ValidationError, check_positive, check_positive_int
 
-__all__ = ["BankPlacement", "Floorplan"]
+__all__ = ["BankPlacement", "Floorplan", "FloorplanTiling", "TileGroup"]
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,12 @@ class BankPlacement:
         return (self.x_um + self.width_um / 2.0, self.y_um + self.height_um / 2.0)
 
 
+@dataclass(frozen=True)
 class Floorplan:
     """Regular grid layout of MR banks on a rectangular die.
+
+    A floorplan is immutable and compares (and hashes) by its validated
+    geometry, which is what keys its cached :meth:`tiling`.
 
     Parameters
     ----------
@@ -42,6 +47,7 @@ class Floorplan:
         Number of MR banks to place.
     banks_per_row:
         Banks per floorplan row; rows are filled left-to-right, top-to-bottom.
+        ``None`` picks ``ceil(sqrt(num_banks))``.
     bank_width_um, bank_height_um:
         Tile footprint of one bank (rings plus peripheral circuits).
     spacing_um:
@@ -50,28 +56,34 @@ class Floorplan:
         Margin between the tile array and the die edge.
     """
 
-    def __init__(
-        self,
-        num_banks: int,
-        banks_per_row: int | None = None,
-        bank_width_um: float = 120.0,
-        bank_height_um: float = 60.0,
-        spacing_um: float = 20.0,
-        margin_um: float = 50.0,
-    ):
-        self.num_banks = check_positive_int(num_banks, "num_banks")
+    num_banks: int
+    banks_per_row: int | None = None
+    bank_width_um: float = 120.0
+    bank_height_um: float = 60.0
+    spacing_um: float = 20.0
+    margin_um: float = 50.0
+
+    def __post_init__(self) -> None:
+        num_banks = check_positive_int(self.num_banks, "num_banks")
+        banks_per_row = self.banks_per_row
         if banks_per_row is None:
             banks_per_row = int(np.ceil(np.sqrt(num_banks)))
-        self.banks_per_row = check_positive_int(banks_per_row, "banks_per_row")
-        self.bank_width_um = check_positive(bank_width_um, "bank_width_um")
-        self.bank_height_um = check_positive(bank_height_um, "bank_height_um")
-        if spacing_um < 0 or margin_um < 0:
+        if self.spacing_um < 0 or self.margin_um < 0:
             raise ValueError("spacing_um and margin_um must be non-negative")
-        self.spacing_um = float(spacing_um)
-        self.margin_um = float(margin_um)
-        self.placements = self._place()
+        validated = {
+            "num_banks": num_banks,
+            "banks_per_row": check_positive_int(banks_per_row, "banks_per_row"),
+            "bank_width_um": check_positive(self.bank_width_um, "bank_width_um"),
+            "bank_height_um": check_positive(self.bank_height_um, "bank_height_um"),
+            "spacing_um": float(self.spacing_um),
+            "margin_um": float(self.margin_um),
+        }
+        for name, value in validated.items():
+            object.__setattr__(self, name, value)
 
-    def _place(self) -> list[BankPlacement]:
+    @functools.cached_property
+    def placements(self) -> tuple[BankPlacement, ...]:
+        """Every bank's tile, indexed by bank id."""
         placements = []
         for bank_id in range(self.num_banks):
             row = bank_id // self.banks_per_row
@@ -87,7 +99,7 @@ class Floorplan:
                     height_um=self.bank_height_um,
                 )
             )
-        return placements
+        return tuple(placements)
 
     @property
     def num_rows(self) -> int:
@@ -140,3 +152,124 @@ class Floorplan:
         x1 = max(x1, x0 + 1)
         y1 = max(y1, y0 + 1)
         return slice(y0, min(y1, rows)), slice(x0, min(x1, cols))
+
+    def tiling(self, grid_shape: tuple[int, int]) -> FloorplanTiling:
+        """Every bank's tile on a ``(rows, cols)`` grid, computed once per process.
+
+        The value is shared by every call with an equal floorplan and grid
+        shape (a bounded cache keyed by all six geometry fields and the
+        shape); its arrays are read-only.
+        """
+        rows, cols = grid_shape
+        shape = (check_positive_int(rows, "grid rows"), check_positive_int(cols, "grid cols"))
+        return _tiling(self, shape)
+
+
+@dataclass(frozen=True, eq=False)
+class TileGroup:
+    """The banks whose tiles share one ``(height, width)`` shape.
+
+    ``cells[i]`` holds the flat grid-cell indices of ``bank_ids[i]``'s tile
+    in row-major order, so ``field.reshape(-1)[cells[i]]`` is that tile
+    flattened exactly as ``field[slices[bank_ids[i]]]`` would be.
+    """
+
+    height: int
+    width: int
+    bank_ids: np.ndarray
+    cells: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FloorplanTiling:
+    """Where every bank tile of one floorplan falls on one thermal grid.
+
+    Attributes
+    ----------
+    grid_shape:
+        ``(rows, cols)`` of the thermal grid.
+    slices:
+        :meth:`Floorplan.bank_cells` of every bank, indexed by bank id.
+    areas:
+        Cells per tile, indexed by bank id.
+    starts, cells:
+        Every tile's flat cell indices, tile after tile in bank order:
+        bank ``b`` covers ``cells[starts[b]:starts[b] + areas[b]]``.
+    groups:
+        One :class:`TileGroup` per distinct tile shape.
+    """
+
+    grid_shape: tuple[int, int]
+    slices: tuple[tuple[slice, slice], ...]
+    areas: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
+    groups: tuple[TileGroup, ...]
+
+    def spread(self, banks: np.ndarray, watts: np.ndarray) -> np.ndarray:
+        """Power map [W] with ``watts[i]`` spread evenly over tile ``banks[i]``.
+
+        Additions happen in the order given, so a cell covered by several
+        (overlapping or repeated) tiles accumulates their shares in exactly
+        the sequence a loop of ``power[slices[b]] += w / area`` would.
+        """
+        counts = self.areas[banks]
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        positions = np.repeat(self.starts[banks] - (ends - counts), counts) + np.arange(total)
+        power = np.zeros(self.grid_shape)
+        np.add.at(power.reshape(-1), self.cells[positions], np.repeat(watts / counts, counts))
+        return power
+
+    def tile_means(self, field: np.ndarray) -> np.ndarray:
+        """Mean of ``field`` over every bank's tile, indexed by bank id.
+
+        Bit-identical to ``field[slices[b]].mean()``: NumPy reduces a tile
+        of up to one buffer of cells (``np.getbufsize()``) as one pairwise
+        run over its row-major cells, which is what summing each gathered
+        row does.  A larger tile is reduced buffer by buffer, so the few
+        tiles of that size take the slice mean itself.
+        """
+        flat = field.reshape(-1)
+        means = np.empty(len(self.areas))
+        for group in self.groups:
+            size = group.height * group.width
+            if size <= np.getbufsize():
+                means[group.bank_ids] = flat[group.cells].sum(axis=1) / size
+            else:
+                means[group.bank_ids] = [field[self.slices[b]].mean() for b in group.bank_ids]
+        return means
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=8)
+def _tiling(floorplan: Floorplan, grid_shape: tuple[int, int]) -> FloorplanTiling:
+    """Build the tiling behind :meth:`Floorplan.tiling`.
+
+    ``maxsize=8`` covers the CONV and FC blocks of a few grid shapes; one
+    entry holds every tile's int64 cell indices twice (at most about 3 MiB
+    at 512x512).
+    """
+    rows, cols = grid_shape
+    slices = tuple(floorplan.bank_cells(b, grid_shape) for b in range(floorplan.num_banks))
+    index = np.arange(rows * cols).reshape(rows, cols)
+    tiles = [index[tile].reshape(-1) for tile in slices]
+    areas = np.array([tile.size for tile in tiles])
+    shapes = [(tile[0].stop - tile[0].start, tile[1].stop - tile[1].start) for tile in slices]
+    groups = []
+    for height, width in sorted(set(shapes)):
+        bank_ids = np.array([b for b, shape in enumerate(shapes) if shape == (height, width)])
+        cells = np.stack([tiles[b] for b in bank_ids])
+        groups.append(TileGroup(height, width, _read_only(bank_ids), _read_only(cells)))
+    return FloorplanTiling(
+        grid_shape=grid_shape,
+        slices=slices,
+        areas=_read_only(areas),
+        starts=_read_only(np.cumsum(areas) - areas),
+        cells=_read_only(np.concatenate(tiles)),
+        groups=tuple(groups),
+    )

@@ -87,7 +87,10 @@ class GridThermalSolver:
         substitutions.  Attack sampling gets the reuse across calls because
         :func:`repro.attacks.hotspot.solve_bank_heat` keeps one solver per
         process for the current :class:`ThermalSolverConfig`; a caller that
-        builds a fresh solver per power map refactorizes every time.
+        builds a fresh solver per power map refactorizes every time.  Attack
+        sampling also builds its power maps from the floorplan's cached
+        tiling of the grid (:meth:`repro.thermal.floorplan.Floorplan.tiling`),
+        so beyond this solve a sampled block does no per-bank Python work.
         """
         power = np.asarray(power_map_w, dtype=float)
         if power.ndim != 2:

@@ -74,13 +74,19 @@ class HeatmapResult:
 
 def simulate_hotspot_attack(
     floorplan: Floorplan,
-    attacked_banks: list[int] | tuple[int, ...],
+    attacked_banks: list[int] | tuple[int, ...] | np.ndarray,
     heater_power_mw: float = 300.0,
     baseline_power_mw: float = 1.0,
     solver: GridThermalSolver | None = None,
     solver_config: ThermalSolverConfig | None = None,
 ) -> HeatmapResult:
     """Simulate a thermal hotspot attack on ``attacked_banks``.
+
+    Every bank tile carries ``baseline_power_mw``; each entry of
+    ``attacked_banks`` (in order, repeats adding up) adds ``heater_power_mw``
+    to its tile.  The floorplan's cached :meth:`~Floorplan.tiling` for the
+    solver's grid places the power and reads back each bank's mean rise
+    without a per-bank Python loop; the result arrays are fresh per call.
 
     Parameters
     ----------
@@ -100,33 +106,31 @@ def simulate_hotspot_attack(
     check_positive(heater_power_mw, "heater_power_mw")
     if baseline_power_mw < 0:
         raise ValidationError(f"baseline_power_mw must be non-negative, got {baseline_power_mw}")
-    for bank in attacked_banks:
-        if not 0 <= bank < floorplan.num_banks:
-            raise ValidationError(
-                f"attacked bank {bank} outside floorplan with {floorplan.num_banks} banks"
-            )
+    attacked = np.asarray(attacked_banks).reshape(-1)
+    if attacked.size and attacked.dtype.kind not in "iu":
+        raise ValidationError(f"attacked banks must be integers, got {attacked_banks!r}")
+    attacked = attacked.astype(np.intp)
+    outside = attacked[(attacked < 0) | (attacked >= floorplan.num_banks)]
+    if outside.size:
+        raise ValidationError(
+            f"attacked bank {outside[0]} outside floorplan with {floorplan.num_banks} banks"
+        )
     solver = solver or GridThermalSolver(solver_config)
-    grid_shape = (solver.config.grid_rows, solver.config.grid_cols)
-    power_map = np.zeros(grid_shape)
-    tiles = [floorplan.bank_cells(bank_id, grid_shape) for bank_id in range(floorplan.num_banks)]
-
-    for cells in tiles:
-        area = max(power_map[cells].size, 1)
-        power_map[cells] += baseline_power_mw * 1e-3 / area
-    for bank_id in attacked_banks:
-        cells = tiles[bank_id]
-        area = max(power_map[cells].size, 1)
-        power_map[cells] += heater_power_mw * 1e-3 / area
-
+    tiling = floorplan.tiling((solver.config.grid_rows, solver.config.grid_cols))
+    num_banks = floorplan.num_banks
+    power_map = tiling.spread(
+        np.concatenate([np.arange(num_banks), attacked]),
+        np.concatenate([
+            np.full(num_banks, baseline_power_mw * 1e-3),
+            np.full(attacked.size, heater_power_mw * 1e-3),
+        ]),
+    )
     temperature = solver.solve(power_map)
     ambient = solver.config.ambient_temperature_k
-    rises = np.zeros(floorplan.num_banks)
-    for bank_id, cells in enumerate(tiles):
-        rises[bank_id] = float(temperature[cells].mean() - ambient)
     return HeatmapResult(
         temperature_k=temperature,
         ambient_k=ambient,
-        bank_temperature_rise_k=rises,
-        attacked_banks=tuple(int(b) for b in attacked_banks),
+        bank_temperature_rise_k=tiling.tile_means(temperature) - ambient,
+        attacked_banks=tuple(attacked.tolist()),
         power_map_w=power_map,
     )

@@ -618,14 +618,32 @@ class TestServeBackend:
         assert replay.executed == 0 and replay.cache_hits == len(first.candidates)
         assert replay.trajectory_json() == first.trajectory_json()
 
-    def test_retry_policy_reaches_the_job(self, daemon):
+    def test_retry_policy_reaches_the_job(self, daemon, capsys):
+        """Retry flags reach the job as partial overrides of the daemon's policy."""
+        from repro.serve.client import ServeClient
+        from repro.serve.service import DEFAULT_POLICY
+
+        client = ServeClient(daemon.url)
+        before = {job["job_id"] for job in client.jobs()}
+        assert cli_main([
+            "search", "laser_power", "--budget", "2", "--generation", "2",
+            "--placements", "1", "--seed", "11", "--serve", "--url", daemon.url,
+            "--retry-backoff", "0.05", "--no-cache", "--json", "-q",
+        ]) == 0
+        capsys.readouterr()
+        [job] = [job for job in client.jobs() if job["job_id"] not in before]
+        assert job["policy"] == {"backoff_s": 0.05}
+        effective = RetryPolicy.from_dict(job["policy"], default=DEFAULT_POLICY)
+        assert effective.max_attempts == DEFAULT_POLICY.max_attempts == 3
+
+    def test_whole_retry_policy_replaces_the_daemons(self, daemon):
         from repro.serve.client import ServeClient
 
         client = ServeClient(daemon.url)
         policy = RetryPolicy(max_attempts=4, backoff_s=0.05)
         before = {job["job_id"] for job in client.jobs()}
         AttackSearch(
-            _config(budget=2, generation_size=2, seed=11), client=client, retry=policy
+            _config(budget=2, generation_size=2, seed=12), client=client, retry=policy
         ).run()
         [job] = [job for job in client.jobs() if job["job_id"] not in before]
         assert job["policy"] == policy.to_dict()

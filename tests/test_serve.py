@@ -260,6 +260,28 @@ class TestServeAPI:
         assert client.results(job["job_id"])["payloads"] == results["payloads"]
         assert any(j["job_id"] == job["job_id"] for j in client.jobs())
 
+    def test_results_report_real_cache_hits(self, daemon):
+        """``cached`` marks the points a job served from the cache, per index."""
+        client = ServeClient(daemon.url)
+
+        def cached(job_id):
+            return [record["cached"] for record in client.results(job_id)["records"]]
+
+        sweep = {"experiment_id": "ablation_tuning", "grid": {"shifts_nm": [[0.3], [0.7]]}}
+        job = client.submit(sweep)
+        assert client.wait(job["job_id"], timeout=90)["executed"] == 2
+        assert cached(job["job_id"]) == [False, False]
+        # The identical resubmission runs nothing: the cache serves both.
+        assert client.submit(sweep)["created"] is False
+        assert cached(job["job_id"]) == [True, True]
+        # A new job sharing one point executes only the other.
+        mixed = client.submit(
+            {"experiment_id": "ablation_tuning", "grid": {"shifts_nm": [[0.7], [0.9]]}}
+        )
+        final = client.wait(mixed["job_id"], timeout=90)
+        assert final["cache_hits"] == 1 and final["executed"] == 1
+        assert cached(mixed["job_id"]) == [True, False]
+
     def test_bad_sweep_is_400(self, daemon):
         client = ServeClient(daemon.url)
         for payload in (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,15 +10,46 @@ import pytest
 
 from repro.accelerator.config import AcceleratorConfig
 from repro.attacks import AttackSpec, HotspotAttack
-from repro.attacks.hotspot import HotspotAttackConfig, _shared_solver, solve_bank_heat
+from repro.attacks.hotspot import (
+    HotspotAttackConfig,
+    _block_floorplan,
+    _shared_solver,
+    solve_bank_heat,
+)
 from repro.thermal import (
     Floorplan,
     GridThermalSolver,
     ThermalSolverConfig,
+    floorplan,
     grid_solver,
     simulate_hotspot_attack,
 )
 from repro.utils.validation import ValidationError
+
+
+def per_bank_loop(plan, attacked_banks, heater_power_mw, baseline_power_mw, solver):
+    """The per-bank reference: ``(power_map_w, bank_temperature_rise_k)``.
+
+    One slice per tile, power added tile by tile (every baseline in bank
+    order, then each attacked bank in the order given) and one slice mean
+    per bank, exactly as the heatmap was computed before its tiling.
+    """
+    grid_shape = (solver.config.grid_rows, solver.config.grid_cols)
+    power_map = np.zeros(grid_shape)
+    tiles = [plan.bank_cells(bank_id, grid_shape) for bank_id in range(plan.num_banks)]
+    for cells in tiles:
+        area = max(power_map[cells].size, 1)
+        power_map[cells] += baseline_power_mw * 1e-3 / area
+    for bank_id in attacked_banks:
+        cells = tiles[bank_id]
+        area = max(power_map[cells].size, 1)
+        power_map[cells] += heater_power_mw * 1e-3 / area
+    temperature = solver.solve(power_map)
+    ambient = solver.config.ambient_temperature_k
+    rises = np.zeros(plan.num_banks)
+    for bank_id, cells in enumerate(tiles):
+        rises[bank_id] = float(temperature[cells].mean() - ambient)
+    return power_map, rises
 
 
 class TestFloorplan:
@@ -243,3 +275,140 @@ class TestSharedBankHeatSolver:
         HotspotAttack(spec, {"grid_rows": 48}).sample(config, seed=0)
         with pytest.raises(ValidationError, match="grid_rows must be an integer"):
             floaty.sample(config, seed=0)
+
+
+class TestFloorplanTiling:
+    """The cached tiling reproduces the per-bank loop byte for byte."""
+
+    HEATER_BOUNDS = HotspotAttackConfig.__dataclass_fields__["heater_power_mw"].metadata["bounds"]
+    BASELINE_BOUNDS = HotspotAttackConfig.__dataclass_fields__["baseline_power_mw"].metadata["bounds"]
+
+    @staticmethod
+    def _assert_matches_loop(plan, attacked, heater, baseline, solver):
+        power, rises = per_bank_loop(plan, attacked, heater, baseline, solver)
+        result = simulate_hotspot_attack(plan, attacked, heater, baseline, solver=solver)
+        case = (plan, solver.config.grid_rows, solver.config.grid_cols, attacked)
+        assert result.power_map_w.tobytes() == power.tobytes(), case
+        assert result.bank_temperature_rise_k.tobytes() == rises.tobytes(), case
+
+    def _cases(self):
+        """Fixed edge geometries, then randomized ones (1 to 1,600 banks)."""
+        paper = AcceleratorConfig.paper_config().conv_block
+        scaled = AcceleratorConfig.scaled_config()
+        yield Floorplan(paper.num_banks, banks_per_row=paper.rows), (64, 64)  # fig6
+        yield Floorplan(scaled.conv_block.num_banks), (48, 48)
+        yield Floorplan(scaled.fc_block.num_banks), (48, 48)
+        yield Floorplan(1), (4, 4)
+        yield Floorplan(1600), (4, 4)
+        yield Floorplan(1600, banks_per_row=7), (96, 40)
+        yield Floorplan(6, banks_per_row=3), (64, 64)  # tiles 16+ cells wide
+        yield Floorplan(3, banks_per_row=3, margin_um=0.0, spacing_um=0.0), (40, 33)
+        rng = np.random.default_rng(2024)
+        for _ in range(24):
+            num_banks = int(rng.integers(1, 1601))
+            per_row = None if rng.random() < 0.5 else int(rng.integers(1, num_banks + 1))
+            plan = Floorplan(
+                num_banks,
+                per_row,
+                bank_width_um=float(rng.uniform(20.0, 300.0)),
+                bank_height_um=float(rng.uniform(20.0, 300.0)),
+                spacing_um=float(rng.uniform(0.0, 40.0)),
+                margin_um=float(rng.uniform(0.0, 80.0)),
+            )
+            yield plan, (int(rng.integers(4, 65)), int(rng.integers(4, 65)))
+
+    def test_matches_per_bank_loop(self):
+        rng = np.random.default_rng(7)
+        heater_lo, heater_hi = self.HEATER_BOUNDS
+        baseline_lo, baseline_hi = self.BASELINE_BOUNDS
+        solvers: dict = {}
+        max_depth = max_width = 0
+        for index, (plan, shape) in enumerate(self._cases()):
+            solver = solvers.setdefault(shape, GridThermalSolver(ThermalSolverConfig(*shape)))
+            tiling = plan.tiling(shape)
+            max_depth = max(max_depth, int(np.bincount(tiling.cells).max()))
+            max_width = max(max_width, max(group.width for group in tiling.groups))
+            # Unsorted, with repeats; powers at and between the config bounds.
+            attacked = rng.integers(0, plan.num_banks, size=int(rng.integers(0, 40))).tolist()
+            attacked += attacked[:2]
+            heater = [heater_lo, heater_hi][index % 2] if index < 4 else float(
+                np.exp(rng.uniform(np.log(heater_lo), np.log(heater_hi)))
+            )
+            baseline = [baseline_lo, baseline_hi][index % 2] if index < 4 else float(
+                rng.uniform(baseline_lo, baseline_hi)
+            )
+            self._assert_matches_loop(plan, attacked, heater, baseline, solver)
+        assert max_depth >= 4 and max_width >= 8  # overlapping and wide tiles ran
+
+    def test_matches_per_bank_loop_on_the_largest_grids(self):
+        """512x512 and non-square large grids, tiles past one NumPy buffer included."""
+        for plan, shape in ((Floorplan(4), (512, 512)), (Floorplan(1), (512, 37))):
+            solver = GridThermalSolver(ThermalSolverConfig(*shape))
+            self._assert_matches_loop(plan, [3, 0, 3] if plan.num_banks > 1 else [0],
+                                      2000.0, 100.0, solver)
+
+    def test_tile_means_match_slice_means(self):
+        """Per-bank means on random fields, for grids up to 512x512."""
+        rng = np.random.default_rng(11)
+        for plan, shape in ((Floorplan(1), (512, 512)), (Floorplan(2), (300, 512)),
+                            (Floorplan(9), (512, 200)), (Floorplan(100), (512, 512)),
+                            (Floorplan(1600), (509, 511)), (Floorplan(5), (4, 4))):
+            tiling = plan.tiling(shape)
+            field = 318.0 + rng.random(shape) * 40.0
+            expected = np.array([field[cells].mean() for cells in tiling.slices])
+            assert tiling.tile_means(field).tobytes() == expected.tobytes(), (plan, shape)
+
+    def test_distinct_floorplans_never_share_a_tiling(self):
+        base = Floorplan(12, banks_per_row=4, bank_width_um=100.0, bank_height_um=50.0,
+                         spacing_um=10.0, margin_um=20.0)
+        shared = base.tiling((32, 24))
+        assert Floorplan(12, 4, 100, 50, 10, 20).tiling((32, 24)) is shared
+        variants = {
+            "num_banks": 13, "banks_per_row": 3, "bank_width_um": 101.0,
+            "bank_height_um": 51.0, "spacing_um": 11.0, "margin_um": 21.0,
+        }
+        for name, value in variants.items():
+            other = dataclasses.replace(base, **{name: value})
+            assert other != base
+            assert other.tiling((32, 24)) is not shared, name
+        assert base.tiling((24, 32)) is not shared
+        assert base.tiling((32, 25)) is not shared
+
+    def test_results_do_not_depend_on_geometry_order(self):
+        def run(order):
+            floorplan._tiling.cache_clear()
+            _block_floorplan.cache_clear()
+            _shared_solver.cache_clear()
+            results = {}
+            for num_banks, rows, cols in order:
+                heated = np.arange(1, num_banks, 13)
+                results[num_banks, rows, cols] = solve_bank_heat(
+                    num_banks, heated, 300.0, 1.0, rows, cols
+                ).tobytes()
+            return results
+
+        order = [(250, 48, 48), (450, 48, 48), (250, 32, 40), (450, 96, 40)]
+        assert run(order) == run(order[::-1])
+
+    def test_mutating_results_leaves_the_next_call_unchanged(self):
+        plan = Floorplan(250)
+        solver = GridThermalSolver(ThermalSolverConfig(48, 48))
+        first = simulate_hotspot_attack(plan, [3, 40, 3], solver=solver)
+        expected = (first.power_map_w.tobytes(), first.bank_temperature_rise_k.tobytes())
+        first.power_map_w[:] = 1.0
+        first.bank_temperature_rise_k[:] = -1.0
+        first.temperature_k[:] = 0.0
+        again = simulate_hotspot_attack(plan, [3, 40, 3], solver=solver)
+        assert (again.power_map_w.tobytes(), again.bank_temperature_rise_k.tobytes()) == expected
+
+    def test_tiling_arrays_are_read_only(self):
+        tiling = Floorplan(250).tiling((48, 48))
+        arrays = [tiling.areas, tiling.starts, tiling.cells]
+        arrays += [array for group in tiling.groups for array in (group.bank_ids, group.cells)]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_rejects_non_integer_attacked_banks(self):
+        with pytest.raises(ValidationError, match="must be integers"):
+            simulate_hotspot_attack(Floorplan(4, banks_per_row=2), attacked_banks=[1.5])
