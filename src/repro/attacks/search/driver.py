@@ -233,8 +233,7 @@ class AttackSearch:
         reuse.
     workers:
         Executor knob for :func:`~repro.engine.executor.make_executor`:
-        ``None``/``1``/``"serial"`` runs serially, a larger count on one
-        worker pool.
+        ``None``/``1`` runs serially, a larger count on one worker pool.
     client:
         A :class:`~repro.serve.client.ServeClient`; when set, generations are
         submitted to the coordinator as zipped sweeps (overrides ``workers``).

@@ -116,7 +116,7 @@ class Campaign:
         self,
         sweep: SweepSpec | Sequence[RunSpec],
         cache: ResultCache | str | Path | None = None,
-        workers: int | str | RunExecutor | RunBackend | None = None,
+        workers: int | RunExecutor | RunBackend | None = None,
         progress: Callable[[ProgressEvent], None] | None = None,
         retry: RetryPolicy | None = None,
     ):

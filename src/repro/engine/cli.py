@@ -219,10 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep_axis_args(sweep)
     add_retry_args(sweep, scope="default: 1 — failures are final")
     sweep.add_argument(
-        "--workers", "-j", default=None,
+        "--workers", "-j", type=int, default=None,
         help="worker-pool size (default/1: run serially)",
     )
-    sweep.add_argument("--serial", action="store_true", help="force serial execution")
     sweep.add_argument("--json", action="store_true", help="print payloads as JSON")
     sweep.add_argument("--quiet", "-q", action="store_true", help="no per-point progress")
     add_cache_args(sweep)
@@ -433,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--seed", type=int, default=0, help="search seed")
     search.add_argument(
-        "--workers", "-j", default=None,
+        "--workers", "-j", type=int, default=None,
         help="worker-pool size for every generation (default/1: run serially)",
     )
     search.add_argument(
@@ -574,7 +573,6 @@ def _retry_overrides(args: argparse.Namespace) -> dict | None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine.executor import RetryPolicy
 
-    workers = "serial" if args.serial else args.workers
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     completed = {"count": 0}  # progress survives an interrupt for the report
 
@@ -594,7 +592,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             seeds=args.seeds,
         )
         campaign = Campaign(
-            sweep, cache=cache, workers=workers, progress=progress, retry=retry
+            sweep, cache=cache, workers=args.workers, progress=progress, retry=retry
         )
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc

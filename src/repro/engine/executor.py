@@ -317,12 +317,8 @@ class RunBackend(ABC):
         """Bring the execution capacity up (idempotent)."""
 
     @abstractmethod
-    def submit(self, token: Hashable, spec: RunSpec) -> None:
-        """Enqueue one run, waiting for capacity if need be."""
-
-    @abstractmethod
     def try_submit(self, token: Hashable, spec: RunSpec) -> bool:
-        """Non-blocking submit; False when the backend has no capacity now."""
+        """Non-blocking enqueue of one run; False when the backend has no capacity now."""
 
     @abstractmethod
     def completions(self, timeout: float | None = None) -> Iterator[tuple[Hashable, RunRecord]]:
@@ -703,14 +699,14 @@ _BATCH_TAGS = itertools.count()
 
 
 def make_executor(
-    workers: int | str | RunExecutor | RunBackend | None,
+    workers: int | RunExecutor | RunBackend | None,
     retry: RetryPolicy | None = None,
 ) -> RunExecutor:
     """Build an executor from a worker-count knob.
 
-    ``None``, ``0``, ``1`` or ``"serial"`` select the serial executor; a
-    larger integer a :class:`BackendExecutor` over a worker pool of that
-    size.  A :class:`RunBackend` (e.g. a caller-owned
+    ``None``, ``0`` or ``1`` select the serial executor; a larger integer
+    a :class:`BackendExecutor` over a worker pool of that size.  A
+    :class:`RunBackend` (e.g. a caller-owned
     :class:`~repro.engine.pool.WorkerPool`) is wrapped in a
     :class:`BackendExecutor` under ``retry``.  A :class:`RunExecutor`
     passes through unchanged (``retry`` is ignored: it owns its policy).
@@ -719,10 +715,6 @@ def make_executor(
         return workers
     if isinstance(workers, RunBackend):
         return BackendExecutor(workers, retry=retry)
-    if workers == "serial":
-        return SerialExecutor(retry=retry)
-    if isinstance(workers, str):
-        workers = int(workers)
     if workers in (None, 0, 1):
         return SerialExecutor(retry=retry)
     return BackendExecutor(workers, retry=retry)

@@ -3,15 +3,18 @@
 Scenario-batched attacked inference evaluates ``S`` corrupted weight sets in
 one stacked forward pass: each mapped :class:`~repro.nn.tensor.Parameter`
 carries a ``(S, *shape)`` stacked value, activations gain a leading scenario
-axis, and every layer broadcasts over it:
+axis, and every layer broadcasts over it.  The weighted layers each have one
+stacked forward, which variant-grid training runs too:
 
 * :class:`~repro.nn.layers.linear.Linear` contracts
   ``einsum('snf,sof->sno')`` (a batched BLAS matmul);
 * :class:`~repro.nn.layers.conv.Conv2D` computes im2col **once per input
   batch** while the activations are still shared across scenarios and reuses
   the patch matrix against all ``S`` weight sets as one batched matmul;
-* pooling, batch-norm (inference statistics), flatten and the elementwise
-  activations fold the scenario axis into the batch axis.
+* :class:`~repro.nn.layers.batchnorm.BatchNorm2D` normalizes every slab with
+  its running statistics (per variant where the layer carries them);
+* pooling, flatten and the elementwise activations fold the scenario axis
+  into the batch axis or broadcast over it.
 
 A stacked value with the singleton scenario count ``S = 1`` broadcasts
 against truly stacked layers.  The inference engine exploits this: parameters
@@ -19,13 +22,14 @@ whose corrupted rows are all identical (e.g. conv kernels under an FC-only
 attack) are collapsed to a single shared row, so the forward pass stays
 un-replicated until the first genuinely attacked layer.
 
-Ensemble forwards loaded this way are inference-only: layers drop their
-backward caches, so calling ``backward`` after a stacked forward raises
-instead of silently computing wrong gradients.  Stacked states loaded as
-*trainable* (``Module.load_stacked_state(..., trainable=True)``) instead run
-cached stacked forwards whose backward accumulates per-variant gradient
-slabs — the variant-grid training path driven by
-:class:`~repro.nn.training.StackedTrainer`.
+Stacked forwards on a state loaded this way are inference-only: they keep
+no backward cache, so calling ``backward`` after one raises instead of
+silently computing wrong gradients.  On a state loaded as *trainable*
+(``Module.load_stacked_state(..., trainable=True)``) a training-mode forward
+caches what its backward needs to accumulate per-variant gradient slabs —
+the variant-grid training path driven by
+:class:`~repro.nn.training.StackedTrainer` — after releasing the previous
+batch's cache; an evaluation-mode forward there keeps none either.
 """
 
 from __future__ import annotations
@@ -83,9 +87,9 @@ def fold_scenarios(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Fold a ``(S, N, …)`` stacked activation into ``(S*N, …)``.
 
     Returns the folded array and ``S`` so :func:`unfold_scenarios` can restore
-    the leading axis.  Layers that treat every sample independently (pooling,
-    inference batch-norm, flatten) use this pair to broadcast over scenarios
-    without any dedicated stacked kernel.
+    the leading axis.  Layers that treat every sample independently (the
+    pooling layers) use this pair to broadcast over scenarios without any
+    dedicated stacked kernel.
     """
     lead = x.shape[0]
     return x.reshape((x.shape[0] * x.shape[1],) + x.shape[2:]), lead

@@ -46,25 +46,7 @@ class BatchNorm2D(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
         if x.ndim == 5:
-            if self.training and self.gamma.stacked_trainable:
-                return self._forward_stacked_train(x)
-            # Scenario-stacked ensemble input: inference statistics are fixed,
-            # so each scenario normalizes independently by folding the
-            # scenario axis into the batch axis.  Training statistics would
-            # mix scenarios, which has no physical counterpart — reject it.
-            if self.training:
-                raise RuntimeError(
-                    "BatchNorm2D cannot train on scenario-stacked (5-D) inputs; "
-                    "ensemble forwards are inference-only"
-                )
-            if self.gamma.stacked is not None or self.stacked_running_mean is not None:
-                return self._forward_stacked_eval(x)
-            from repro.nn.ensemble import fold_scenarios, unfold_scenarios
-
-            folded, lead = fold_scenarios(x)
-            out = self.forward(folded)
-            self._cache = None
-            return unfold_scenarios(out, lead)
+            return self._forward_stacked(x)
         if x.ndim != 4 or x.shape[1] != self.num_features:
             raise ValueError(
                 f"BatchNorm2D expects (N, {self.num_features}, H, W), got {x.shape}"
@@ -87,60 +69,64 @@ class BatchNorm2D(Module):
         self._cache = (x_hat, inv_std, x.shape)
         return out
 
-    def _forward_stacked_train(self, x: np.ndarray) -> np.ndarray:
-        """Variant-stacked training forward over ``(V, N, C, H, W)`` inputs.
+    def _forward_stacked(self, x: np.ndarray) -> np.ndarray:
+        """Forward over a leading model axis: ``(S, N, C, H, W)`` inputs.
 
-        Every variant normalizes with *its own* batch statistics and updates
-        its own running-statistics slab; the per-variant reductions run as a
-        short loop over contiguous slabs so each variant's statistics are
-        bit-identical to a standalone 4-D forward of that variant.
+        In training, which needs trainable stacked ``gamma``/``beta`` (a
+        variant-stacked grid), every variant normalizes with *its own* batch
+        statistics and updates its own running-statistics slab; the
+        per-variant reductions run as a short loop over contiguous slabs so
+        each variant's statistics are bit-identical to a standalone 4-D
+        forward of that variant.  Training on scenario-stacked inputs would
+        mix scenarios in one batch statistic, which has no physical
+        counterpart, so it is rejected.
+
+        Otherwise each slab normalizes with the stacked running statistics
+        and parameters where the layer carries them, else with the shared
+        ones broadcast over the leading axis — the same elementwise
+        arithmetic as a 4-D inference forward per scenario.
         """
         if x.shape[2] != self.num_features:
             raise ValueError(
-                f"BatchNorm2D expects (V, N, {self.num_features}, H, W), got {x.shape}"
+                f"BatchNorm2D expects (S, N, {self.num_features}, H, W), got {x.shape}"
             )
-        variants = x.shape[0]
-        mean = np.stack([x[v].mean(axis=(0, 2, 3)) for v in range(variants)])
-        var = np.stack([x[v].var(axis=(0, 2, 3)) for v in range(variants)])
-        if self.stacked_running_mean is None:
-            self.stacked_running_mean = np.broadcast_to(
-                self.running_mean, (variants, self.num_features)
-            ).astype(np.float32).copy()
-            self.stacked_running_var = np.broadcast_to(
-                self.running_var, (variants, self.num_features)
-            ).astype(np.float32).copy()
-        self.stacked_running_mean = (
-            (1.0 - self.momentum) * self.stacked_running_mean + self.momentum * mean
-        ).astype(np.float32)
-        self.stacked_running_var = (
-            (1.0 - self.momentum) * self.stacked_running_var + self.momentum * var
-        ).astype(np.float32)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        expand = (slice(None), None, slice(None), None, None)
-        x_hat = (x - mean[expand]) * inv_std[expand]
-        out = self.gamma.stacked[expand] * x_hat + self.beta.stacked[expand]
-        self._cache = (x_hat, inv_std, x.shape)
-        return out
-
-    def _forward_stacked_eval(self, x: np.ndarray) -> np.ndarray:
-        """Inference on stacked inputs with per-variant parameters/statistics."""
-        expand = (slice(None), None, slice(None), None, None)
-        mean = (
-            self.stacked_running_mean
-            if self.stacked_running_mean is not None
-            else self.running_mean[None]
-        )
-        var = (
-            self.stacked_running_var
-            if self.stacked_running_var is not None
-            else self.running_var[None]
-        )
+        self._cache = None
+        if self.training:
+            if not self.gamma.stacked_trainable:
+                raise RuntimeError(
+                    "BatchNorm2D cannot train on scenario-stacked (5-D) inputs; "
+                    "ensemble forwards are inference-only"
+                )
+            variants = x.shape[0]
+            mean = np.stack([x[v].mean(axis=(0, 2, 3)) for v in range(variants)])
+            var = np.stack([x[v].var(axis=(0, 2, 3)) for v in range(variants)])
+            if self.stacked_running_mean is None:
+                self.stacked_running_mean = np.broadcast_to(
+                    self.running_mean, (variants, self.num_features)
+                ).astype(np.float32).copy()
+                self.stacked_running_var = np.broadcast_to(
+                    self.running_var, (variants, self.num_features)
+                ).astype(np.float32).copy()
+            self.stacked_running_mean = (
+                (1.0 - self.momentum) * self.stacked_running_mean + self.momentum * mean
+            ).astype(np.float32)
+            self.stacked_running_var = (
+                (1.0 - self.momentum) * self.stacked_running_var + self.momentum * var
+            ).astype(np.float32)
+        else:
+            mean = self.stacked_running_mean
+            var = self.stacked_running_var
+            if mean is None:
+                mean, var = self.running_mean[None], self.running_var[None]
         gamma = self.gamma.stacked if self.gamma.stacked is not None else self.gamma.data[None]
         beta = self.beta.stacked if self.beta.stacked is not None else self.beta.data[None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
+        expand = (slice(None), None, slice(None), None, None)
         x_hat = (x - mean[expand]) * inv_std[expand]
-        self._cache = None
-        return gamma[expand] * x_hat + beta[expand]
+        out = gamma[expand] * x_hat + beta[expand]
+        if self.training:
+            self._cache = (x_hat, inv_std, x.shape)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -168,7 +154,7 @@ class BatchNorm2D(Module):
         return grad_input.astype(np.float32)
 
     def _backward_stacked(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backward of :meth:`_forward_stacked_train` (per-variant statistics)."""
+        """Backward of a training-mode :meth:`_forward_stacked` (per-variant statistics)."""
         x_hat, inv_std, input_shape = self._cache
         variants, batch, _, height, width = input_shape
         count = batch * height * width

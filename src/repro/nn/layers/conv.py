@@ -62,14 +62,12 @@ class Conv2D(Module):
         weight_shape = (out_channels, in_channels, *self.kernel_size)
         self.weight = Parameter(init.he_normal(weight_shape, rng), kind="conv")
         self.bias = Parameter(init.zeros((out_channels,)), kind="bias") if bias else None
-        self._cache: tuple[np.ndarray, tuple[int, int, int, int], int, int] | None = None
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
-        if self.training and self.weight.stacked_trainable:
-            return self._forward_stacked_train(x)
         if x.ndim == 5 or self.weight.stacked is not None:
-            return self._forward_ensemble(x)
+            return self._forward_stacked(x)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2D expects input (N, {self.in_channels}, H, W), got {x.shape}"
@@ -85,102 +83,50 @@ class Conv2D(Module):
         self._cache = (cols, x.shape, out_h, out_w)
         return out
 
-    def _forward_ensemble(self, x: np.ndarray) -> np.ndarray:
-        """Scenario-stacked forward over ``(S?, N, C, H, W)`` inputs.
+    def _forward_stacked(self, x: np.ndarray) -> np.ndarray:
+        """Forward over a leading model axis: ``(S?, N, C, H, W) -> (S, N, F, OH, OW)``.
 
-        While the activations are still shared across scenarios (a 4-D input,
-        or a 5-D input with a singleton scenario axis), im2col runs **once**
-        per input batch and the shared patch matrix is contracted against all
-        ``S`` stacked weight sets as a single batched matmul.  Once the
-        activations have diverged, the scenario axis is folded into the batch
-        axis for the unfold and each scenario's patches meet its own weight
-        set in the batched contraction.
+        The ``S`` weight sets are the stacked kernels — corrupted copies in
+        attacked inference, variants in stacked training — or the plain
+        kernel as a stack of one when only the input is stacked.  A shared
+        4-D input is unfolded **once** and its patch matrix meets every
+        weight set in one batched matmul; a 5-D input folds its leading axis
+        into the batch for the unfold, giving each set its own patch slab
+        (a singleton leading axis broadcasts against ``S`` sets).
+
+        Only a training-mode forward on trainable stacked kernels keeps the
+        patches for :meth:`backward`; the previous batch's cache is dropped
+        before the next unfold either way.  A shared input is then the raw
+        image batch, so :meth:`backward` skips its (discarded) gradient.
         """
         if x.ndim not in (4, 5) or x.shape[-3] != self.in_channels:
             raise ValueError(
                 f"Conv2D expects input (N, {self.in_channels}, H, W) or "
                 f"(S, N, {self.in_channels}, H, W), got {x.shape}"
             )
-        self._cache = None  # ensemble forwards are inference-only
-        stacked = self.weight.stacked
+        self._cache = None
+        weights = self.weight.stacked
+        if weights is None:
+            weights = self.weight.data[None]
+        shared_input = x.ndim == 4
+        lead = 1 if shared_input else x.shape[0]
+        batch = x.shape[-4]
         kh, kw = self.kernel_size
-        if x.ndim == 5 and x.shape[0] == 1:
-            x = x[0]  # shared activations: keep the single-im2col fast path
-
-        if x.ndim == 4:
-            batch = x.shape[0]
-            cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
-            if stacked is None:
-                out = (cols @ self.weight.data.reshape(self.out_channels, -1).T)[None]
-            else:
-                weight_matrix = stacked.reshape(stacked.shape[0], self.out_channels, -1)
-                out = np.matmul(cols[None], weight_matrix.transpose(0, 2, 1))
-        else:
-            scenarios, batch = x.shape[:2]
-            cols, out_h, out_w = im2col(
-                x.reshape((scenarios * batch,) + x.shape[2:]), kh, kw, self.stride, self.padding
-            )
-            cols = cols.reshape(scenarios, batch * out_h * out_w, -1)
-            if stacked is None:
-                weight_matrix = self.weight.data.reshape(1, self.out_channels, -1)
-            else:
-                weight_matrix = stacked.reshape(stacked.shape[0], self.out_channels, -1)
-            out = np.matmul(cols, weight_matrix.transpose(0, 2, 1))
+        cols, out_h, out_w = im2col(
+            x.reshape((lead * batch,) + x.shape[-3:]), kh, kw, self.stride, self.padding
+        )
+        cols = cols.reshape(lead, batch * out_h * out_w, -1)
+        out = np.matmul(
+            cols, weights.reshape(weights.shape[0], self.out_channels, -1).transpose(0, 2, 1)
+        )
         if self.bias is not None:
             if self.bias.stacked is not None:
                 out = out + self.bias.stacked[:, None, :]
             else:
                 out = out + self.bias.data
-        lead = out.shape[0]
-        return out.reshape(lead, batch, out_h, out_w, self.out_channels).transpose(
-            0, 1, 4, 2, 3
-        )
-
-    def _forward_stacked_train(self, x: np.ndarray) -> np.ndarray:
-        """Variant-stacked training forward over ``(V?, N, C, H, W)`` inputs.
-
-        A shared 4-D input — the raw image batch, identical for every variant
-        (downstream activations are always 5-D in stacked training, even for
-        a single variant) — is unfolded **once** and the patch matrix meets
-        all ``V`` stacked kernels in one batched matmul; since nothing sits
-        upstream of the raw input, :meth:`backward` also skips the (discarded)
-        input gradient for it.  A diverged 5-D input folds the variant axis
-        into the batch axis for the unfold, giving each variant its own patch
-        slab.  Both shapes cache the patch matrix for :meth:`backward`.
-        """
-        stacked = self.weight.stacked
-        variants = stacked.shape[0]
-        if x.ndim not in (4, 5) or x.shape[-3] != self.in_channels:
-            raise ValueError(
-                f"Conv2D expects input (N, {self.in_channels}, H, W) or "
-                f"(V, N, {self.in_channels}, H, W), got {x.shape}"
-            )
-        kh, kw = self.kernel_size
-        weight_matrix = stacked.reshape(variants, self.out_channels, -1)
-        if x.ndim == 4:
-            batch = x.shape[0]
-            cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
-            out = np.matmul(cols[None], weight_matrix.transpose(0, 2, 1))
-            shared_input = True
-            input_shape = x.shape
-        else:
-            if x.shape[0] != variants:
-                raise ValueError(
-                    f"stacked input has {x.shape[0]} variants, weights have {variants}"
-                )
-            batch = x.shape[1]
-            cols, out_h, out_w = im2col(
-                x.reshape((variants * batch,) + x.shape[2:]),
-                kh, kw, self.stride, self.padding,
-            )
-            cols = cols.reshape(variants, batch * out_h * out_w, -1)
-            out = np.matmul(cols, weight_matrix.transpose(0, 2, 1))
-            shared_input = False
-            input_shape = x.shape
-        if self.bias is not None:
-            out = out + self.bias.stacked[:, None, :]
-        self._cache = ("stacked", cols, shared_input, input_shape, out_h, out_w)
-        return out.reshape(variants, batch, out_h, out_w, self.out_channels).transpose(
+        if self.training and self.weight.stacked_trainable:
+            self._cache = ("stacked", cols, shared_input, x.shape, out_h, out_w)
+        return out.reshape(out.shape[0], batch, out_h, out_w, self.out_channels).transpose(
             0, 1, 4, 2, 3
         )
 
@@ -203,7 +149,7 @@ class Conv2D(Module):
         return col2im(grad_cols, input_shape, kh, kw, self.stride, self.padding)
 
     def _backward_stacked(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backward of :meth:`_forward_stacked_train`.
+        """Backward of a training-mode :meth:`_forward_stacked`.
 
         Accumulates one kernel/bias gradient slab per variant and returns the
         per-variant input gradient ``(V, N, C, H, W)``.  A shared 4-D input
@@ -213,7 +159,7 @@ class Conv2D(Module):
         """
         _, cols, shared_input, input_shape, out_h, out_w = self._cache
         variants = self.weight.stacked.shape[0]
-        batch = input_shape[0] if shared_input else input_shape[1]
+        batch = input_shape[-4]
         # (V, N, F, OH, OW) -> (V, N*OH*OW, F)
         grad_matrix = grad_output.transpose(0, 1, 3, 4, 2).reshape(
             variants, batch * out_h * out_w, -1

@@ -51,10 +51,8 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
-        if self.training and self.weight.stacked_trainable:
-            return self._forward_stacked_train(x)
         if x.ndim == 3 or self.weight.stacked is not None:
-            return self._forward_ensemble(x)
+            return self._forward_stacked(x)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"Linear expects input of shape (N, {self.in_features}), got {x.shape}"
@@ -65,59 +63,44 @@ class Linear(Module):
             out = out + self.bias.data
         return out
 
-    def _forward_stacked_train(self, x: np.ndarray) -> np.ndarray:
-        """Variant-stacked training forward: ``(V, N, F) x (V, O, F) -> (V, N, O)``.
+    def _forward_stacked(self, x: np.ndarray) -> np.ndarray:
+        """Forward over a leading model axis: ``(S?, N, F) x (S?, O, F) -> (S, N, O)``.
 
-        All ``V`` variants contract against their own weight slab in one
-        batched matmul; the cached stacked input lets :meth:`backward`
-        accumulate one gradient slab per variant.  A 2-D input — still shared
-        across variants, i.e. (a paramless transform of) the raw input batch,
-        since every downstream activation in stacked training carries the
-        variant axis — is broadcast to the variant count without copying, and
-        :meth:`backward` skips its (unconsumed) input gradient like
+        The ``S`` weight sets are the stacked matrices — corrupted copies in
+        attacked inference, variants in stacked training — or the plain
+        matrix as a stack of one when only the input is stacked.  One
+        batched matmul contracts every set; a shared 2-D input, or any
+        singleton leading axis, broadcasts against the other operand's
+        ``S`` without a copy.
+
+        Only a training-mode forward on trainable stacked weights caches the
+        input for :meth:`backward`.  A shared input is then (a paramless
+        transform of) the raw image batch, since every downstream activation
+        in stacked training carries the variant axis, so :meth:`backward`
+        skips its (unconsumed) gradient as
         :class:`~repro.nn.layers.conv.Conv2D` does for shared 4-D inputs.
-        """
-        stacked = self.weight.stacked
-        if x.ndim not in (2, 3) or x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"Linear expects input (N, {self.in_features}) or "
-                f"(V, N, {self.in_features}), got {x.shape}"
-            )
-        self._shared_stacked_input = x.ndim == 2
-        if x.ndim == 2:
-            x = np.broadcast_to(x[None], (stacked.shape[0],) + x.shape)
-        self._cached_input = x
-        out = np.matmul(x, stacked.transpose(0, 2, 1))
-        if self.bias is not None:
-            out = out + self.bias.stacked[:, None, :]
-        return out
-
-    def _forward_ensemble(self, x: np.ndarray) -> np.ndarray:
-        """Scenario-stacked forward: ``(S?, N, F) x (S?, O, F) -> (S, N, O)``.
-
-        Either operand may be shared — a 2-D input against stacked weights is
-        the canonical ``einsum('nf,sof->sno')`` contraction, expressed as a
-        batched matmul so every scenario hits BLAS; a stacked input against
-        shared weights broadcasts through a plain matmul.  Singleton leading
-        axes broadcast against the other operand's scenario count.
         """
         if x.ndim not in (2, 3) or x.shape[-1] != self.in_features:
             raise ValueError(
                 f"Linear expects input (N, {self.in_features}) or "
                 f"(S, N, {self.in_features}), got {x.shape}"
             )
-        self._cached_input = None  # ensemble forwards are inference-only
-        stacked = self.weight.stacked
-        if stacked is None:
-            out = x @ self.weight.data.T
-        else:
-            lhs = x[None] if x.ndim == 2 else x
-            out = np.matmul(lhs, stacked.transpose(0, 2, 1))
+        self._cached_input = None
+        weights = self.weight.stacked
+        if weights is None:
+            weights = self.weight.data[None]
+        shared_input = x.ndim == 2
+        if shared_input:
+            x = x[None]
+        out = np.matmul(x, weights.transpose(0, 2, 1))
         if self.bias is not None:
             if self.bias.stacked is not None:
                 out = out + self.bias.stacked[:, None, :]
             else:
                 out = out + self.bias.data
+        if self.training and self.weight.stacked_trainable:
+            self._cached_input = x
+            self._shared_stacked_input = shared_input
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -35,11 +35,12 @@ class Parameter:
     variant — attached via
     :meth:`repro.nn.module.Module.load_stacked_state`.  While a stacked value
     is present, layers that consume the parameter evaluate all ``S`` weight
-    sets in a single ensemble forward pass.  When the stacked value was
-    loaded as *trainable* the parameter also owns a ``stacked_grad`` buffer
-    of the same shape and the layers run cached stacked forwards whose
-    ``backward`` accumulates one gradient slab per variant (the variant-grid
-    training path); without it, stacked forwards are inference-only.
+    sets in one stacked forward pass, the same one for attack scenarios and
+    model variants.  When the stacked value was loaded as *trainable* the
+    parameter also owns a ``stacked_grad`` buffer of the same shape, and a
+    training-mode stacked forward caches what ``backward`` needs to
+    accumulate one gradient slab per variant (the variant-grid training
+    path); without it, stacked forwards are inference-only.
     """
 
     def __init__(self, data: np.ndarray, name: str = "", kind: str = "other"):

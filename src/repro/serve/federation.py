@@ -450,11 +450,6 @@ class FederationBackend(RunBackend):
             self._claimable.append((token, spec.canonical(), spec.label()))
             return True
 
-    def submit(self, token: Hashable, spec: RunSpec) -> None:
-        """Unconditional queue, whatever the free capacity."""
-        with self._lock:
-            self._claimable.append((token, spec.canonical(), spec.label()))
-
     def withdraw(self, token: Hashable) -> bool:
         """Recall a run no node has claimed yet (lost-task grace requeue)."""
         with self._lock:

@@ -212,7 +212,6 @@ class TestExecutors:
     def test_make_executor_knob(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor("serial"), SerialExecutor)
         pool = make_executor(3)
         assert isinstance(pool, BackendExecutor)
         assert pool.workers == 3
@@ -487,7 +486,7 @@ class TestCli:
         argv = [
             "sweep", "ablation_tuning",
             "--grid", "shifts_nm=[0.2],[2.0]",
-            "--serial", "--json", "--cache-dir", str(tmp_path),
+            "-j", "1", "--json", "--cache-dir", str(tmp_path),
         ]
         assert cli_main(argv) == 0
         output = json.loads(capsys.readouterr().out)
@@ -500,11 +499,17 @@ class TestCli:
         assert "ablation_tuning" in report_out
         assert "min_s" in report_out and "mean_s" in report_out and "max_s" in report_out
 
+    def test_cli_sweep_has_no_serial_switch(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["sweep", "ablation_tuning", "--serial"])
+        assert exit_info.value.code == 2
+        assert "--serial" in capsys.readouterr().err
+
     def test_cli_report_surfaces_run_timing(self, tmp_path, capsys):
         argv = [
             "sweep", "ablation_tuning",
             "--grid", "shifts_nm=[0.2],[1.0],[2.0]",
-            "--serial", "--quiet", "--cache-dir", str(tmp_path),
+            "-j", "1", "--quiet", "--cache-dir", str(tmp_path),
         ]
         assert cli_main(argv) == 0
         capsys.readouterr()

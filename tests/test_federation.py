@@ -120,8 +120,11 @@ class TestFederationBackend:
     def test_claim_respects_worker_budget_and_drain(self, tmp_path):
         fed = self._backend(tmp_path)
         fed.register_node("n1", workers=1)
+        fed.register_node("n2", workers=1)  # capacity for a second claimable run
         for i in range(2):
-            fed.submit(("job", i), RunSpec("ablation_tuning", params={"shifts_nm": [i]}))
+            assert fed.try_submit(
+                ("job", i), RunSpec("ablation_tuning", params={"shifts_nm": [i]})
+            )
         assert len(fed.claim("n1", max_runs=5)) == 1  # 1 worker -> 1 lease
         assert fed.claim("n1", max_runs=5) == []  # slot already holds a lease
         fed.drain("n1")
@@ -133,7 +136,7 @@ class TestFederationBackend:
         fed = self._backend(tmp_path, lease_ttl_s=0.15)
         fed.register_node("n1", workers=1)
         spec = RunSpec("ablation_tuning", params={"shifts_nm": [0.2]})
-        fed.submit(("job", 0), spec)
+        assert fed.try_submit(("job", 0), spec)
         lease = fed.claim("n1")[0]
         time.sleep(0.25)
         assert fed.reap() == [("job", 0)]  # reclaimed: scheduler re-dispatches
@@ -146,7 +149,7 @@ class TestFederationBackend:
     def test_renew_extends_and_bad_token_is_fenced(self, tmp_path):
         fed = self._backend(tmp_path, lease_ttl_s=0.3, node_timeout_s=10.0)
         fed.register_node("n1", workers=1)
-        fed.submit(("job", 0), RunSpec("ablation_tuning", params={"shifts_nm": [0.2]}))
+        assert fed.try_submit(("job", 0), RunSpec("ablation_tuning", params={"shifts_nm": [0.2]}))
         lease = fed.claim("n1")[0]
         for _ in range(3):  # renewals outlive several TTLs
             time.sleep(0.15)
@@ -161,7 +164,7 @@ class TestFederationBackend:
         fed = self._backend(tmp_path)
         fed.register_node("n1", workers=1)
         spec = RunSpec("ablation_tuning", params={"shifts_nm": [0.2]})
-        fed.submit(("job", 0), spec)
+        assert fed.try_submit(("job", 0), spec)
         lease = fed.claim("n1")[0]
         assert fed.kill_for(("job", 0)) is True
         assert fed.kill_for(("job", 0)) is False
@@ -173,7 +176,7 @@ class TestFederationBackend:
         fed = self._backend(tmp_path, lease_ttl_s=5.0, node_timeout_s=0.2)
         fed.register_node("n1", workers=2)
         spec = RunSpec("ablation_tuning", params={"shifts_nm": [0.2]})
-        fed.submit(("job", 0), spec)
+        assert fed.try_submit(("job", 0), spec)
         lease = fed.claim("n1")[0]
         time.sleep(0.3)  # silence > node_timeout_s
         assert fed.reap() == [("job", 0)]  # dead node's leases requeue at once
@@ -204,7 +207,7 @@ class TestFederationBackend:
     def test_deregister_requeues_but_does_not_degrade(self, tmp_path):
         fed = self._backend(tmp_path)
         fed.register_node("n1", workers=1)
-        fed.submit(("job", 0), RunSpec("ablation_tuning", params={"shifts_nm": [0.2]}))
+        assert fed.try_submit(("job", 0), RunSpec("ablation_tuning", params={"shifts_nm": [0.2]}))
         fed.claim("n1")
         fed.deregister_node("n1")
         assert fed.reap() == [("job", 0)]
@@ -216,7 +219,7 @@ class TestFederationBackend:
         fed.register_node("bad", workers=2)
         for i in range(2):
             spec = RunSpec("ablation_tuning", params={"shifts_nm": [float(i)]})
-            fed.submit(("job", i), spec)
+            assert fed.try_submit(("job", i), spec)
             lease = fed.claim("bad")[0]
             poisoned = failure_record(spec, "boom", executor_kind="node-worker")
             fed.upload(lease["lease_id"], "bad", lease["token"], poisoned.to_dict())

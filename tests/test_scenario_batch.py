@@ -371,6 +371,51 @@ class TestEnsembleForward:
         assert np.isnan(fast).any() and np.isinf(fast).any()
 
 
+class TestDeepEnsembleForward:
+    """Scenario-stacked inference of the deeper workloads, byte for byte.
+
+    resnet18 runs BatchNorm2D, GlobalAvgPool2D and residual shortcuts on
+    5-D activations; vgg16_variant runs a deep conv/pool trunk and two
+    hidden FC layers.  An FC-only group keeps every conv kernel collapsed
+    to one shared row (the trunk runs as a stack of one), a CONV group
+    diverges at its first attacked conv layer.
+    """
+
+    @pytest.mark.parametrize("block", ["fc", "conv"])
+    @pytest.mark.parametrize("model_name", ["resnet18", "vgg16_variant"])
+    def test_stacked_logits_bytes_match_serial_forwards(
+        self, model_name, block, scaled_accelerator_config
+    ):
+        config = scaled_accelerator_config
+        x = np.random.default_rng(6).random((4, 3, 32, 32)).astype(np.float32)
+        model = build_model(model_name, profile="scaled", rng=0)
+        model.train()(x)  # gives BatchNorm2D non-trivial running statistics
+        model.eval()
+        mapping = WeightMapping(model, config)
+        outcomes = [
+            ActuationAttack(AttackSpec("actuation", block, 0.1)).sample(config, seed=seed)
+            for seed in (0, 1)
+        ]
+        outcomes.append(HotspotAttack(AttackSpec("hotspot", block, 0.1)).sample(config, seed=2))
+        clean = model.state_dict()
+        stacked = corrupted_state_batch(model, mapping, outcomes, state=clean)
+        for name, value in stacked.items():  # collapse shared rows, as the engine does
+            if np.all(value == value[:1]):
+                stacked[name] = value[:1]
+        conv_rows = {stacked[m.name].shape[0] for m in mapping.parameters if m.kind == "conv"}
+        if block == "fc":
+            assert conv_rows == {1}
+        else:
+            assert len(outcomes) in conv_rows
+        with stacked_state(model, stacked):
+            batched = model(x)
+        assert batched.shape == (len(outcomes), 4, 10)
+        for index, outcome in enumerate(outcomes):
+            model.load_state_dict(corrupted_state_dict(model, mapping, outcome, state=clean))
+            assert batched[index].tobytes() == model(x).tobytes(), f"scenario {index}"
+        model.load_state_dict(clean)
+
+
 class TestEngineScenarioBatch:
     @pytest.fixture(scope="class")
     def engine_and_data(self, trained_mnist_model, mnist_split,

@@ -532,7 +532,7 @@ class TestServeCli:
                 sys.executable, "-m", "repro", "sweep", "signal_mc",
                 "--grid", "size=96", "--set", "trials=8000",
                 "--seeds", ",".join(str(s) for s in range(30)),
-                "--serial", "--quiet", "--cache-dir", str(tmp_path),
+                "-j", "1", "--quiet", "--cache-dir", str(tmp_path),
             ],
             env=_subprocess_env(),
             start_new_session=True,

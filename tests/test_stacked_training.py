@@ -225,6 +225,51 @@ class TestStackedBackwardFiniteDifference:
             stacked_input_gradient_check(layer, x)
 
 
+class TestStackedForwardCache:
+    """Which stacked forwards keep a backward cache, and when it is freed."""
+
+    def test_training_forward_frees_previous_patches_before_unfolding(
+        self, rng, monkeypatch
+    ):
+        from repro.nn.layers import conv as conv_module
+
+        layer = Conv2D(2, 3, kernel_size=3, padding=1, rng=rng)
+        load_trainable_stack(layer, rng)
+        layer.train()
+        x = rng.normal(size=(VARIANTS, 4, 2, 6, 6)).astype(np.float32)
+        layer(x)
+        assert layer._cache is not None
+        cache_freed = []
+        unfold = conv_module.im2col
+
+        def recording_im2col(*args, **kwargs):
+            cache_freed.append(layer._cache is None)
+            return unfold(*args, **kwargs)
+
+        monkeypatch.setattr(conv_module, "im2col", recording_im2col)
+        layer(x)
+        # The previous batch's patch matrix is released before the next one
+        # is built, so two never live at once; the new one is kept.
+        assert cache_freed == [True]
+        assert layer._cache is not None
+
+    def test_eval_forward_on_trainable_stack_keeps_no_cache(self, rng):
+        conv = Conv2D(2, 3, kernel_size=3, padding=1, rng=rng)
+        linear = Linear(4, 3, rng=rng)
+        norm = BatchNorm2D(2)
+        for layer in (conv, linear, norm):
+            load_trainable_stack(layer, rng)
+        images = rng.normal(size=(VARIANTS, 4, 2, 6, 6)).astype(np.float32)
+        features = rng.normal(size=(VARIANTS, 5, 4)).astype(np.float32)
+        for layer, x in ((conv, images), (linear, features), (norm, images)):
+            layer.train()
+            out = layer(x)
+            layer.eval()
+            layer(x)
+            with pytest.raises(RuntimeError):
+                layer.backward(np.ones_like(out))
+
+
 def im2col_maxpool_reference(x: np.ndarray, grad_output: np.ndarray, k: int):
     """Max pooling as ``np.argmax`` over im2col columns, its gradient folded
     back with ``col2im`` (each winner's gradient summed into zeros)."""
