@@ -1,11 +1,11 @@
-"""Workload recipes and the serial baseline training (paper §IV, Fig. 7).
+"""Workload recipes and the baseline set-up (paper §IV, Fig. 7).
 
 :data:`_WORKLOAD_DEFAULTS` sizes each Table I workload's synthetic dataset
 and training run; :func:`workload_split` synthesizes a workload's split, and
-:meth:`SusceptibilityStudy.prepare_workload` trains its baseline model with
-the serial :class:`~repro.nn.training.Trainer`.  The Fig. 7 figure itself is
-the ``fig7`` experiment, a reduction over one ``fig7_grid`` unit per model
-(:mod:`repro.analysis.experiments`).
+:meth:`SusceptibilityStudy.prepare_workload` trains its baseline model, the
+``Original`` variant of :class:`~repro.analysis.mitigation_analysis.MitigationStudy`.
+The Fig. 7 figure itself is the ``fig7`` experiment, a reduction over one
+``fig7_grid`` unit per model (:mod:`repro.analysis.experiments`).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.attacks.hotspot import HotspotAttackConfig
 from repro.datasets.base import DatasetSplit, train_test_split
 from repro.datasets.registry import load_dataset
-from repro.nn.models.registry import MODEL_DATASETS, build_model
+from repro.mitigation.robust_training import VariantSpec
+from repro.nn.models.registry import MODEL_DATASETS
 from repro.nn.module import Module
-from repro.nn.training import Trainer, TrainingConfig
 
 __all__ = ["SusceptibilityConfig", "SusceptibilityStudy", "workload_split"]
 
@@ -87,12 +87,24 @@ class SusceptibilityStudy:
         self.config = config or SusceptibilityConfig()
 
     def prepare_workload(self, model_name: str) -> tuple[Module, DatasetSplit]:
-        """Synthesize the dataset and train the baseline model for a workload."""
-        defaults = _WORKLOAD_DEFAULTS[model_name]
-        split = workload_split(model_name, self.config.seed, self.config.test_fraction)
-        model = build_model(
-            model_name, profile="scaled", rng=self.config.seed, **dict(defaults["model_kwargs"])
+        """Synthesize the dataset and train the baseline model for a workload.
+
+        The baseline is the ``Original`` variant trained by
+        :meth:`MitigationStudy.train_variants`, as ``prepared_workload``
+        trains it for the experiments.
+        """
+        from repro.analysis.mitigation_analysis import (
+            MitigationAnalysisConfig,
+            MitigationStudy,
         )
-        training = TrainingConfig(seed=self.config.seed, **dict(defaults["training"]))
-        Trainer(model, training).fit(split.train)
-        return model, split
+
+        study = MitigationStudy(
+            MitigationAnalysisConfig(
+                variants=(VariantSpec("Original"),),
+                seed=self.config.seed,
+                test_fraction=self.config.test_fraction,
+            )
+        )
+        split = study.prepare_split(model_name)
+        (trained,) = study.train_variants(model_name, split)
+        return trained.model, split

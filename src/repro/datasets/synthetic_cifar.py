@@ -4,6 +4,11 @@ Each of the 10 classes is a deterministic composition of a colour palette, a
 texture (grating / checkerboard / radial gradient) and one or two geometric
 shapes.  Jitter covers palette perturbation, texture phase/frequency, shape
 placement and pixel noise.
+
+Sample ``i`` has label ``i % 10``.  The generator draws every sample's jitter
+and pixel noise in sample order from one stream, then renders each class in
+one broadcast pass over its samples (see :mod:`repro.datasets._procedural`);
+the pixels equal those of rendering the samples one at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets._procedural import (
-    add_noise_and_clip,
     checkerboard,
     gaussian_blob,
     oriented_bar,
@@ -61,13 +65,33 @@ class SyntheticCIFAR10:
     def generate(self) -> Dataset:
         """Materialize the dataset."""
         rng = default_rng(self.seed)
-        images = np.zeros(
-            (self.num_samples, 3, self.image_size, self.image_size), dtype=np.float32
-        )
-        labels = np.arange(self.num_samples) % self.num_classes
-        for idx in range(self.num_samples):
-            images[idx] = _render_object(int(labels[idx]), rng, self.noise_std)
-        order = rng.permutation(self.num_samples)
+        size, count = self.image_size, self.num_samples
+        # Per-sample draws, in the order one sample at a time consumes them;
+        # the pixel noise goes straight into the image buffer.
+        images = np.empty((count, 3, size, size), dtype=np.float32)
+        palette_gain = np.empty((count, 3))
+        center = np.empty((count, 2))
+        phase = np.empty(count)
+        angle_noise = np.zeros(count)
+        for idx in range(count):
+            label = idx % self.num_classes
+            palette_gain[idx] = rng.random(3)
+            center[idx] = rng.normal(0.0, 0.15, size=2)
+            phase[idx] = rng.random()
+            if label % 3 == 2:  # a bar in the foreground
+                angle_noise[idx] = rng.normal(0.0, 0.1)
+            images[idx] = rng.normal(0.0, self.noise_std, size=(3, size, size))
+        for label in range(min(count, self.num_classes)):
+            members = slice(label, None, self.num_classes)
+            objects = _render_objects(
+                label, palette_gain[members], center[members], phase[members],
+                angle_noise[members],
+            )
+            noisy = images[members]
+            np.add(objects, noisy, out=noisy)
+        np.clip(images, 0.0, 1.0, out=images)
+        labels = np.arange(count) % self.num_classes
+        order = rng.permutation(count)
         return Dataset(
             images=images[order],
             labels=labels[order],
@@ -81,17 +105,26 @@ def make_cifar10_like(num_samples: int = 1000, seed: int = 0, noise_std: float =
     return SyntheticCIFAR10(num_samples=num_samples, seed=seed, noise_std=noise_std).generate()
 
 
-def _render_object(label: int, rng: np.random.Generator, noise_std: float) -> np.ndarray:
-    """Render one 3-channel image for class ``label``."""
+def _render_objects(
+    label: int,
+    palette_gain: np.ndarray,
+    center: np.ndarray,
+    phase: np.ndarray,
+    angle_noise: np.ndarray,
+) -> np.ndarray:
+    """Noise-free images ``(n, 3, 32, 32)`` of class ``label``.
+
+    Per sample: the palette's uniform gains ``(n, 3)``, the shape centre
+    ``(n, 2)``, the texture phase and the bar-angle noise (classes with a bar
+    only), all float64 as drawn.
+    """
     size = IMAGE_SIZE
-    palette = _CLASS_PALETTES[label] * (0.85 + 0.3 * rng.random(3).astype(np.float32))
+    palette = _CLASS_PALETTES[label] * (0.85 + 0.3 * palette_gain.astype(np.float32))
     palette = np.clip(palette, 0.0, 1.0)
-    offset = rng.normal(0.0, 0.15, size=2)
-    center = (float(offset[0]), float(offset[1]))
+    center = (center[:, 0], center[:, 1])
 
     # Class-specific texture layer.
     texture_kind = label % 4
-    phase = float(rng.random())
     if texture_kind == 0:
         texture = sinusoidal_texture(size, freq=1.5 + label * 0.3, angle=label * 0.31, phase=phase)
     elif texture_kind == 1:
@@ -108,12 +141,9 @@ def _render_object(label: int, rng: np.random.Generator, noise_std: float) -> np
     elif shape_kind == 1:
         shape = ring(size, radius=0.45 + 0.05 * (label % 2), thickness=0.15, center=center)
     else:
-        shape = oriented_bar(size, angle=label * 0.5 + rng.normal(0.0, 0.1), thickness=0.2,
+        shape = oriented_bar(size, angle=label * 0.5 + angle_noise, thickness=0.2,
                              length=0.7, center=center)
 
-    luminance = 0.45 * texture + 0.55 * shape
-    image = np.empty((3, size, size), dtype=np.float32)
-    for channel in range(3):
-        channel_gain = 0.6 + 0.4 * palette[channel]
-        image[channel] = np.clip(palette[channel] * 0.35 + channel_gain * luminance, 0.0, 1.0)
-    return add_noise_and_clip(image, rng, noise_std)
+    luminance = (0.45 * texture + 0.55 * shape)[:, None]
+    channel_gain = (0.6 + 0.4 * palette)[:, :, None, None]
+    return np.clip((palette * 0.35)[:, :, None, None] + channel_gain * luminance, 0.0, 1.0)

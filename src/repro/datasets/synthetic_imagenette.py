@@ -5,6 +5,11 @@ consists of larger natural images.  The stand-in composes a background
 gradient, a mid-ground texture and two foreground shapes per class at a
 configurable resolution (default 64x64, a CPU-friendly proxy for the
 160px Imagenette crops).
+
+Sample ``i`` has label ``i % 10``.  The generator draws every sample's jitter
+and pixel noise in sample order from one stream, then renders each class in
+one broadcast pass over its samples (see :mod:`repro.datasets._procedural`);
+the pixels equal those of rendering the samples one at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets._procedural import (
-    add_noise_and_clip,
     checkerboard,
     gaussian_blob,
     oriented_bar,
@@ -96,13 +100,36 @@ class SyntheticImagenette:
     def generate(self) -> Dataset:
         """Materialize the dataset."""
         rng = default_rng(self.seed)
-        images = np.zeros(
-            (self.num_samples, 3, self.image_size, self.image_size), dtype=np.float32
-        )
-        labels = np.arange(self.num_samples) % self.num_classes
-        for idx in range(self.num_samples):
-            images[idx] = _render_scene(int(labels[idx]), self.image_size, rng, self.noise_std)
-        order = rng.permutation(self.num_samples)
+        size, count = self.image_size, self.num_samples
+        # Per-sample draws, in the order one sample at a time consumes them;
+        # the pixel noise goes straight into the image buffer.
+        images = np.empty((count, 3, size, size), dtype=np.float32)
+        background_gain = np.empty((count, 3))
+        foreground_gain = np.empty((count, 3))
+        center = np.empty((count, 2))
+        phase = np.zeros(count)
+        angle_noise = np.zeros(count)
+        for idx in range(count):
+            label = idx % self.num_classes
+            background_gain[idx] = rng.random(3)
+            foreground_gain[idx] = rng.random(3)
+            center[idx] = rng.normal(0.0, 0.2, size=2)
+            if label % 3 != 2:  # a grating or checkerboard background
+                phase[idx] = rng.random()
+            if label % 4 in (1, 3):  # a bar in the foreground
+                angle_noise[idx] = rng.normal(0.0, 0.1)
+            images[idx] = rng.normal(0.0, self.noise_std, size=(3, size, size))
+        for label in range(min(count, self.num_classes)):
+            members = slice(label, None, self.num_classes)
+            scenes = _render_scenes(
+                label, size, background_gain[members], foreground_gain[members],
+                center[members], phase[members], angle_noise[members],
+            )
+            noisy = images[members]
+            np.add(scenes, noisy, out=noisy)
+        np.clip(images, 0.0, 1.0, out=images)
+        labels = np.arange(count) % self.num_classes
+        order = rng.permutation(count)
         return Dataset(
             images=images[order],
             labels=labels[order],
@@ -123,24 +150,35 @@ def make_imagenette_like(
     ).generate()
 
 
-def _render_scene(label: int, size: int, rng: np.random.Generator, noise_std: float) -> np.ndarray:
-    """Render one 3-channel scene image for class ``label``."""
-    background = _BACKGROUNDS[label] * (0.85 + 0.3 * rng.random(3).astype(np.float32))
-    foreground = _FOREGROUNDS[label] * (0.85 + 0.3 * rng.random(3).astype(np.float32))
-    background = np.clip(background, 0.0, 1.0)
-    foreground = np.clip(foreground, 0.0, 1.0)
+def _render_scenes(
+    label: int,
+    size: int,
+    background_gain: np.ndarray,
+    foreground_gain: np.ndarray,
+    center: np.ndarray,
+    phase: np.ndarray,
+    angle_noise: np.ndarray,
+) -> np.ndarray:
+    """Noise-free scenes ``(n, 3, size, size)`` of class ``label``.
 
-    offset = rng.normal(0.0, 0.2, size=2)
-    center = (float(offset[0]), float(offset[1]))
+    Per sample: the two palettes' uniform gains ``(n, 3)``, the shape centre
+    ``(n, 2)``, the background phase (grating and checkerboard classes) and
+    the bar-angle noise (classes with a bar), all float64 as drawn.
+    """
+    background = _BACKGROUNDS[label] * (0.85 + 0.3 * background_gain.astype(np.float32))
+    foreground = _FOREGROUNDS[label] * (0.85 + 0.3 * foreground_gain.astype(np.float32))
+    background = np.clip(background, 0.0, 1.0)[:, :, None, None]
+    foreground = np.clip(foreground, 0.0, 1.0)[:, :, None, None]
+    center = (center[:, 0], center[:, 1])
 
     # Background layer: vertical gradient + class-keyed texture.
     yy = np.linspace(0.0, 1.0, size, dtype=np.float32)[:, None]
     gradient = np.repeat(yy, size, axis=1)
     if label % 3 == 0:
         texture = sinusoidal_texture(size, freq=1.0 + label * 0.2, angle=0.4 * label,
-                                     phase=float(rng.random()))
+                                     phase=phase)
     elif label % 3 == 1:
-        texture = checkerboard(size, periods=3 + label % 4, phase=float(rng.random()) * 0.3)
+        texture = checkerboard(size, periods=3 + label % 4, phase=phase * 0.3)
     else:
         texture = radial_gradient(size, center=(0.0, 0.0))
     background_layer = 0.6 * gradient + 0.4 * texture
@@ -151,7 +189,7 @@ def _render_scene(label: int, size: int, rng: np.random.Generator, noise_std: fl
             size, radius=0.55, thickness=0.1, center=center
         )
     elif label % 4 == 1:
-        shape = oriented_bar(size, angle=0.35 * label + rng.normal(0.0, 0.1),
+        shape = oriented_bar(size, angle=0.35 * label + angle_noise,
                              thickness=0.18, length=0.8, center=center)
         shape += gaussian_blob(size, (center[0] + 0.4, center[1] - 0.3), sigma=0.2)
     elif label % 4 == 2:
@@ -159,16 +197,10 @@ def _render_scene(label: int, size: int, rng: np.random.Generator, noise_std: fl
         shape += ring(size, radius=0.2, thickness=0.08, center=center)
     else:
         shape = gaussian_blob(size, center, sigma=0.45)
-        shape += oriented_bar(size, angle=np.pi / 3 + rng.normal(0.0, 0.1),
+        shape += oriented_bar(size, angle=np.pi / 3 + angle_noise,
                               thickness=0.12, length=0.6,
                               center=(center[0] - 0.3, center[1] + 0.3))
-    shape = np.clip(shape, 0.0, 1.0)
+    shape = np.clip(shape, 0.0, 1.0)[:, None]
 
-    image = np.empty((3, size, size), dtype=np.float32)
-    for channel in range(3):
-        image[channel] = (
-            background[channel] * background_layer * (1.0 - shape)
-            + foreground[channel] * shape
-        )
-    image = np.clip(image, 0.0, 1.0)
-    return add_noise_and_clip(image, rng, noise_std)
+    image = background * background_layer[..., None, :, :] * (1.0 - shape) + foreground * shape
+    return np.clip(image, 0.0, 1.0)

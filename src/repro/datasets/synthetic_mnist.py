@@ -4,18 +4,18 @@ Each of the 10 classes is a deterministic composition of strokes (bars, rings
 and blobs) loosely inspired by the corresponding digit's topology.  Per-sample
 variation comes from random translation, rotation of the stroke angles,
 stroke-thickness jitter, amplitude scaling and pixel noise.
+
+Sample ``i`` has label ``i % 10``.  The generator draws every sample's jitter
+and pixel noise in sample order from one stream, then renders each class in
+one broadcast pass over its samples (see :mod:`repro.datasets._procedural`);
+the pixels equal those of rendering the samples one at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets._procedural import (
-    add_noise_and_clip,
-    gaussian_blob,
-    oriented_bar,
-    ring,
-)
+from repro.datasets._procedural import gaussian_blob, oriented_bar, ring
 from repro.datasets.base import Dataset
 from repro.utils.rng import default_rng
 from repro.utils.validation import check_positive_int
@@ -51,14 +51,32 @@ class SyntheticMNIST:
     def generate(self) -> Dataset:
         """Materialize the dataset."""
         rng = default_rng(self.seed)
-        images = np.zeros(
-            (self.num_samples, 1, self.image_size, self.image_size), dtype=np.float32
-        )
-        labels = np.arange(self.num_samples) % self.num_classes
-        for idx in range(self.num_samples):
-            images[idx, 0] = _render_digit(int(labels[idx]), rng, self.noise_std)
+        size, count = self.image_size, self.num_samples
+        # Per-sample draws, in the order one sample at a time consumes them;
+        # the pixel noise goes straight into the image buffer.
+        images = np.empty((count, 1, size, size), dtype=np.float32)
+        center = np.empty((count, 2))
+        angle_jitter = np.empty(count)
+        thickness = np.empty(count)
+        amplitude = np.empty(count)
+        for idx in range(count):
+            center[idx] = rng.normal(0.0, 0.08, size=2)
+            angle_jitter[idx] = rng.normal(0.0, 0.12)
+            thickness[idx] = 0.12 + abs(rng.normal(0.0, 0.03))
+            amplitude[idx] = 0.75 + 0.25 * rng.random()
+            images[idx, 0] = rng.normal(0.0, self.noise_std, size=(size, size))
+        for label in range(min(count, self.num_classes)):
+            members = slice(label, None, self.num_classes)
+            glyphs = _render_digits(
+                label, center[members], angle_jitter[members], thickness[members]
+            )
+            glyphs *= amplitude[members].astype(np.float32)[:, None, None]
+            noisy = images[members, 0]
+            np.add(glyphs, noisy, out=noisy)
+        np.clip(images, 0.0, 1.0, out=images)
+        labels = np.arange(count) % self.num_classes
         # Shuffle so class order is not trivially periodic.
-        order = rng.permutation(self.num_samples)
+        order = rng.permutation(count)
         return Dataset(
             images=images[order],
             labels=labels[order],
@@ -72,14 +90,17 @@ def make_mnist_like(num_samples: int = 1000, seed: int = 0, noise_std: float = 0
     return SyntheticMNIST(num_samples=num_samples, seed=seed, noise_std=noise_std).generate()
 
 
-def _render_digit(label: int, rng: np.random.Generator, noise_std: float) -> np.ndarray:
-    """Render one glyph for ``label`` with per-sample jitter."""
+def _render_digits(
+    label: int, center: np.ndarray, angle_jitter: np.ndarray, thickness: np.ndarray
+) -> np.ndarray:
+    """Noise-free glyphs ``(n, 28, 28)`` of ``label``, clipped to [0, 1].
+
+    ``center`` is ``(n, 2)``; ``angle_jitter`` and ``thickness`` are
+    ``(n,)``, all float64 as drawn.
+    """
     size = IMAGE_SIZE
-    jitter = rng.normal(0.0, 0.08, size=2)
-    center = (float(jitter[0]), float(jitter[1]))
-    angle_jitter = rng.normal(0.0, 0.12)
-    thickness = 0.12 + abs(rng.normal(0.0, 0.03))
-    canvas = np.zeros((size, size), dtype=np.float32)
+    canvas = np.zeros((len(center), size, size), dtype=np.float32)
+    center = (center[:, 0], center[:, 1])
 
     def bar(angle: float, length: float = 0.75, offset: tuple[float, float] = (0.0, 0.0)):
         return oriented_bar(
@@ -127,6 +148,4 @@ def _render_digit(label: int, rng: np.random.Generator, noise_std: float) -> np.
     # Add a faint centre blob so all classes share low-frequency energy
     # (keeps the task from being solvable by a single pixel).
     canvas += 0.15 * gaussian_blob(size, center, sigma=0.8)
-    amplitude = 0.75 + 0.25 * rng.random()
-    canvas = np.clip(canvas, 0.0, 1.0) * amplitude
-    return add_noise_and_clip(canvas, rng, noise_std)
+    return np.clip(canvas, 0.0, 1.0, out=canvas)

@@ -112,7 +112,14 @@ class TrainingConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch metrics recorded by :class:`Trainer.fit`."""
+    """Metrics recorded by :meth:`Trainer.fit` and :meth:`StackedTrainer.fit`.
+
+    ``train_loss``, ``train_accuracy`` and ``l2_penalty`` hold one value per
+    epoch.  ``test_accuracy`` holds the one test-split score taken after the
+    last epoch (empty when ``fit`` had no test split); checkpoints written
+    before scoring moved there hold one score per epoch, and
+    :attr:`final_test_accuracy` reads the last in either case.
+    """
 
     train_loss: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
@@ -192,7 +199,12 @@ class Trainer:
 
     # ------------------------------------------------------------------ fit
     def fit(self, train: Dataset, test: Dataset | None = None) -> TrainingHistory:
-        """Train the model and return the per-epoch history."""
+        """Train the model and return its history.
+
+        Train loss, train accuracy and L2 penalty are recorded every epoch;
+        ``test`` is scored once, after the last epoch, since that is the only
+        test score a result reads (``VariantResult.baseline_accuracy``).
+        """
         history = TrainingHistory()
         loader = self.make_loader(train)
         for epoch in range(self.config.epochs):
@@ -206,13 +218,12 @@ class Trainer:
                     num_samples=len(train),
                 )
             )
-            if test is not None:
+            scored = test is not None and epoch + 1 == self.config.epochs
+            if scored:
                 test_accuracy = evaluate_accuracy(self.model, test, self.config.batch_size)
                 history.test_accuracy.append(test_accuracy)
             if self.config.verbose:
-                test_msg = (
-                    f", test_acc={history.test_accuracy[-1]:.3f}" if test is not None else ""
-                )
+                test_msg = f", test_acc={history.test_accuracy[-1]:.3f}" if scored else ""
                 print(
                     f"epoch {epoch + 1}/{self.config.epochs}: "
                     f"loss={epoch_loss:.4f}, train_acc={epoch_accuracy:.3f}{test_msg}"
@@ -337,7 +348,11 @@ class StackedTrainer:
     def fit(
         self, train: Dataset, test: Dataset | None = None
     ) -> list[TrainingHistory]:
-        """Train all variants and return one per-epoch history per variant."""
+        """Train all variants and return one history per variant.
+
+        As :meth:`Trainer.fit`: per-epoch train metrics, and one stacked
+        score of ``test`` for every variant after the last epoch.
+        """
         histories = [TrainingHistory() for _ in range(self.num_variants)]
         loader = self.make_loader(train)
         for epoch in range(self.config.epochs):
@@ -345,22 +360,20 @@ class StackedTrainer:
             penalties = stacked_l2_penalty(
                 self.model.parameters(), self.weight_decay, num_samples=len(train)
             )
-            if test is not None:
-                test_accuracies = evaluate_accuracies(
-                    self.model, test, self.config.batch_size
-                )
             for index, history in enumerate(histories):
                 history.train_loss.append(float(epoch_loss[index]))
                 history.train_accuracy.append(float(epoch_accuracy[index]))
                 history.l2_penalty.append(float(penalties[index]))
-                if test is not None:
-                    history.test_accuracy.append(float(test_accuracies[index]))
             if self.config.verbose:
                 print(
                     f"epoch {epoch + 1}/{self.config.epochs}: "
                     f"mean_loss={float(np.mean(epoch_loss)):.4f}, "
                     f"mean_train_acc={float(np.mean(epoch_accuracy)):.3f}"
                 )
+        if test is not None:
+            test_accuracies = evaluate_accuracies(self.model, test, self.config.batch_size)
+            for history, accuracy in zip(histories, test_accuracies):
+                history.test_accuracy.append(float(accuracy))
         return histories
 
     def _run_epoch(self, loader: DataLoader) -> tuple[np.ndarray, np.ndarray]:

@@ -126,6 +126,22 @@ class TestSusceptibilityStudy:
         assert any(label.startswith("hotspot-both") for label in series)
         assert all(len(values) == 2 for values in series.values())
 
+    def test_prepare_workload_trains_the_serial_baseline(self):
+        """The baseline trains as the stacked ``Original`` variant, with the
+        weights the serial trainer gives it."""
+        from repro.analysis.susceptibility import _WORKLOAD_DEFAULTS, SusceptibilityStudy
+        from repro.nn import Trainer, TrainingConfig
+        from repro.nn.models import build_model
+
+        model, split = SusceptibilityStudy().prepare_workload("cnn_mnist")
+        reference = build_model("cnn_mnist", profile="scaled", rng=0)
+        training = TrainingConfig(seed=0, **_WORKLOAD_DEFAULTS["cnn_mnist"]["training"])
+        Trainer(reference, training).fit(split.train)
+        state, expected = model.full_state_dict(), reference.full_state_dict()
+        assert state.keys() == expected.keys()
+        for name in state:
+            assert state[name].tobytes() == expected[name].tobytes(), name
+
     def test_fig7_formatter(self, quick_fig7_grid):
         text = format_fig7_table(quick_fig7_grid)
         assert "hotspot" in text and "actuation" in text and "baseline" in text

@@ -32,6 +32,8 @@ from repro.nn import (
     StackedTrainer,
     Trainer,
     TrainingConfig,
+    evaluate_accuracies,
+    evaluate_accuracy,
 )
 from repro.nn.ensemble import stack_state_dicts
 from repro.nn.functional import batch_tile, col2im, im2col
@@ -527,6 +529,74 @@ class TestStackedSerialEquivalence:
             layer.load_stacked_state(partial, trainable=True)
 
 
+class TestOneTestScorePerFit:
+    """Both trainers score the test split once, after the last epoch."""
+
+    CONFIG = dict(epochs=3, batch_size=16, lr=2e-3, seed=0)
+
+    def _serial(self, split, test, **config):
+        from repro.nn.models import build_model
+
+        model = build_model("cnn_mnist", rng=0)
+        trainer = Trainer(model, TrainingConfig(**self.CONFIG, **config))
+        return model, trainer.fit(split.train, test)
+
+    def _stacked(self, split, test, **config):
+        from repro.nn.models import build_model
+
+        model = build_model("cnn_mnist", rng=0)
+        model.load_stacked_state(
+            {name: np.stack([p.data, p.data]) for name, p in model.named_parameters()},
+            trainable=True,
+        )
+        trainer = StackedTrainer(
+            model, TrainingConfig(**self.CONFIG, **config), weight_decay=np.array([0.0, 1e-3])
+        )
+        return model, trainer.fit(split.train, test)
+
+    @staticmethod
+    def _assert_same_epochs(history, unscored):
+        assert len(history.train_loss) == len(history.train_accuracy) == 3
+        assert len(history.l2_penalty) == 3
+        assert history.train_loss == unscored.train_loss
+        assert history.train_accuracy == unscored.train_accuracy
+        assert history.l2_penalty == unscored.l2_penalty
+        assert unscored.test_accuracy == []
+
+    def test_serial_fit_scores_the_trained_model_once(self, mnist_split):
+        model, history = self._serial(mnist_split, mnist_split.test)
+        reference, unscored = self._serial(mnist_split, None)
+        self._assert_same_epochs(history, unscored)
+        # The one score is the last epoch's: the trained model's accuracy.
+        assert history.test_accuracy == [evaluate_accuracy(reference, mnist_split.test, 16)]
+        assert history.final_test_accuracy == history.test_accuracy[0]
+        state, expected = model.full_state_dict(), reference.full_state_dict()
+        assert state.keys() == expected.keys()
+        for name in state:
+            assert state[name].tobytes() == expected[name].tobytes(), name
+
+    def test_stacked_fit_scores_every_variant_once(self, mnist_split):
+        model, histories = self._stacked(mnist_split, mnist_split.test)
+        reference, unscored = self._stacked(mnist_split, None)
+        expected = evaluate_accuracies(reference, mnist_split.test, 16)
+        assert len(histories) == len(unscored) == 2
+        for index, (history, plain) in enumerate(zip(histories, unscored)):
+            self._assert_same_epochs(history, plain)
+            assert history.test_accuracy == [float(expected[index])]
+        for param, ref in zip(model.parameters(), reference.parameters()):
+            assert param.stacked.tobytes() == ref.stacked.tobytes(), param.name
+
+    def test_verbose_logs_a_test_score_on_the_last_epoch_only(self, mnist_split, capsys):
+        self._serial(mnist_split, mnist_split.test, verbose=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert ["test_acc=" in line for line in lines] == [False, False, True]
+        self._serial(mnist_split, None, verbose=True)
+        self._stacked(mnist_split, mnist_split.test, verbose=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and not any("test_acc=" in line for line in lines)
+
+
 class TestFullStateDict:
     def test_roundtrip_includes_batchnorm_buffers(self, rng):
         model = Sequential(Conv2D(2, 3, rng=rng), BatchNorm2D(3))
@@ -606,6 +676,35 @@ class TestCheckpointCache:
         key = {"model": "cnn_mnist"}
         cache.put(key, model.full_state_dict(), {"history": {}})  # no baseline
         assert load_cached_variant(cache, key, "cnn_mnist", spec, config) is None
+
+    def test_load_cached_variant_reads_per_epoch_test_scores(self, tmp_path):
+        """A checkpoint stored when every epoch scored the test split, one
+        score per epoch in its history, still loads."""
+        from repro.mitigation.robust_training import load_cached_variant
+        from repro.nn.models import build_model
+
+        cache = CheckpointCache(tmp_path)
+        model = build_model("cnn_mnist", rng=0)
+        history = {
+            "train_loss": [1.9, 1.1, 0.7],
+            "train_accuracy": [0.4, 0.7, 0.8],
+            "test_accuracy": [0.5, 0.65, 0.75],
+            "l2_penalty": [0.0, 0.0, 0.0],
+        }
+        key = {"model": "cnn_mnist"}
+        cache.put(key, model.full_state_dict(), {
+            "variant": "Original", "baseline_accuracy": 0.75,
+            "history": history, "extras": {"training_steps": 30},
+        })
+        loaded = load_cached_variant(
+            cache, key, "cnn_mnist", VariantSpec("Original"), TrainingConfig(epochs=3, seed=0)
+        )
+        assert loaded is not None
+        assert loaded.history.to_dict() == history
+        assert loaded.history.final_test_accuracy == loaded.baseline_accuracy == 0.75
+        state = model.full_state_dict()
+        for name, array in loaded.model.full_state_dict().items():
+            assert array.tobytes() == state[name].tobytes(), name
 
     def test_hit_counter_persists(self, tmp_path):
         cache = CheckpointCache(tmp_path)
