@@ -8,15 +8,16 @@ models, reflecting the accelerator's finite imprint precision.
 
 Every experiment evaluates attacked accuracy on one path,
 :meth:`AttackedInferenceEngine.accuracy_under_attacks`: ``S`` outcomes are
-corrupted in one broadcast pass
+grouped by the first mapped parameter they touch
+(:func:`~repro.attacks.injection.touched_parameters`), corrupted a chunk at a
+time in one broadcast pass
 (:func:`~repro.attacks.injection.corrupted_state_batch`) and evaluated in a
 single stacked forward per data batch through the ensemble-weight layers
-(:mod:`repro.nn.ensemble`), with memory-aware chunking over ``S``; a single
-scenario is a stack of one.  The per-scenario path,
-:meth:`AttackedInferenceEngine.accuracy_under_attack` (corrupt, load, run the
-test set, restore), is the reference that tests and the repository benchmark
-compare the batched path against; the batched path reproduces its accuracies
-bit for bit.
+(:mod:`repro.nn.ensemble`); a single scenario is a stack of one.  The
+per-scenario path, :meth:`AttackedInferenceEngine.accuracy_under_attack`
+(corrupt, load, run the test set, restore), is the reference that tests and
+the repository benchmark compare the batched path against; the batched path
+reproduces its accuracies bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.attacks.injection import (
     attack_context,
     corrupted_state_batch,
     corrupted_state_dict,
+    touched_parameters,
 )
 from repro.datasets.base import DataLoader, Dataset
 from repro.nn.ensemble import stacked_state
@@ -141,19 +143,24 @@ class AttackedInferenceEngine:
     ) -> np.ndarray:
         """Accuracy of every attack outcome via stacked ensemble forwards.
 
-        All ``S`` outcomes are corrupted in one broadcast pass per mapped
-        tensor and evaluated ``chunk`` scenarios at a time: each data batch
+        Outcomes are corrupted and evaluated ``chunk`` scenarios at a time,
+        in one broadcast pass per mapped tensor per chunk: each data batch
         runs through the network once per chunk, with im2col patch matrices
         shared across the chunk's weight sets while the activations are still
         scenario-independent.  Returns an array of ``S`` accuracies matching
         :meth:`accuracy_under_attack` scenario-for-scenario.
 
-        Outcomes are grouped internally by the set of blocks they actually
-        corrupt: scenarios that leave the CONV block clean share the whole
-        convolutional trunk inside a chunk (one forward of the trunk serves
-        every scenario of the chunk), so they get large memory-bounded chunks,
-        while CONV-corrupting scenarios use small cache-friendly chunks since
-        their activations diverge right after the first layer.
+        Outcomes are grouped internally by the first mapped parameter (in
+        mapping order) they can change, per
+        :func:`~repro.attacks.injection.touched_parameters`; outcomes that
+        change none form their own group, and a single outcome is one group.
+        Every parameter before a group's first touched one keeps its clean
+        value, so each chunk collapses it to one shared row and runs the
+        layers up to it once for the whole chunk.  A group whose first
+        touched parameter is a conv kernel replicates im2col patch matrices
+        per scenario from that layer on and gets small cache-friendly chunks;
+        every other group shares the whole convolutional trunk and gets large
+        memory-bounded chunks.
         """
         scenario_chunk = _check_scenario_chunk(scenario_chunk)
         outcomes = list(outcomes)
@@ -162,14 +169,21 @@ class AttackedInferenceEngine:
             return accuracies
         self.model.eval()
         loader = DataLoader(dataset, batch_size=self.batch_size, shuffle=False)
-        groups: dict[frozenset, list[int]] = {}
-        for index, outcome in enumerate(outcomes):
-            groups.setdefault(frozenset(self._touched_blocks(outcome)), []).append(index)
-        for touched, indices in groups.items():
+        # Group by first touched parameter (-1: none).  A lone outcome is one
+        # group whatever it touches, so it skips the mask.
+        first = [-1] * len(outcomes)
+        if len(outcomes) > 1 and self.mapping.parameters:
+            touched = touched_parameters(self.mapping, outcomes)
+            first = np.where(touched.any(axis=1), touched.argmax(axis=1), -1).tolist()
+        groups: dict[int, list[int]] = {}
+        for index, parameter in enumerate(first):
+            groups.setdefault(parameter, []).append(index)
+        for parameter, indices in groups.items():
+            conv_first = parameter >= 0 and self.mapping.parameters[parameter].kind == "conv"
             chunk = (
                 scenario_chunk
                 or self.scenario_chunk
-                or self._auto_scenario_chunk(dataset, conv_diverged="conv" in touched)
+                or self._auto_scenario_chunk(dataset, conv_diverged=conv_first)
             )
             for start in range(0, len(indices), chunk):
                 piece_indices = indices[start : start + chunk]
@@ -237,11 +251,12 @@ class AttackedInferenceEngine:
     ) -> dict[str, np.ndarray]:
         """Stacked corrupted weights, with untouched tensors collapsed.
 
-        A parameter whose ``S`` corrupted rows are all identical (e.g. conv
-        kernels under an FC-only attack) is collapsed to a single shared row:
-        the ensemble forward then keeps the activations un-replicated until
-        the first genuinely attacked layer, which is where the big scenario
-        grids spend most of their speedup.
+        A parameter whose ``S`` corrupted rows are all identical (every
+        parameter before the chunk's first touched one, e.g. the conv kernels
+        under an FC-only attack) is collapsed to a single shared row: the
+        ensemble forward then keeps the activations un-replicated until the
+        first genuinely attacked layer, which is where the big scenario grids
+        spend most of their speedup.
         """
         stacked = corrupted_state_batch(
             self.model, self.mapping, outcomes, state=self._clean_state
@@ -252,24 +267,15 @@ class AttackedInferenceEngine:
                     stacked[name] = value[:1]
         return stacked
 
-    @staticmethod
-    def _touched_blocks(outcome: AttackOutcome) -> set[str]:
-        """Blocks whose mapped weights this outcome actually corrupts.
-
-        Delegates to the kind-agnostic effect API, so any registered attack
-        kind participates in the shared-trunk chunking without the engine
-        knowing its mechanics.
-        """
-        return set(outcome.touched_blocks())
-
-    def _auto_scenario_chunk(self, dataset: Dataset, conv_diverged: bool = True) -> int:
+    def _auto_scenario_chunk(self, dataset: Dataset, conv_diverged: bool) -> int:
         """Scenario-chunk size for one group of outcomes.
 
-        Scenarios whose activations diverge at the first conv layer replicate
-        the im2col patch matrices per scenario; large chunks then blow the CPU
-        caches and run *slower*, so they get a small fixed chunk that mostly
-        amortizes the per-chunk corruption/loader overhead.  Shared-trunk
-        scenarios (CONV block clean) are limited by memory alone: per-scenario
+        Scenarios whose activations diverge at a conv layer (their first
+        touched parameter is a conv kernel) replicate the im2col patch
+        matrices per scenario; large chunks then blow the CPU caches and run
+        *slower*, so they get a small fixed chunk that mostly amortizes the
+        per-chunk corruption/loader overhead.  Shared-trunk scenarios (every
+        conv kernel clean) are limited by memory alone: per-scenario
         footprint ≈ three copies of the stacked mapped weights (batch kernel
         output, matmul operand, engine copy) plus a few input-sized stacked
         activation buffers per evaluation batch as headroom for the replicated

@@ -43,6 +43,9 @@ Two entry points share the same vectorized kernels:
   array per *mapped* parameter, computed with a single broadcast pass per
   tensor instead of ``S`` sequential state-dict rebuilds.  The stacked
   arrays feed the ensemble-weight forward path in :mod:`repro.nn.ensemble`.
+
+:func:`touched_parameters` reads the batch kernel's per-block tables to say
+which mapped parameters each outcome can change, without corrupting any.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from repro.utils.validation import ValidationError
 __all__ = [
     "corrupted_state_dict",
     "corrupted_state_batch",
+    "touched_parameters",
     "attack_context",
     "OFF_RESONANCE_MAGNITUDE",
     "DEFAULT_TUNING_COMPENSATION_K",
@@ -135,6 +139,34 @@ def corrupted_state_batch(
         )
         for mapped in mapping.parameters
     }
+
+
+def touched_parameters(
+    mapping: WeightMapping, outcomes: Sequence[AttackOutcome]
+) -> np.ndarray:
+    """Boolean ``(S, P)`` mask of the mapped parameters each outcome can change.
+
+    Column ``p`` is ``mapping.parameters[p]``.  An entry is set when the
+    outcome floors one of the parameter's MR slots, leaves one of its banks
+    warmer after tuning compensation, or scales one of its wavelength
+    columns by a float32 factor other than 1 — the three ways the
+    :func:`corrupted_state_batch` kernel (at the default tuning
+    compensation) can move a weight, read off the same per-block tables.
+    Every parameter whose stacked row differs from an unattacked row is
+    therefore marked; a marked one may still come out unchanged (e.g. a
+    floor on a weight already at the floor).  Each parameter is reduced over
+    its distinct slots, banks and columns, so no ``(S, weights)`` array is
+    built.
+    """
+    outcomes = list(outcomes)
+    tables = {
+        block: _BlockAttackTables(block, mapping, outcomes, DEFAULT_TUNING_COMPENSATION_K)
+        for block in {mapped.kind for mapped in mapping.parameters}
+    }
+    mask = np.zeros((len(outcomes), len(mapping.parameters)), dtype=bool)
+    for index, mapped in enumerate(mapping.parameters):
+        mask[:, index] = tables[mapped.kind].touched(mapping, mapped)
+    return mask
 
 
 @contextmanager
@@ -303,6 +335,29 @@ class _BlockAttackTables:
             if attacked is not None and len(attacked):
                 hits[index] = np.isin(slots, attacked)
         return hits
+
+    def touched(self, mapping: WeightMapping, mapped: MappedParameter) -> np.ndarray:
+        """``(S,)`` mask of the scenarios that can change a weight of ``mapped``.
+
+        A tensor's first ``capacity`` weights already cover every slot it
+        occupies (later mapping rounds reuse them), so at most one round of
+        slots, and the distinct banks and columns among them, is inspected.
+        """
+        geometry = mapping.block_geometry(mapped.kind)
+        slots = (
+            mapped.offset + np.arange(min(mapped.size, geometry.capacity))
+        ) % geometry.capacity
+        touched = np.zeros(len(self.slots_off), dtype=bool)
+        hits = self.slot_floor_hits(slots)
+        if hits is not None:
+            touched |= hits.any(axis=1)
+        if self.delta_t_per_bank is not None:
+            banks = np.unique(slots // geometry.cols)
+            touched |= (self.delta_t_per_bank[:, banks] > 0).any(axis=1)
+        if self.col_scale_table is not None:
+            cols = np.unique(slots % geometry.cols)
+            touched[self.scale_rows] |= (self.col_scale_table[:, cols] != 1).any(axis=1)
+        return touched
 
 
 def _corrupt_tensor_batch(

@@ -120,10 +120,17 @@ class Conv2D(Module):
             cols, weights.reshape(weights.shape[0], self.out_channels, -1).transpose(0, 2, 1)
         )
         if self.bias is not None:
-            if self.bias.stacked is not None:
-                out = out + self.bias.stacked[:, None, :]
+            # One long add per sample row (the bias tiled over its OH*OW
+            # pixels) into the fresh matmul output; stacked biases over a
+            # single weight set are the one case that needs a new array.
+            bias = self.bias.data[None] if self.bias.stacked is None else self.bias.stacked
+            tiled = np.tile(bias, out_h * out_w)[:, None, :]
+            rows = out.reshape(out.shape[0], batch, -1)
+            if tiled.shape[0] > rows.shape[0]:
+                rows = rows + tiled
             else:
-                out = out + self.bias.data
+                rows += tiled
+            out = rows
         if self.training and self.weight.stacked_trainable:
             self._cache = ("stacked", cols, shared_input, x.shape, out_h, out_w)
         return out.reshape(out.shape[0], batch, out_h, out_w, self.out_channels).transpose(

@@ -1,9 +1,10 @@
 """Tests for scenario-batched attacked inference.
 
 The scenario-batch subsystem has three layers — the vectorized corruption
-kernel (:func:`repro.attacks.injection.corrupted_state_batch`), the
-ensemble-weight forward path (:mod:`repro.nn.ensemble` + the stacked-aware
-layers) and the engine's chunked evaluation
+kernel (:func:`repro.attacks.injection.corrupted_state_batch`) with its
+touched-parameter mask (:func:`repro.attacks.injection.touched_parameters`),
+the ensemble-weight forward path (:mod:`repro.nn.ensemble` + the
+stacked-aware layers) and the engine's chunked evaluation
 (:meth:`AttackedInferenceEngine.accuracy_under_attacks`).  Each layer is
 property-tested against the per-scenario reference path, which stays the
 source of truth.
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator import AcceleratorConfig, AttackedInferenceEngine, WeightMapping
+from repro.accelerator import inference
 from repro.attacks import (
     ActuationAttack,
     AttackOutcome,
@@ -23,8 +25,13 @@ from repro.attacks import (
     HotspotAttack,
     corrupted_state_batch,
     corrupted_state_dict,
+    create_attack,
 )
-from repro.attacks.injection import OFF_RESONANCE_MAGNITUDE
+from repro.attacks.injection import (
+    DEFAULT_TUNING_COMPENSATION_K,
+    OFF_RESONANCE_MAGNITUDE,
+    touched_parameters,
+)
 from repro.nn import stacked_state
 from repro.nn.layers import BatchNorm2D, Conv2D, Linear, MaxPool2D
 from repro.nn.models import build_model
@@ -107,6 +114,123 @@ class TestCorruptedStateBatch:
         corrupted_state_dict(model, mapping, outcomes[0], state=clean)
         for name in clean:
             np.testing.assert_array_equal(clean[name], snapshot[name])
+
+
+def _kind_grid(config, seeds=(0, 1)):
+    """Every built-in kind (triggered armed and dormant) on every block target."""
+    kinds = [
+        ("actuation", None),
+        ("hotspot", None),
+        ("crosstalk", None),
+        ("laser_power", None),
+        ("triggered", {"base": "hotspot", "trigger": "always_on"}),
+        ("triggered", {"trigger": "external", "armed": False}),
+    ]
+    return [
+        create_attack(AttackSpec(kind, block, 0.05), params).sample(config, seed=seed)
+        for kind, params in kinds
+        for block in ("conv", "fc", "both")
+        for seed in seeds
+    ]
+
+
+def _mask_edge_outcomes(config):
+    """Effects at the mask's boundaries, each changing no weight at all."""
+    conv, fc = config.conv_block, config.fc_block
+    out_of_range = AttackOutcome(spec=AttackSpec("actuation", "both", 0.01))
+    out_of_range.effects["conv"] = BlockEffect(
+        slots_off=np.array([-1, conv.capacity, conv.capacity + 7]),
+        bank_delta_t={conv.num_banks: 40.0},
+        attacked_banks=(conv.num_banks,),
+    )
+    # Neighbour heat its tuning loop absorbs, and a listed bank left cold.
+    compensated = _hotspot_outcome(
+        "conv", {0: 0.0, 1: DEFAULT_TUNING_COMPENSATION_K,
+                 2: DEFAULT_TUNING_COMPENSATION_K / 2}, attacked=()
+    )
+    compensated.effects["fc"] = BlockEffect(
+        bank_delta_t={3: DEFAULT_TUNING_COMPENSATION_K}, attacked_banks=()
+    )
+    near_one = AttackOutcome(spec=AttackSpec("laser_power", "both", 0.01))
+    for block, geometry in (("conv", conv), ("fc", fc)):
+        scale = np.ones(geometry.cols)
+        scale[::2] = 1.0 + 1e-9  # not 1 in float64, exactly 1 in float32
+        near_one.effects[block] = BlockEffect(col_scale=scale)
+    return [out_of_range, compensated, near_one]
+
+
+class TestTouchedParameters:
+    """The mask marks every parameter whose batch-kernel row can change."""
+
+    @staticmethod
+    def _changed(model, mapping, outcomes):
+        """``(S, P)`` ground truth: rows that differ from an unattacked row."""
+        empty = AttackOutcome(spec=AttackSpec("actuation", "both", 0.01))
+        stacked = corrupted_state_batch(model, mapping, [*outcomes, empty])
+        return np.stack(
+            [
+                np.any(
+                    stacked[m.name][:-1].reshape(len(outcomes), -1)
+                    != stacked[m.name][-1].reshape(1, -1),
+                    axis=1,
+                )
+                for m in mapping.parameters
+            ],
+            axis=1,
+        )
+
+    @pytest.mark.parametrize("model_name", ["cnn_mnist", "resnet18", "vgg16_variant"])
+    def test_every_changed_parameter_is_marked(self, model_name,
+                                               scaled_accelerator_config):
+        config = scaled_accelerator_config
+        model = build_model(model_name, profile="scaled", rng=0)
+        mapping = WeightMapping(model, config)
+        outcomes = _kind_grid(config)
+        edges = _mask_edge_outcomes(config)
+        mask = touched_parameters(mapping, outcomes + edges)
+        changed = self._changed(model, mapping, outcomes + edges)
+        assert mask.shape == (len(outcomes) + len(edges), len(mapping.parameters))
+        missed = np.argwhere(changed & ~mask)
+        assert not missed.size, [
+            ((outcomes + edges)[s].spec.label(), mapping.parameters[p].name)
+            for s, p in missed
+        ]
+        # Dormant trojans and the boundary effects change nothing and are
+        # marked nowhere; the sampled grid leaves some parameters unmarked.
+        dormant = [i for i, o in enumerate(outcomes) if o.is_empty()]
+        assert dormant and not mask[dormant].any()
+        assert not changed[len(outcomes):].any() and not mask[len(outcomes):].any()
+        assert mask[: len(outcomes)].any() and not mask[: len(outcomes)].all()
+
+    def test_mask_is_exact_at_parameter_boundaries(self, tiny_accelerator_config):
+        """Single-slot floors and single-bank heat at each parameter's first
+        and last distinct slot, warm neighbours and one dimmed carrier mark
+        exactly the parameters whose weights move."""
+        config = tiny_accelerator_config
+        model = build_model("cnn_mnist", profile="scaled", rng=0)
+        mapping = WeightMapping(model, config)
+        outcomes = []
+        for mapped in mapping.parameters:
+            geometry = config.block(mapped.kind)
+            span = min(mapped.size, geometry.capacity)
+            for slot in {mapped.offset, mapped.offset + span - 1}:
+                slot %= geometry.capacity
+                floor = AttackOutcome(spec=AttackSpec("actuation", mapped.kind, 0.01))
+                floor.effects[mapped.kind] = BlockEffect(slots_off=np.array([slot]))
+                heat = _hotspot_outcome(mapped.kind, {slot // geometry.cols: 40.0})
+                outcomes += [floor, heat]
+        outcomes.append(
+            _hotspot_outcome("conv", {0: DEFAULT_TUNING_COMPENSATION_K + 0.5}, attacked=())
+        )
+        dimmed = AttackOutcome(spec=AttackSpec("laser_power", "fc", 0.01))
+        scale = np.ones(config.fc_block.cols, dtype=np.float32)
+        scale[1] = np.float32(0.5)
+        dimmed.effects["fc"] = BlockEffect(col_scale=scale)
+        outcomes.append(dimmed)
+        mask = touched_parameters(mapping, outcomes)
+        np.testing.assert_array_equal(mask, self._changed(model, mapping, outcomes))
+        assert mask.any(axis=1).all() and not mask.all()
+        assert touched_parameters(mapping, []).shape == (0, len(mapping.parameters))
 
 
 class TestHotspotEdgeCases:
@@ -296,6 +420,25 @@ class TestEnsembleForward:
         for index in range(3):
             np.testing.assert_array_equal(out[index], reference)
 
+    @pytest.mark.parametrize("stacked_param", ["bias", "weight"])
+    def test_conv_bias_broadcasts_against_one_weight_set(self, stacked_param):
+        """Stacked biases over one kernel, or one bias over stacked kernels,
+        give each set's ``out + bias`` from the single-weight forward."""
+        rng = np.random.default_rng(7)
+        conv = Conv2D(2, 3, kernel_size=3, padding=1, rng=0).eval()
+        conv.bias.data = rng.standard_normal(3).astype(np.float32)
+        param = getattr(conv, stacked_param)
+        rows = param.data[None] + rng.standard_normal((4, *param.shape)).astype(np.float32)
+        x = rng.random((2, 2, 6, 5)).astype(np.float32)
+        conv.weight.stacked = conv.weight.data[None]  # one shared weight set
+        param.stacked = rows
+        out = conv(x)
+        conv.clear_stacked_state()
+        assert out.shape == (4, 2, 3, 6, 5)
+        for index, row in enumerate(rows):
+            param.data = row
+            assert out[index].tobytes() == conv(x).tobytes(), f"set {index}"
+
     def test_stacked_state_cleared_after_context(self):
         model = build_model("cnn_mnist", profile="scaled", rng=0).eval()
         stacked = {
@@ -378,10 +521,34 @@ class TestDeepEnsembleForward:
     5-D activations; vgg16_variant runs a deep conv/pool trunk and two
     hidden FC layers.  An FC-only group keeps every conv kernel collapsed
     to one shared row (the trunk runs as a stack of one), a CONV group
-    diverges at its first attacked conv layer.
+    diverges at its first attacked conv layer, and a group that skips the
+    first conv kernel runs that layer as a stack of one before diverging.
     """
 
-    @pytest.mark.parametrize("block", ["fc", "conv"])
+    @staticmethod
+    def _past_first_kernel(mapping, config):
+        """CONV outcomes that leave the first conv kernel's slots and banks clean."""
+        geometry = config.conv_block
+        first = mapping.parameters[0]
+        assert first.kind == "conv" and first.size < geometry.capacity
+        rng = np.random.default_rng(8)
+        outcomes = []
+        for _ in range(2):
+            floor = AttackOutcome(spec=AttackSpec("actuation", "conv", 0.01))
+            floor.effects["conv"] = BlockEffect(slots_off=rng.choice(
+                np.arange(first.size, geometry.capacity), 25, replace=False
+            ))
+            outcomes.append(floor)
+        first_clean_bank = -(-first.size // geometry.cols)
+        banks = rng.choice(
+            np.arange(first_clean_bank, geometry.num_banks - 1), 3, replace=False
+        ).tolist()
+        heat = {bank + 1: 12.0 for bank in banks}  # compensated neighbours
+        heat.update({bank: 40.0 for bank in banks})
+        outcomes.append(_hotspot_outcome("conv", heat, attacked=banks))
+        return outcomes
+
+    @pytest.mark.parametrize("block", ["fc", "conv", "conv_past_first_kernel"])
     @pytest.mark.parametrize("model_name", ["resnet18", "vgg16_variant"])
     def test_stacked_logits_bytes_match_serial_forwards(
         self, model_name, block, scaled_accelerator_config
@@ -392,11 +559,16 @@ class TestDeepEnsembleForward:
         model.train()(x)  # gives BatchNorm2D non-trivial running statistics
         model.eval()
         mapping = WeightMapping(model, config)
-        outcomes = [
-            ActuationAttack(AttackSpec("actuation", block, 0.1)).sample(config, seed=seed)
-            for seed in (0, 1)
-        ]
-        outcomes.append(HotspotAttack(AttackSpec("hotspot", block, 0.1)).sample(config, seed=2))
+        if block == "conv_past_first_kernel":
+            outcomes = self._past_first_kernel(mapping, config)
+        else:
+            outcomes = [
+                ActuationAttack(AttackSpec("actuation", block, 0.1)).sample(config, seed=seed)
+                for seed in (0, 1)
+            ]
+            outcomes.append(
+                HotspotAttack(AttackSpec("hotspot", block, 0.1)).sample(config, seed=2)
+            )
         clean = model.state_dict()
         stacked = corrupted_state_batch(model, mapping, outcomes, state=clean)
         for name, value in stacked.items():  # collapse shared rows, as the engine does
@@ -407,6 +579,8 @@ class TestDeepEnsembleForward:
             assert conv_rows == {1}
         else:
             assert len(outcomes) in conv_rows
+        if block == "conv_past_first_kernel":
+            assert stacked[mapping.parameters[0].name].shape[0] == 1
         with stacked_state(model, stacked):
             batched = model(x)
         assert batched.shape == (len(outcomes), 4, 10)
@@ -441,6 +615,58 @@ class TestEngineScenarioBatch:
         )
         batched = engine.accuracy_under_attacks(dataset, outcomes)
         np.testing.assert_array_equal(batched, serial)
+
+    def test_chunks_share_the_clean_first_kernel(self, engine_and_data,
+                                                 scaled_accelerator_config, monkeypatch):
+        """Outcomes that leave ``net.layers.0.weight`` clean are chunked apart
+        from those that corrupt it, and load it as one shared row."""
+        engine, dataset = engine_and_data
+        config = scaled_accelerator_config
+        outcomes = [
+            create_attack(AttackSpec(kind, block, fraction)).sample(config, seed=seed)
+            for kind in ("actuation", "hotspot")
+            for block, fraction in (("conv", 0.01), ("both", 0.05))
+            for seed in range(4)
+        ]
+        name = "net.layers.0.weight"
+        clean = engine.corrupted_weights(AttackOutcome(spec=AttackSpec("actuation", "conv", 0.01)))
+        hits = [
+            not np.array_equal(engine.corrupted_weights(o)[name], clean[name]) for o in outcomes
+        ]
+        conv_only_past = [
+            i for i, o in enumerate(outcomes) if not hits[i] and "conv" in o.touched_blocks()
+        ]
+        assert any(hits) and len(conv_only_past) >= 2
+
+        chunks, rows = [], []
+        positions = {id(o): i for i, o in enumerate(outcomes)}
+        batch_kernel = inference.corrupted_state_batch
+        load = engine.model.load_stacked_state
+
+        def spy_batch(model, mapping, piece, **kwargs):
+            chunks.append([positions[id(o)] for o in piece])
+            return batch_kernel(model, mapping, piece, **kwargs)
+
+        def spy_load(stacked, **kwargs):
+            rows.append(stacked[name].shape[0])
+            return load(stacked, **kwargs)
+
+        monkeypatch.setattr(inference, "corrupted_state_batch", spy_batch)
+        monkeypatch.setattr(engine.model, "load_stacked_state", spy_load)
+        batched = engine.accuracy_under_attacks(dataset, outcomes)
+        monkeypatch.undo()
+
+        serial = [engine.accuracy_under_attack(dataset, o) for o in outcomes]
+        np.testing.assert_array_equal(batched, serial)
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(len(outcomes)))
+        assert len(rows) == len(chunks)
+        clean_chunks = [
+            (chunk, row) for chunk, row in zip(chunks, rows) if not any(hits[i] for i in chunk)
+        ]
+        assert sum(len(chunk) for chunk, _ in clean_chunks) == hits.count(False)
+        assert all(row == 1 for _, row in clean_chunks)
+        assert any(len(chunk) > 1 and set(chunk) <= set(conv_only_past)
+                   for chunk, _ in clean_chunks)
 
     def test_chunking_preserves_scenario_order(self, engine_and_data, outcomes):
         engine, dataset = engine_and_data
