@@ -419,15 +419,24 @@ def _effective_bank_delta_t(
     num_banks: int,
     tuning_compensation_k: float,
 ) -> np.ndarray:
-    """Per-bank effective temperature rise after tuning-loop compensation."""
+    """Per-bank effective temperature rise after tuning-loop compensation.
+
+    Out-of-range banks are dropped.  A bank the trojan does not heat directly
+    keeps ``max(0.0, rise - k)``, which is ``0.0`` for a NaN rise too.
+    """
+    count = len(bank_delta_t)
+    banks = np.fromiter(bank_delta_t.keys(), dtype=np.int64, count=count)
+    rises = np.fromiter(bank_delta_t.values(), dtype=np.float64, count=count)
+    in_range = (banks >= 0) & (banks < num_banks)
+    banks, rises = banks[in_range], rises[in_range]
+    direct = np.fromiter(directly_attacked, dtype=np.int64, count=len(directly_attacked))
+    heated = np.zeros(num_banks, dtype=bool)
+    heated[direct[(direct >= 0) & (direct < num_banks)]] = True
+    compensated = rises - tuning_compensation_k
     delta_t_per_bank = np.zeros(num_banks)
-    for bank_index, delta_t in bank_delta_t.items():
-        if not 0 <= bank_index < num_banks:
-            continue
-        effective = float(delta_t)
-        if bank_index not in directly_attacked:
-            effective = max(0.0, effective - tuning_compensation_k)
-        delta_t_per_bank[bank_index] = effective
+    delta_t_per_bank[banks] = np.where(
+        heated[banks], rises, np.where(compensated > 0, compensated, 0.0)
+    )
     return delta_t_per_bank
 
 

@@ -35,6 +35,9 @@ class Sequential(Module):
             x = layer(x)
         return x
 
+    def stages(self) -> list[Module]:
+        return [stage for layer in self.layers for stage in layer.stages()]
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)

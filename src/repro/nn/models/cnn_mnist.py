@@ -108,6 +108,9 @@ class MnistCNN(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net(x)
 
+    def stages(self) -> list[Module]:
+        return self.net.stages()
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return self.net.backward(grad_output)
 

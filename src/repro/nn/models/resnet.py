@@ -150,6 +150,11 @@ class ResNet18(Module):
         out = self.pool(out)
         return self.fc(out)
 
+    def stages(self) -> list[Module]:
+        # A BasicBlock stays one stage: its residual add lives inside it.
+        return [self.stem_conv, self.stem_bn, self.stem_relu, *self.blocks.stages(),
+                self.pool, self.fc]
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad = self.fc.backward(grad_output)
         grad = self.pool.backward(grad)

@@ -48,6 +48,18 @@ class Module:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
+    def stages(self) -> list["Module"]:
+        """The modules whose application in order is this module's :meth:`forward`.
+
+        Chaining an input through the stages equals :meth:`forward` bit for
+        bit, plain or with a stacked state loaded, so a caller may start a
+        forward at any stage from that stage's input (the attacked-inference
+        engine starts each scenario group at the first stage it corrupts).
+        The default is the module itself; a container whose forward is a
+        plain chain of children returns its children's stages, flattened.
+        """
+        return [self]
+
     # -------------------------------------------------------------- discovery
     def children(self) -> Iterator["Module"]:
         """Yield immediate child modules (attribute order)."""

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_dataset, train_test_split
-from repro.nn import Trainer, TrainingConfig, evaluate_accuracy
+from repro.nn import Trainer, TrainingConfig, evaluate_accuracy, stacked_state
 from repro.nn.models import (
+    BasicBlock,
     MnistCNN,
     ResNet18,
     VGG16Variant,
@@ -64,6 +65,39 @@ class TestModelArchitectures:
             build_model("unknown-model")
         with pytest.raises(ValidationError):
             build_model("resnet18", profile="huge")
+
+    @pytest.mark.parametrize("model_name", ["cnn_mnist", "resnet18", "vgg16_variant"])
+    def test_stages_chain_to_forward(self, model_name):
+        """Chaining ``stages()`` is ``forward`` byte for byte, plain and with a
+        stacked state loaded; every parameter belongs to exactly one stage."""
+        model = build_model(model_name, profile="scaled", rng=0)
+        shape = (4, 1, 28, 28) if model_name == "cnn_mnist" else (4, 3, 32, 32)
+        x = np.random.default_rng(3).random(shape).astype(np.float32)
+        model.train()(x)  # gives BatchNorm2D non-trivial running statistics
+        model.eval()
+        stages = model.stages()
+        owned = [id(param) for stage in stages for param in stage.parameters()]
+        assert sorted(owned) == sorted(id(param) for param in model.parameters())
+        if model_name == "resnet18":
+            assert [type(stage) for stage in stages[3:11]] == [BasicBlock] * 8
+
+        def chained():
+            out = x
+            for stage in stages:
+                out = stage(out)
+            return out
+
+        assert chained().tobytes() == model(x).tobytes()
+        rng = np.random.default_rng(4)
+        stacked = {
+            name: param.data + rng.normal(0, 0.01, (3, *param.shape)).astype(np.float32)
+            for name, param in model.named_parameters()
+            if param.kind in ("conv", "fc")
+        }
+        with stacked_state(model, stacked):
+            expected = model(x)
+            assert expected.shape == (3, 4, 10)
+            assert chained().tobytes() == expected.tobytes()
 
     def test_resnet_block_gradient_flow(self):
         """Residual blocks must propagate gradients through both branches."""

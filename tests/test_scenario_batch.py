@@ -30,11 +30,13 @@ from repro.attacks import (
 from repro.attacks.injection import (
     DEFAULT_TUNING_COMPENSATION_K,
     OFF_RESONANCE_MAGNITUDE,
+    _effective_bank_delta_t,
     touched_parameters,
 )
+from repro.datasets.base import DataLoader, Dataset
 from repro.nn import stacked_state
 from repro.nn.layers import BatchNorm2D, Conv2D, Linear, MaxPool2D
-from repro.nn.models import build_model
+from repro.nn.models import MnistCNN, build_model
 from repro.photonics import constants
 from repro.photonics.thermal_sensitivity import ThermalSensitivity
 from repro.utils.validation import ValidationError
@@ -231,6 +233,54 @@ class TestTouchedParameters:
         np.testing.assert_array_equal(mask, self._changed(model, mapping, outcomes))
         assert mask.any(axis=1).all() and not mask.all()
         assert touched_parameters(mapping, []).shape == (0, len(mapping.parameters))
+
+
+def _effective_bank_delta_t_loop(bank_delta_t, directly_attacked, num_banks, k):
+    """Per-entry reference for :func:`_effective_bank_delta_t`."""
+    delta_t_per_bank = np.zeros(num_banks)
+    for bank_index, delta_t in bank_delta_t.items():
+        if not 0 <= bank_index < num_banks:
+            continue
+        effective = float(delta_t)
+        if bank_index not in directly_attacked:
+            effective = max(0.0, effective - k)
+        delta_t_per_bank[bank_index] = effective
+    return delta_t_per_bank
+
+
+class TestEffectiveBankDeltaT:
+    """The vectorized tuning compensation equals the per-entry loop by bytes."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_loop_on_random_dicts(self, seed):
+        rng = np.random.default_rng(seed)
+        num_banks = int(rng.integers(1, 40))
+        banks = rng.choice(np.arange(-8, num_banks + 8), int(rng.integers(0, num_banks + 16)),
+                           replace=False)
+        rises = rng.normal(DEFAULT_TUNING_COMPENSATION_K, 12.0, banks.size)
+        special = rng.integers(0, 6, banks.size)
+        rises[special == 0] = np.nan
+        rises[special == 1] = DEFAULT_TUNING_COMPENSATION_K  # compensates to exactly 0
+        rises[special == 2] = -0.0
+        keys = [int(b) if i % 2 else np.int64(b) for i, b in enumerate(banks)]
+        values = [float(r) if i % 3 else np.float32(r) for i, r in enumerate(rises)]
+        bank_delta_t = dict(zip(keys, values))
+        attacked = set(rng.choice(np.arange(-4, num_banks + 4), int(rng.integers(0, 10))).tolist())
+        for k in (DEFAULT_TUNING_COMPENSATION_K, 0.0, -2.5):
+            expected = _effective_bank_delta_t_loop(bank_delta_t, attacked, num_banks, k)
+            got = _effective_bank_delta_t(bank_delta_t, attacked, num_banks, k)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_edge_entries(self):
+        nan = float("nan")
+        bank_delta_t = {-1: 50.0, 0: nan, 1: nan, 2: -3.0, 3: -3.0, 4: 8.0, 5: 20.0, 9: 1.0}
+        attacked = {0, 2, 5, 9}
+        expected = _effective_bank_delta_t_loop(bank_delta_t, attacked, 6, 8.0)
+        got = _effective_bank_delta_t(bank_delta_t, attacked, 6, 8.0)
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got[0]) and got[1] == 0.0 and got[2] == -3.0 and got[5] == 20.0
+        assert not _effective_bank_delta_t({}, set(), 3, 8.0).any()
 
 
 class TestHotspotEdgeCases:
@@ -619,7 +669,8 @@ class TestEngineScenarioBatch:
     def test_chunks_share_the_clean_first_kernel(self, engine_and_data,
                                                  scaled_accelerator_config, monkeypatch):
         """Outcomes that leave ``net.layers.0.weight`` clean are chunked apart
-        from those that corrupt it, and load it as one shared row."""
+        from those that corrupt it, and load it as one shared row; outcomes
+        that touch nothing join no chunk."""
         engine, dataset = engine_and_data
         config = scaled_accelerator_config
         outcomes = [
@@ -637,6 +688,8 @@ class TestEngineScenarioBatch:
             i for i, o in enumerate(outcomes) if not hits[i] and "conv" in o.touched_blocks()
         ]
         assert any(hits) and len(conv_only_past) >= 2
+        touching = touched_parameters(engine.mapping, outcomes).any(axis=1).tolist()
+        engine.accuracy_under_attacks(dataset, outcomes[:1])  # builds the clean prefix
 
         chunks, rows = [], []
         positions = {id(o): i for i, o in enumerate(outcomes)}
@@ -658,12 +711,16 @@ class TestEngineScenarioBatch:
 
         serial = [engine.accuracy_under_attack(dataset, o) for o in outcomes]
         np.testing.assert_array_equal(batched, serial)
-        assert sorted(i for chunk in chunks for i in chunk) == list(range(len(outcomes)))
+        assert sorted(i for chunk in chunks for i in chunk) == [
+            i for i, touches in enumerate(touching) if touches
+        ]
         assert len(rows) == len(chunks)
         clean_chunks = [
             (chunk, row) for chunk, row in zip(chunks, rows) if not any(hits[i] for i in chunk)
         ]
-        assert sum(len(chunk) for chunk, _ in clean_chunks) == hits.count(False)
+        assert sum(len(chunk) for chunk, _ in clean_chunks) == (
+            hits.count(False) - touching.count(False)
+        )
         assert all(row == 1 for _, row in clean_chunks)
         assert any(len(chunk) > 1 and set(chunk) <= set(conv_only_past)
                    for chunk, _ in clean_chunks)
@@ -723,6 +780,229 @@ class TestEngineScenarioBatch:
         # The clean model round-trips through normalize/denormalize, so
         # compare against the per-scenario path, not clean_accuracy().
         assert accuracies[0] == engine.accuracy_under_attack(dataset, empty)
+
+
+def _run_with_logits(engine, dataset, outcomes, monkeypatch):
+    """``accuracy_under_attacks`` plus every outcome's logits, read off spies.
+
+    The batch corruption names each chunk's outcomes; the last stage's
+    outputs that follow it are that chunk's logits, one array per evaluation
+    batch.  An outcome in no chunk gets the engine's kept clean logits.
+    """
+    events = []
+    batch_kernel = inference.corrupted_state_batch
+    last = engine._stages[-1]
+    forward = last.forward
+
+    def spy_batch(model, mapping, piece, **kwargs):
+        events.append(list(piece))
+        return batch_kernel(model, mapping, piece, **kwargs)
+
+    def spy_forward(x):
+        out = forward(x)
+        events.append(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "corrupted_state_batch", spy_batch)
+        patch.setattr(last, "forward", spy_forward)
+        accuracies = engine.accuracy_under_attacks(dataset, outcomes)
+    clean = np.concatenate([logits for _, _, logits in engine._prefix.batches], axis=1)
+    logits = [clean[0]] * len(outcomes)
+    position = {id(outcome): index for index, outcome in enumerate(outcomes)}
+    chunks = []
+    for event in events:
+        if isinstance(event, list):
+            chunks.append((event, []))
+        else:
+            chunks[-1][1].append(event)
+    for piece, batches in chunks:
+        stacked = np.concatenate(batches, axis=1)
+        for row, outcome in enumerate(piece):
+            if id(outcome) in position:
+                logits[position[id(outcome)]] = stacked[row if len(stacked) > 1 else 0]
+    return accuracies, logits
+
+
+def _full_forward_logits(engine, dataset, outcome):
+    """The outcome alone through the whole network, from its own corrupted rows."""
+    loader = DataLoader(dataset, batch_size=engine.batch_size, shuffle=False)
+    with stacked_state(engine.model, engine._stacked_state_for([outcome])):
+        return np.concatenate([engine.model(images) for images, _ in loader], axis=1)[0]
+
+
+class TestEngineCleanPrefix:
+    """Chunks start at their group's first touched stage from the kept clean
+    forward, and reproduce a full forward of each outcome byte for byte."""
+
+    @staticmethod
+    def _resnet_engine(config):
+        rng = np.random.default_rng(5)
+        images = rng.random((20, 3, 32, 32)).astype(np.float32)
+        model = build_model("resnet18", profile="scaled", rng=0)
+        model.train()(images[:8])  # gives BatchNorm2D non-trivial running statistics
+        dataset = Dataset(images, rng.integers(0, 10, 20), num_classes=10)
+        return AttackedInferenceEngine(model, config, batch_size=8), dataset
+
+    @staticmethod
+    def _grid(mapping, config):
+        """conv1-first, later-conv-first, FC-first and no-touch outcomes."""
+        dormant = create_attack(
+            AttackSpec("triggered", "both", 0.05), {"trigger": "external", "armed": False}
+        ).sample(config, seed=0)
+        return [
+            ActuationAttack(AttackSpec("actuation", "conv", 0.1)).sample(config, seed=0),
+            HotspotAttack(AttackSpec("hotspot", "both", 0.1)).sample(config, seed=1),
+            *TestDeepEnsembleForward._past_first_kernel(mapping, config),
+            ActuationAttack(AttackSpec("actuation", "fc", 0.1)).sample(config, seed=2),
+            HotspotAttack(AttackSpec("hotspot", "fc", 0.1)).sample(config, seed=3),
+            *_mask_edge_outcomes(config),
+            dormant,
+        ]
+
+    @pytest.mark.parametrize("model_name", ["cnn_mnist", "resnet18"])
+    def test_every_scenario_matches_a_full_forward(
+        self, model_name, trained_mnist_model, mnist_split, scaled_accelerator_config,
+        monkeypatch,
+    ):
+        config = scaled_accelerator_config
+        if model_name == "cnn_mnist":
+            engine = AttackedInferenceEngine(trained_mnist_model, config)
+            dataset = mnist_split.test
+        else:
+            engine, dataset = self._resnet_engine(config)
+        outcomes = self._grid(engine.mapping, config)
+        touched = touched_parameters(engine.mapping, outcomes)
+        first = np.where(touched.any(axis=1), touched.argmax(axis=1), -1)
+        kinds = {
+            "conv1": [i for i, p in enumerate(first) if p == 0],
+            "later conv": [
+                i for i, p in enumerate(first)
+                if p > 0 and engine.mapping.parameters[p].kind == "conv"
+            ],
+            "fc": [
+                i for i, p in enumerate(first)
+                if p >= 0 and engine.mapping.parameters[p].kind == "fc"
+            ],
+            "none": [i for i, p in enumerate(first) if p < 0],
+        }
+        assert all(kinds.values()), kinds
+        assert min(engine._stage_of[first[i]] for i in kinds["later conv"]) > 0
+
+        accuracies, logits = _run_with_logits(engine, dataset, outcomes, monkeypatch)
+        for index, outcome in enumerate(outcomes):
+            expected = _full_forward_logits(engine, dataset, outcome)
+            assert logits[index].tobytes() == expected.tobytes(), f"scenario {index}"
+            assert accuracies[index] == engine.accuracy_under_attack(dataset, outcome)
+        for kind, indices in kinds.items():
+            lone, lone_logits = _run_with_logits(
+                engine, dataset, [outcomes[indices[0]]], monkeypatch
+            )
+            assert lone_logits[0].tobytes() == logits[indices[0]].tobytes(), kind
+            assert lone[0] == accuracies[indices[0]], kind
+
+    def test_stages_must_own_mapped_parameters_in_mapping_order(
+        self, scaled_accelerator_config
+    ):
+        class Reversed(MnistCNN):
+            def stages(self):
+                return super().stages()[::-1]
+
+        with pytest.raises(ValueError, match="stages"):
+            AttackedInferenceEngine(Reversed.scaled_config(rng=0), scaled_accelerator_config)
+
+    def test_no_touch_group_corrupts_and_forwards_nothing(
+        self, trained_mnist_model, mnist_split, scaled_accelerator_config, monkeypatch
+    ):
+        config = scaled_accelerator_config
+        engine = AttackedInferenceEngine(trained_mnist_model, config)
+        dataset = mnist_split.test
+        none = self._grid(engine.mapping, config)[-4:]
+        assert not touched_parameters(engine.mapping, none).any()
+        engine.accuracy_under_attacks(dataset, none[:1])  # builds the clean prefix
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "corrupted_state_batch",
+                          lambda *args, **kwargs: calls.append("corruption"))
+            for stage in engine._stages:
+                patch.setattr(stage, "forward", lambda x, stage=stage: calls.append(stage))
+            grouped = engine.accuracy_under_attacks(dataset, none)
+            lone = engine.accuracy_under_attacks(dataset, none[1:2])
+        assert calls == []
+        reference = [engine.accuracy_under_attack(dataset, outcome) for outcome in none]
+        assert grouped.tolist() == reference and lone.tolist() == reference[1:2]
+
+    def test_prefix_carries_the_round_tripped_weights(
+        self, scaled_accelerator_config, monkeypatch
+    ):
+        """The kept prefix runs the rows an untouched parameter carries inside
+        a chunk, whose normalize/denormalize round trip moves some bits; the
+        clean state dict would give an FC-first chunk different logits."""
+        config = scaled_accelerator_config
+        model = build_model("cnn_mnist", profile="scaled", rng=0)
+        engine = AttackedInferenceEngine(model, config, quantize_weights=False)
+        outcome = ActuationAttack(AttackSpec("actuation", "fc", 0.1)).sample(config, seed=0)
+        rows = engine._stacked_state_for([outcome])
+        conv = [m.name for m in engine.mapping.parameters if m.kind == "conv"]
+        assert touched_parameters(engine.mapping, [outcome]).argmax() == len(conv)
+        assert any(
+            rows[name][0].tobytes() != engine._clean_state[name].tobytes() for name in conv
+        )
+        images = np.zeros((4, 1, 28, 28), dtype=np.float32)
+        for index, (row, col) in enumerate([(5, 5), (10, 13), (20, 8), (14, 14)]):
+            images[index, 0, row, col] = 1.0  # one-hot images
+        dataset = Dataset(images, np.arange(4), num_classes=10)
+        expected = _full_forward_logits(engine, dataset, outcome)
+        clean_prefix = dict(rows, **{name: engine._clean_state[name][None] for name in conv})
+        with stacked_state(engine.model, clean_prefix):
+            assert engine.model(images)[0].tobytes() != expected.tobytes()
+        _, logits = _run_with_logits(engine, dataset, [outcome], monkeypatch)
+        assert logits[0].tobytes() == expected.tobytes()
+
+    def test_prefix_is_keyed_by_the_dataset_bits(
+        self, trained_mnist_model, mnist_split, scaled_accelerator_config, monkeypatch
+    ):
+        """A flipped pixel bit, a changed label or an in-place edit after a
+        call each give a fresh engine's results; the kept arrays are read-only."""
+        config = scaled_accelerator_config
+        engine = AttackedInferenceEngine(trained_mnist_model, config)
+        base = mnist_split.test
+        outcomes = self._grid(engine.mapping, config)
+
+        def fresh(dataset):
+            return _run_with_logits(
+                AttackedInferenceEngine(trained_mnist_model, config), dataset, outcomes,
+                monkeypatch,
+            )
+
+        def same(left, right):
+            return left[0].tolist() == right[0].tolist() and all(
+                a.tobytes() == b.tobytes() for a, b in zip(left[1], right[1])
+            )
+
+        images = base.images.copy()
+        images.view(np.uint32)[0, 0, 14, 14] ^= 1 << 20  # one pixel bit
+        flipped = Dataset(images, base.labels, base.num_classes)
+        expected_base = fresh(base)
+        labels = base.labels.copy()
+        predicted = int(np.argmax(expected_base[1][-1][0]))  # a no-touch outcome's
+        labels[0] = predicted if predicted != labels[0] else (labels[0] + 1) % 10
+        relabelled = Dataset(base.images, labels, base.num_classes)
+        edited = Dataset(base.images.copy(), base.labels, base.num_classes)
+
+        first = _run_with_logits(engine, base, outcomes, monkeypatch)
+        assert same(first, expected_base)
+        for dataset in (flipped, relabelled):
+            expected = fresh(dataset)
+            assert not same(expected, first)
+            assert same(_run_with_logits(engine, dataset, outcomes, monkeypatch), expected)
+        assert same(_run_with_logits(engine, edited, outcomes, monkeypatch), first)
+        edited.images[0, 0, 14, 14] = images[0, 0, 14, 14]  # in place, after a call
+        assert same(_run_with_logits(engine, edited, outcomes, monkeypatch), fresh(flipped))
+        kept = [engine._prefix.images, engine._prefix.labels]
+        for labels, inputs, logits in engine._prefix.batches:
+            kept += [labels, logits, *inputs.values()]
+        assert not any(array.flags.writeable for array in kept)
 
 
 class TestStudyIntegration:
