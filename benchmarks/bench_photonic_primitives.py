@@ -3,7 +3,8 @@
 Covers the device-level numbers quoted in the paper's §II.B (EO tuning is
 faster and cheaper but short-range; TO tuning covers a full FSR at much higher
 power) and the accelerator-level power budget of the CrossLight-style
-configuration, plus the computational fidelity of the signal-level VDP unit.
+configuration, plus the computational fidelity of the signal-level dot product
+(`SignalLevelSimulator` on one 16-carrier bank pair).
 """
 
 from __future__ import annotations

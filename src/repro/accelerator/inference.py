@@ -44,7 +44,7 @@ from repro.attacks.injection import (
 from repro.datasets.base import Dataset
 from repro.nn.ensemble import stacked_state
 from repro.nn.module import Module
-from repro.nn.training import evaluate_accuracy
+from repro.nn.training import count_correct, evaluate_accuracy
 from repro.utils.validation import check_positive_int
 
 __all__ = ["AttackedInferenceEngine"]
@@ -60,11 +60,6 @@ MEMORY_BUDGET_MB = 512
 def _check_scenario_chunk(value: int | None) -> int | None:
     """``None`` (memory-aware auto) or a positive number of scenarios."""
     return None if value is None else check_positive_int(value, "scenario_chunk")
-
-
-def _correct(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Correct predictions in one batch, per scenario of a stacked ``logits``."""
-    return (np.argmax(logits, axis=-1) == labels).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,7 @@ class AttackedInferenceEngine:
                         x = inputs[stage]
                         for module in self._stages[stage:]:
                             x = module(x)
-                        correct = correct + _correct(x, labels)
+                        correct = correct + count_correct(x, labels)
                 accuracies[piece_indices] = correct / total if total else float("nan")
         return accuracies
 
@@ -337,7 +332,7 @@ class AttackedInferenceEngine:
                 for array in (x, *inputs.values()):
                     array.setflags(write=False)
                 batches.append((labels[batch], inputs, x))
-                correct = correct + _correct(x, labels[batch])
+                correct = correct + count_correct(x, labels[batch])
         total = len(labels)
         accuracy = float(correct[0] / total) if total else float("nan")
         self._prefix = _CleanPrefix(images, labels, tuple(batches), accuracy)

@@ -830,14 +830,28 @@ def _run_signal_mc(
     reconstruction).  ``kind="hotspot"`` draws per-trial weight-bank
     temperatures uniformly in ``[0, max_delta_t_k]``; ``kind="actuation"``
     actuates ``round(fraction * size)`` random weight rings per trial.
+    ``size`` and ``trials`` must be positive integers, ``fraction`` lie in
+    ``(0, 1]`` and ``max_delta_t_k`` be finite and ``>= 0``.
     """
     import numpy as np
 
     from repro.accelerator.signal_sim import SignalLevelSimulator
     from repro.utils.rng import RngFactory
+    from repro.utils.validation import (
+        ValidationError,
+        check_fraction,
+        check_in_choices,
+        check_positive_int,
+    )
 
-    if kind not in ("hotspot", "actuation"):
-        raise ValueError(f"kind must be 'hotspot' or 'actuation', got {kind!r}")
+    check_in_choices(kind, "kind", ("hotspot", "actuation"))
+    check_positive_int(size, "size")
+    check_positive_int(trials, "trials")
+    check_fraction(fraction, "fraction")
+    if not np.isfinite(max_delta_t_k) or max_delta_t_k < 0:
+        raise ValidationError(
+            f"max_delta_t_k must be a finite number >= 0, got {max_delta_t_k!r}"
+        )
     factory = RngFactory(seed=seed)
     rng_operands = factory.get("signal-mc-operands")
     rng_attacks = factory.get("signal-mc-attacks")

@@ -146,11 +146,6 @@ class HotspotAttack(AttackKind):
     params_class = HotspotAttackConfig
     summary = "TO-circuit HTs overdrive bank heaters; hotspots shift whole banks"
 
-    @property
-    def attack_config(self) -> HotspotAttackConfig:
-        """Alias kept for callers predating the registry API."""
-        return self.params
-
     def sample(
         self,
         config: AcceleratorConfig,

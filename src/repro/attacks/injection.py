@@ -4,7 +4,7 @@ The functional attack model mirrors what the physical substrate does to each
 mapped weight.  Weight banks use the add-drop configuration: each ring
 couples a fraction of its carrier — equal to the normalized weight magnitude
 — onto the drop bus feeding the photodetector (see
-:class:`repro.photonics.mr_bank.MRBank` with ``encoding="drop"``).
+:class:`repro.photonics.bank_array.BankArray` with ``encoding="drop"``).
 
 Outcomes describe the substrate corruption with kind-agnostic
 :class:`~repro.attacks.base.BlockEffect` primitives, merged here in a fixed

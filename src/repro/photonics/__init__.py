@@ -9,10 +9,12 @@ The modules here model the components highlighted in the paper's Fig. 2:
   :mod:`repro.photonics.thermal_sensitivity`),
 * photodetectors and data converters (:mod:`repro.photonics.photodetector`,
   :mod:`repro.photonics.dac_adc`),
-* MR banks and vector-dot-product units (:mod:`repro.photonics.mr_bank`,
-  :mod:`repro.photonics.vdp`), both thin views over the vectorized
-  struct-of-arrays core (:mod:`repro.photonics.bank_array`); the seed
-  per-ring-object reference path lives in :mod:`repro.photonics.legacy`.
+* MR banks and bank pairs (:mod:`repro.photonics.bank_array`): one
+  vectorized struct-of-arrays model of ``(banks, rings)`` state, which
+  :class:`~repro.accelerator.signal_sim.SignalLevelSimulator` drives for
+  dot products, matrix-vector products and Monte-Carlo attack sweeps; the
+  seed per-ring-object path it is tested against lives in
+  :mod:`repro.photonics.legacy`.
 """
 
 from repro.photonics import constants
@@ -24,8 +26,6 @@ from repro.photonics.waveguide import WDMGrid, Waveguide
 from repro.photonics.laser import LaserSource
 from repro.photonics.photodetector import Photodetector
 from repro.photonics.dac_adc import ADC, DAC
-from repro.photonics.mr_bank import MRBank, MRBankPair, RingView
-from repro.photonics.vdp import VDPUnit
 from repro.photonics.noise_models import OpticalNoiseModel
 
 __all__ = [
@@ -45,9 +45,5 @@ __all__ = [
     "ADC",
     "BankArray",
     "BankArrayPair",
-    "MRBank",
-    "MRBankPair",
-    "RingView",
-    "VDPUnit",
     "OpticalNoiseModel",
 ]

@@ -1,14 +1,22 @@
 """Vectorized array-core for MR banks (struct-of-arrays device state).
 
-The object layer (:mod:`repro.photonics.mr_bank`) models one
-:class:`~repro.photonics.microring.MicroringResonator` per ring, which is
-convenient for inspecting a single device but quadratically slow for the
-signal-level experiments: a matrix-vector product needs ``rows`` bank pairs of
-``cols`` rings each, and a Monte-Carlo attack sweep re-evaluates all of them
-per trial.  This module keeps the *same physics* — the Lorentzian through/drop
-response, the weight-detuning encoding, the actuation and thermal attack
-semantics of :mod:`repro.photonics.microring` — but stores bank state as plain
-ndarrays of shape ``(banks, rings)``:
+This is the library's MR-bank model (paper Fig. 1(c), Figs. 4-5).  A bank is
+a row of microrings, one per WDM carrier, that imprints a vector of
+normalized values onto the carriers of a shared waveguide; a bank pair chains
+an all-pass *input* bank (activations) and an add-drop *weight* bank
+(weights), so each carrier reaches the photodetector carrying ``a_i * w_i``.
+An actuation attack pushes single rings off resonance; a thermal hotspot
+shifts every ring of a bank, so each ring attenuates its neighbour's carrier.
+One bank is ``BankArray(grid, banks=1)``, one bank pair
+``BankArrayPair(size, banks=1)``.
+
+A matrix-vector product needs ``rows`` bank pairs of ``cols`` rings each, and
+a Monte-Carlo attack sweep re-evaluates all of them per trial, so instead of
+one :class:`~repro.photonics.microring.MicroringResonator` object per ring
+this module keeps the *same physics* — the Lorentzian through/drop response,
+the weight-detuning encoding, the actuation and thermal attack semantics of
+:mod:`repro.photonics.microring` — as plain ndarrays of shape
+``(banks, rings)``:
 
 * ``target_nm`` — per-ring trimmed carrier wavelengths,
 * ``weight_detuning_nm`` — detunings programmed by :meth:`BankArray.imprint`,
@@ -20,7 +28,8 @@ All transmissions are computed as one broadcast Lorentzian over
 axes (Monte-Carlo trials).  There are no per-ring Python objects or loops in
 the hot path; :class:`BankArrayPair` adds the input×weight product, a batched
 :meth:`~BankArrayPair.matvec` and a batched :meth:`~BankArrayPair.monte_carlo`
-attack sweep.
+attack sweep, which :class:`~repro.accelerator.signal_sim.SignalLevelSimulator`
+drives with validated operands and optional DAC/ADC quantization.
 
 The per-ring scalar model in :mod:`repro.photonics.microring` (and the seed
 loop implementation preserved in :mod:`repro.photonics.legacy`) is the ground
@@ -117,8 +126,10 @@ class BankArray:
         Device parameters; ``extinction_ratio_db`` may be a scalar or any
         array broadcastable to ``(banks, rings)``.
     encoding:
-        ``"through"`` (all-pass input banks) or ``"drop"`` (add-drop weight
-        banks) — the same convention as :class:`~repro.photonics.mr_bank.MRBank`.
+        ``"through"`` — all-pass modulators whose value is each carrier's
+        through-port transmission (the *input* banks); ``"drop"`` — add-drop
+        filters whose value is the fraction of each carrier coupled onto the
+        drop bus feeding the photodetector (the *weight* banks).
     """
 
     def __init__(

@@ -1,13 +1,13 @@
 """Seed object-per-ring MR bank implementation (reference path).
 
-This is the original loop-based implementation of
-:class:`~repro.photonics.mr_bank.MRBank` / ``MRBankPair``: one
+The original loop-based MR bank and bank pair: one
 :class:`~repro.photonics.microring.MicroringResonator` object per ring, with
-per-ring Python loops for imprinting, attacks and transmission.  The public
-classes in :mod:`repro.photonics.mr_bank` are now thin views over the
-vectorized array-core (:mod:`repro.photonics.bank_array`); this module keeps
-the object path alive as **ground truth**: the array-core equivalence property
-tests compare :class:`~repro.photonics.bank_array.BankArray` and
+per-ring Python loops for imprinting, attacks and transmission.  The library
+computes on the vectorized array-core (:mod:`repro.photonics.bank_array`);
+this module keeps the object path alive as **ground truth**: the array-core
+equivalence property tests compare
+:class:`~repro.photonics.bank_array.BankArray`,
+:class:`~repro.photonics.bank_array.BankArrayPair` and
 :class:`~repro.accelerator.signal_sim.SignalLevelSimulator` against this path
 to 1e-9 (``tests/test_bank_array.py``, ``tests/test_accelerator.py``).
 

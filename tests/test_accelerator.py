@@ -295,3 +295,11 @@ class TestSignalLevelSimulator:
             sim.dot(rng.random(3), rng.random(4))
         with pytest.raises(ValidationError):
             sim.matvec(rng.random((2, 3)), rng.random(3))
+        with pytest.raises(ValidationError, match="finite"):
+            sim.dot(np.array([0.1, np.nan, 0.3, 0.4]), np.full(4, 0.5))
+
+    def test_converters_quantize_without_breaking_accuracy(self, rng):
+        sim = SignalLevelSimulator(4, use_converters=True)
+        a = rng.random(4)
+        w = rng.random(4)
+        assert sim.dot(a, w) == pytest.approx(float(a @ w), abs=0.1)

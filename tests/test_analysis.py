@@ -30,6 +30,7 @@ from repro.analysis import (
 )
 from repro.analysis.reporting import format_deployment_report
 from repro.nn.models import table1_rows
+from repro.utils.validation import ValidationError
 
 
 class TestMetrics:
@@ -221,6 +222,34 @@ class TestExperimentRegistry:
         result = get_experiment("ablation_tuning").run()
         assert result["shift_0.2nm"]["eo_energy_j"] < result["shift_0.2nm"]["to_energy_j"]
         assert result["total_power_w"] > 0
+
+
+class TestSignalMonteCarlo:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"size": True},
+            {"trials": 0},
+            {"max_delta_t_k": -5.0},
+            {"max_delta_t_k": float("nan")},
+            {"kind": "actuation", "fraction": -0.5},
+            {"kind": "actuation", "fraction": 2.0},
+            {"kind": "phase"},
+        ],
+        ids=["size=true", "trials=0", "max_delta_t_k=-5", "max_delta_t_k=nan",
+             "fraction=-0.5", "fraction=2", "kind=phase"],
+    )
+    def test_out_of_domain_fields_are_rejected(self, overrides):
+        field = list(overrides)[-1]
+        with pytest.raises(ValidationError, match=field):
+            get_experiment("signal_mc").run(overrides)
+
+    def test_domain_bounds_are_accepted(self):
+        experiment = get_experiment("signal_mc")
+        unheated = experiment.run({"trials": 1, "max_delta_t_k": 0.0})
+        assert unheated["trials"] == 1 and unheated["max_abs_error"] < 1e-12
+        every_ring = experiment.run({"kind": "actuation", "fraction": 1.0, "trials": 3})
+        assert every_ring["corrupted_trials_fraction"] == 1.0
 
 
 #: A mixed in-process sweep over the workload memo: two seeds, quantized and

@@ -4,8 +4,7 @@ The vectorized struct-of-arrays core (:mod:`repro.photonics.bank_array`) must
 reproduce the seed per-ring-object path (:mod:`repro.photonics.legacy`, built
 on the scalar :class:`MicroringResonator` model) to 1e-9 on randomized
 programs, actuation attacks and thermal shifts, for both encodings and a
-range of bank sizes.  The object classes in :mod:`repro.photonics.mr_bank`
-are thin views over the array-core, so they are exercised here too.
+range of bank sizes.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.photonics import BankArray, BankArrayPair, MRBank, MRBankPair, WDMGrid
+from repro.photonics import BankArray, BankArrayPair, WDMGrid
 from repro.photonics.legacy import ObjectMRBank, ObjectMRBankPair
 from repro.photonics.thermal_sensitivity import ThermalSensitivity
 from repro.utils.validation import ValidationError
@@ -132,29 +131,6 @@ class TestBankEquivalence:
             obj.weight_bank.apply_thermal_attack(delta_t)
             arr.weight_bank.apply_thermal_attack(delta_t)
         assert arr.dot_products()[0] == pytest.approx(obj.dot_product(), abs=TOL)
-
-    def test_view_classes_match_object_path(self):
-        """MRBank/MRBankPair (array-backed views) match the seed classes."""
-        size = 12
-        rng = np.random.default_rng(3)
-        grid = WDMGrid(num_channels=size)
-        inputs = _random_values(rng, size)
-        weights = _random_values(rng, size)
-        view = MRBankPair(size, grid=grid)
-        obj = ObjectMRBankPair(size, grid=grid)
-        view.program(inputs, weights)
-        obj.program(inputs, weights)
-        assert view.dot_product() == pytest.approx(obj.dot_product(), abs=TOL)
-        view.weight_bank.apply_actuation_attack([0, 5])
-        obj.weight_bank.apply_actuation_attack([0, 5])
-        view.weight_bank.apply_thermal_attack(11.0)
-        obj.weight_bank.apply_thermal_attack(11.0)
-        np.testing.assert_allclose(
-            view.weight_bank.effective_values(),
-            obj.weight_bank.effective_values(),
-            atol=TOL,
-            rtol=0,
-        )
 
 
 class TestBatchedBanks:
@@ -296,15 +272,15 @@ class TestBatchedBanks:
 class TestImprintValidation:
     def test_nan_rejected_before_programming(self):
         """Regression: NaN slips through plain range checks (NaN < 0 is False)."""
-        bank = MRBank(WDMGrid(num_channels=3))
+        bank = BankArray(WDMGrid(num_channels=3), banks=1)
         values = np.array([0.2, np.nan, 0.4])
         with pytest.raises(ValidationError, match="finite"):
             bank.imprint(values)
         # Nothing was programmed: the bank state is untouched.
-        np.testing.assert_array_equal(bank.imprinted_values(), np.zeros(3))
+        np.testing.assert_array_equal(bank.imprinted_values()[0], np.zeros(3))
 
     def test_inf_rejected(self):
-        bank = MRBank(WDMGrid(num_channels=2), encoding="drop")
+        bank = BankArray(WDMGrid(num_channels=2), banks=1, encoding="drop")
         with pytest.raises(ValidationError, match="finite"):
             bank.imprint(np.array([0.1, np.inf]))
 
@@ -326,29 +302,3 @@ class TestImprintValidation:
             array.imprint(np.array([0.1, 0.2, 1.5]))
         with pytest.raises(ValidationError):
             array.imprint(np.array([-0.1, 0.2, 0.5]))
-
-
-class TestRingViews:
-    def test_views_read_and_write_array_state(self):
-        bank = MRBank(WDMGrid(num_channels=4))
-        bank.imprint(np.array([0.1, 0.4, 0.6, 0.9]))
-        rings = bank.mrs
-        assert [r.imprinted_value for r in rings] == pytest.approx([0.1, 0.4, 0.6, 0.9])
-        rings[2].apply_actuation_attack()
-        assert bank.array.attack_detuning_nm[0, 2] > 0
-        assert bank.effective_values()[2] > 0.9  # carrier passes unattenuated
-        rings[2].clear_attack()
-        assert bank.array.attack_detuning_nm[0, 2] == 0.0
-
-    def test_view_transmission_matches_bank_row(self):
-        grid = WDMGrid(num_channels=5)
-        bank = MRBank(grid, encoding="drop")
-        bank.imprint(np.linspace(0.1, 0.9, 5))
-        matrix = bank.transmission_matrix()
-        for index, ring in enumerate(bank.mrs):
-            np.testing.assert_allclose(
-                ring.through_transmission(grid.wavelengths_nm),
-                matrix[index],
-                atol=TOL,
-                rtol=0,
-            )

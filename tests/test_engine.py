@@ -535,6 +535,18 @@ class TestCli:
         assert "scenario_chunk" in captured.err
         assert captured.out == ""
 
+    def test_cli_run_rejects_out_of_range_signal_mc_fraction(self, capsys):
+        """A fraction above 1 is an error, not every weight ring attacked."""
+        argv = [
+            "run", "signal_mc", "--no-cache", "--json",
+            "--set", "kind=actuation", "--set", "fraction=2",
+        ]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "fraction" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_python_dash_m_repro_entrypoint(self):
         """``python -m repro list`` works as a real subprocess."""
         repo_src = Path(__file__).resolve().parents[1] / "src"
