@@ -14,7 +14,11 @@ stacked forward, which variant-grid training runs too:
 * :class:`~repro.nn.layers.batchnorm.BatchNorm2D` normalizes every slab with
   its running statistics (per variant where the layer carries them);
 * pooling, flatten and the elementwise activations fold the scenario axis
-  into the batch axis or broadcast over it.
+  into the batch axis or broadcast over it.  In evaluation mode ``ReLU`` is
+  one ``np.maximum(x, 0)`` pass and max pooling reduces each window in
+  channels-last memory order, neither keeping backward state.  Their values equal
+  the training kernels' up to the sign of a zero, which changes no logit's
+  value (and ``ReLU(-inf)``, which is 0 instead of NaN).
 
 A stacked value with the singleton scenario count ``S = 1`` broadcasts
 against truly stacked layers.  The inference engine exploits this: parameters

@@ -49,37 +49,43 @@ def im2col(
     ``(N * out_h * out_w, C * kernel_h * kernel_w)``: one row per output
     pixel, its patch in (C, kh, kw) order, padded with zeros.
 
-    The batch is unfolded in tiles of about ``_TILE_BYTES`` of patches: each
-    tile gathers its ``(ky, kx)`` strided slices into a cache-resident
-    buffer and transposes that buffer into its rows of ``cols``.  Every
-    element is a copy, so the tiling cannot change a value.
+    The batch is unfolded in tiles of about ``_TILE_BYTES`` of patches.  Each
+    tile is copied, in any input layout, into the interior of a zeroed
+    C-contiguous buffer that holds the padding border and ``stride`` spare
+    rows under each plane.  Each ``(ky, kx)`` plane is then gathered as whole
+    padded rows: ``out_h`` runs of ``padded_w`` elements starting at row
+    ``ky`` and column ``kx``, one contiguous run of ``out_h * padded_w``
+    elements per sample and channel at stride 1.  A run's last row may reach
+    into the next row or the spare rows, but only in columns past the
+    ``out_w`` valid ones, which the transpose into ``cols`` leaves out.
+    Every element is a copy, so neither the tiling nor the gather can
+    change a value.
     """
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel_h, stride, padding)
     out_w = conv_output_size(width, kernel_w, stride, padding)
+    padded_h, padded_w = height + 2 * padding, width + 2 * padding
     cols = np.empty((batch, out_h, out_w, channels, kernel_h, kernel_w), dtype=x.dtype)
-    tile = batch_tile(batch, cols[:1].nbytes)
-    patches = np.empty((tile, channels, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
-    if padding > 0:
-        # One zero-bordered tile; each tile rewrites only its interior.
-        padded = np.zeros(
-            (tile, channels, height + 2 * padding, width + 2 * padding), dtype=x.dtype
-        )
-        interior = padded[:, :, padding:padding + height, padding:padding + width]
+    tile = batch_tile(batch, channels * kernel_h * kernel_w * out_h * padded_w * x.itemsize)
+    patches = np.empty((tile, channels, kernel_h, kernel_w, out_h, padded_w), dtype=x.dtype)
+    padded = np.zeros((tile, channels, padded_h + stride, padded_w), dtype=x.dtype)
+    interior = padded[:, :, padding:padding + height, padding:padding + width]
+    planes = padded.reshape(tile, channels, -1)
+    run = stride * out_h * padded_w
     for start in range(0, batch, tile):
         stop = min(start + tile, batch)
         count = stop - start
-        source = x[start:stop]
-        if padding > 0:
-            interior[:count] = source
-            source = padded[:count]
+        interior[:count] = x[start:stop]
         block = patches[:count]
         for ky in range(kernel_h):
-            y_end = ky + stride * out_h
             for kx in range(kernel_w):
-                x_end = kx + stride * out_w
-                block[:, :, ky, kx] = source[:, :, ky:y_end:stride, kx:x_end:stride]
-        cols[start:stop] = block.transpose(0, 4, 5, 1, 2, 3)
+                first = ky * padded_w + kx
+                rows = planes[:count, :, first:first + run].reshape(
+                    count, channels, out_h, stride * padded_w
+                )
+                block[:, :, ky, kx] = rows[..., :padded_w]
+        valid = block[..., : stride * (out_w - 1) + 1 : stride]
+        cols[start:stop] = valid.transpose(0, 4, 5, 1, 2, 3)
     return cols.reshape(batch * out_h * out_w, channels * kernel_h * kernel_w), out_h, out_w
 
 
@@ -97,11 +103,11 @@ def col2im(
     of the unfold operation: each padded-output element starts at ``0.0``
     and receives its additions in ``(ky, kx)`` order.
 
-    The fold runs over the same batch tiles as :func:`im2col`.  A tile sums
-    into a zeroed channels-last accumulator, where each ``(ky, kx)`` pass
-    adds whole ``(out_w, C)`` rows of patches at once, and is then copied
-    into its slab of the padded output.  The order of additions per element
-    is unchanged, so the tiling cannot change a value.
+    The batch is folded in tiles of about ``_TILE_BYTES`` of patches.  A
+    tile sums into a zeroed channels-last accumulator, where each
+    ``(ky, kx)`` pass adds whole ``(out_w, C)`` rows of patches at once, and
+    is then copied into its slab of the padded output.  The order of
+    additions per element is unchanged, so the tiling cannot change a value.
     """
     batch, channels, height, width = input_shape
     out_h = conv_output_size(height, kernel_h, stride, padding)

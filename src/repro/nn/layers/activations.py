@@ -11,7 +11,16 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
 
 class ReLU(Module):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    Training computes ``x * (x > 0)`` and keeps the mask for
+    :meth:`backward`.  An evaluation forward is
+    :func:`~repro.nn.functional.relu`, one ``np.maximum(x, 0)`` pass, and
+    keeps no mask.  Its values equal the training formula's except for the
+    sign of a zero (a negative input gives ``+0.0`` instead of ``-0.0``) and
+    ``-inf``, which gives ``0`` instead of NaN.  A zero's sign changes no
+    nonzero value downstream, so logits and predictions are value-equal.
+    """
 
     def __init__(self):
         super().__init__()
@@ -19,6 +28,9 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
+        if not self.training:
+            self._mask = None
+            return F.relu(x)
         self._mask = x > 0
         return x * self._mask
 

@@ -148,25 +148,34 @@ class MaxPool2D(Module):
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Cache-free max pooling for the scenario-stacked ensemble path.
 
-        For the ubiquitous non-overlapping, unpadded case the maximum is a
-        running in-place ``np.maximum`` over the strided window-element views
-        (the training path's windows, without its winner bookkeeping); no
-        im2col patch matrix, argmax or windowed ``max`` reduction, which is
-        iterator-bound for 2x2 windows.  ``max`` is order-independent, so the
-        values equal the windowed path's.  Other geometries fall back to the
-        im2col forward.
+        For the ubiquitous non-overlapping, unpadded case each window is
+        reduced in channels-last memory order, with no winner bookkeeping:
+        first over ``ky``, a running ``np.maximum`` across whole contiguous
+        ``width * channels`` rows, then over ``kx``, across adjacent channel
+        blocks.  ``Conv2D`` -> ``ReLU`` hands over that layout, so its rows
+        are a view; other layouts are copied channels-last first.  Other
+        geometries fall back to the im2col forward.
+
+        The values equal the im2col path's and the training windows'
+        maxima, but not always their bytes: ``np.maximum`` may return either
+        zero of a ``-0.0``/``+0.0`` tie, so a window holding both zeros may
+        give the other one.  A zero's sign changes no nonzero value
+        downstream, so logits stay value-equal and predictions, accuracies
+        and payloads unchanged.  The output is C-contiguous float32, as the
+        im2col path's is.
         """
-        if self._is_reshape_geometry(x):
-            slices = self._window_slices(x)
-            # order='C': the im2col path emits C-contiguous outputs (see
-            # _forward_windows_train).
-            out = slices[0].astype(np.float32, order="C", copy=True)
-            for piece in slices[1:]:
-                np.maximum(out, piece, out=out)
+        if not self._is_reshape_geometry(x):
+            out = self._forward_im2col(x)
+            self._cache = None
             return out
-        out = self.forward(x)
-        self._cache = None
-        return out
+        k = self.kernel_size
+        batch, channels, height, width = x.shape
+        out_h, out_w = height // k, width // k
+        rows = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(
+            batch, out_h, k, width * channels
+        )
+        peaks = _running_max(rows, axis=2).reshape(batch, out_h, out_w, k, channels)
+        return np.ascontiguousarray(_running_max(peaks, axis=3).transpose(0, 3, 1, 2))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None and self._window_cache is None:
@@ -224,6 +233,22 @@ class MaxPool2D(Module):
 def _memory_axes(x: np.ndarray) -> tuple[int, ...]:
     """``x``'s axes from outermost to innermost in memory (C order for ties)."""
     return tuple(sorted(range(x.ndim), key=lambda axis: -abs(x.strides[axis])))
+
+
+def _running_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x``'s maximum over ``axis`` as a running ``np.maximum`` of its slots.
+
+    Each pass is one elementwise ufunc over whole slots; ``x.max(axis)``
+    iterates the short window axis instead.  For a C-contiguous ``x`` the
+    result is a new C-contiguous array.
+    """
+    slots = np.moveaxis(x, axis, 0)
+    if len(slots) == 1:
+        return slots[0].copy()
+    out = np.maximum(slots[0], slots[1])
+    for slot in slots[2:]:
+        np.maximum(out, slot, out=out)
+    return out
 
 
 class AvgPool2D(Module):

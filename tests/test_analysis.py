@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -31,6 +30,8 @@ from repro.analysis import (
 from repro.analysis.reporting import format_deployment_report
 from repro.nn.models import table1_rows
 from repro.utils.validation import ValidationError
+
+from parity_digests import RUN_ORDER_RUNS, run_digests
 
 
 class TestMetrics:
@@ -252,56 +253,6 @@ class TestSignalMonteCarlo:
         assert every_ring["corrupted_trials_fraction"] == 1.0
 
 
-#: A mixed in-process sweep over the workload memo: two seeds, quantized and
-#: unquantized engines, the unmitigated workload and named variants, with and
-#: without the checkpoint store, in registry order.
-RUN_ORDER_RUNS = (
-    ("fig7_point", {"kind": "hotspot", "seed": 1}),
-    ("fig7_point", {"kind": "hotspot"}),
-    ("fig7_point", {"kind": "actuation", "block": "fc", "quantize_weights": False}),
-    ("fig7_grid", {"kinds": ["actuation"], "blocks": ["fc"], "fractions": [0.1],
-                   "num_placements": 1}),
-    ("fig7_candidate", {"variant": ""}),
-    ("fig7_candidate", {"variant": "l2+n3", "checkpoint_cache": True}),
-    ("fig7_candidate", {"variant": "l2+n3", "quantize_weights": False}),
-    ("fig8_variant", {"variant": "l2+n3", "checkpoint_cache": True,
-                      "fractions": [0.1], "num_placements": 1}),
-    ("fig8_variant", {"variant": "Original", "fractions": [0.1], "num_placements": 1}),
-)
-
-
-def run_digests(runs) -> list[list[str]]:
-    """Run each ``(experiment_id, params)`` in order in this process.
-
-    Returns, per run, the sha256 of its canonical payload and the sha256 of
-    the trained and engine weights of the workload it ran on.
-    """
-    from repro.analysis.experiments import prepared_workload
-    from repro.engine.spec import canonical_json
-
-    digests = []
-    for experiment_id, overrides in runs:
-        experiment = get_experiment(experiment_id)
-        payload = experiment.run(overrides)
-        params = experiment.resolve_params(overrides)
-        engine, _, _, trained = prepared_workload(
-            params["model"],
-            params.get("variant", ""),
-            params["seed"],
-            params.get("quantize_weights", True),
-            params.get("checkpoint_cache", False),
-        )
-        weights = hashlib.sha256()
-        for model in (trained.model, engine.model):
-            for name, value in sorted(model.full_state_dict().items()):
-                weights.update(name.encode() + value.tobytes())
-        digests.append(
-            [hashlib.sha256(canonical_json(payload).encode()).hexdigest(),
-             weights.hexdigest()]
-        )
-    return digests
-
-
 class TestWorkloadMemos:
     """A run's payload and weights do not depend on what ran earlier in-process."""
 
@@ -398,7 +349,7 @@ class TestWorkloadMemos:
         env["REPRO_CHECKPOINT_DIR"] = str(tmp_path / "fresh")
         script = (
             "import json, sys; sys.path.insert(0, sys.argv[1]); "
-            "from test_analysis import RUN_ORDER_RUNS, run_digests; "
+            "from parity_digests import RUN_ORDER_RUNS, run_digests; "
             "print(json.dumps(run_digests(RUN_ORDER_RUNS)))"
         )
         proc = subprocess.run(

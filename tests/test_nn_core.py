@@ -126,42 +126,57 @@ class TestFunctional:
         assert back[0, 0, 3, 3] == 9.0
 
     @staticmethod
-    def _batch(kind: str, x_shape: tuple[int, int, int], kernel: int, stride: int,
-               padding: int) -> int:
-        """No sample, one, part of one tile, or several tiles plus a partial one."""
-        channels, height, width = x_shape
-        out_h = F.conv_output_size(height, kernel, stride, padding)
-        out_w = F.conv_output_size(width, kernel, stride, padding)
-        per_tile = F.batch_tile(10**9, channels * kernel * kernel * out_h * out_w * 4)
+    def _batch(kind: str, sample_bytes: int) -> int:
+        """No sample, one, part of one tile, or several tiles plus a partial one.
+
+        ``sample_bytes`` is the per-sample size the kernel under test sizes
+        its batch tiles by."""
+        per_tile = F.batch_tile(10**9, sample_bytes)
         return {"empty": 0, "one": 1, "part": max(1, per_tile // 2),
                 "several": 2 * per_tile + per_tile // 2}[kind]
 
-    @pytest.mark.parametrize("kernel", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("batch", ["empty", "one", "part", "several"])
     def test_tiled_unfold_and_fold_match_untiled_bytes(self, rng, kernel, stride, padding, batch):
         """Tiling over the batch changes no byte of im2col or col2im.
 
-        col2im's overlapping windows (3x3 kernels) sum several patches into
-        one pixel, so this also pins the summation order."""
-        size = self._batch(batch, (3, 8, 8), kernel, stride, padding)
-        x = rng.normal(size=(size, 3, 8, 8)).astype(np.float32)
-        x[rng.random(x.shape) < 0.2] = -0.0
-        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-        for data in (x, channels_last):
-            cols, out_h, out_w = F.im2col(data, kernel, kernel, stride, padding)
-            ref_cols, ref_h, ref_w = untiled_im2col(data, kernel, kernel, stride, padding)
-            assert (out_h, out_w) == (ref_h, ref_w) and cols.shape == ref_cols.shape
-            assert cols.tobytes() == ref_cols.tobytes()
-        grad_cols = rng.normal(size=ref_cols.shape).astype(np.float32)
-        grad_cols[rng.random(grad_cols.shape) < 0.2] = -0.0
-        folded = F.col2im(grad_cols, x.shape, kernel, kernel, stride, padding)
-        reference = untiled_col2im(grad_cols, x.shape, kernel, kernel, stride, padding)
-        # Same layout too: callers such as BatchNorm2D.backward reduce the
-        # gradient in memory order.
-        assert folded.shape == reference.shape and folded.strides == reference.strides
-        assert folded.tobytes() == reference.tobytes()
+        im2col gathers each ``(ky, kx)`` plane as whole padded rows, whose
+        columns past the valid ones reach into the next row or the spare
+        rows under the plane; none of those may land in ``cols``.  The 8x7
+        input keeps rows and columns apart, and channels-last inputs are
+        gathered from the same tile buffer.  col2im's overlapping windows
+        (3x3 and 5x5 kernels) sum several patches into one pixel, so this
+        also pins the summation order.  im2col sizes its tiles by its
+        padded-row patch buffer and col2im by its patches, so each kernel
+        gets batch sizes that straddle its own tiles."""
+        height, width = 8, 7
+        out_h = F.conv_output_size(height, kernel, stride, padding)
+        out_w = F.conv_output_size(width, kernel, stride, padding)
+        for channels in (1, 3, 16):
+            patch_row_bytes = channels * kernel * kernel * out_h * 4
+            size = self._batch(batch, patch_row_bytes * (width + 2 * padding))
+            x = rng.normal(size=(size, channels, height, width)).astype(np.float32)
+            x[rng.random(x.shape) < 0.2] = -0.0
+            x[rng.random(x.shape) < 0.01] = np.nan
+            channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            for data in (x, channels_last):
+                cols, cols_h, cols_w = F.im2col(data, kernel, kernel, stride, padding)
+                ref_cols, ref_h, ref_w = untiled_im2col(data, kernel, kernel, stride, padding)
+                assert (cols_h, cols_w) == (ref_h, ref_w) == (out_h, out_w)
+                assert cols.shape == ref_cols.shape and cols.tobytes() == ref_cols.tobytes()
+            size = self._batch(batch, patch_row_bytes * out_w)
+            shape = (size, channels, height, width)
+            grad_cols = rng.normal(size=(size * out_h * out_w, channels * kernel * kernel))
+            grad_cols = grad_cols.astype(np.float32)
+            grad_cols[rng.random(grad_cols.shape) < 0.2] = -0.0
+            folded = F.col2im(grad_cols, shape, kernel, kernel, stride, padding)
+            reference = untiled_col2im(grad_cols, shape, kernel, kernel, stride, padding)
+            # Same layout too: callers such as BatchNorm2D.backward reduce the
+            # gradient in memory order.
+            assert folded.shape == reference.shape and folded.strides == reference.strides
+            assert folded.tobytes() == reference.tobytes()
 
     def test_softmax_rows_sum_to_one(self, rng):
         logits = rng.normal(size=(5, 7)).astype(np.float32) * 10

@@ -207,6 +207,56 @@ class TestActivations:
         out = ReLU()(np.array([[-1.0, 2.0]], dtype=np.float32))
         np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
+    def test_relu_eval_is_value_equal_to_training_formula(self, rng):
+        """Evaluation's ``np.maximum(x, 0)`` equals training's ``x * (x > 0)``
+        as values, signed zeros, NaN and +inf included; a negative input
+        gives +0.0 there instead of -0.0."""
+        specials = np.array([-0.0, 0.0, np.nan, np.inf, -1.5, 2.5], dtype=np.float32)
+        x = np.concatenate([rng.normal(size=64).astype(np.float32), specials]).reshape(2, 35)
+        layer = ReLU()
+        trained = layer.train()(x)
+        evaluated = layer.eval()(x)
+        assert evaluated.dtype == np.float32 and evaluated.shape == x.shape
+        np.testing.assert_array_equal(evaluated, trained)
+        assert np.isnan(evaluated).sum() == 1 and np.isinf(evaluated).sum() == 1
+        assert not np.signbit(evaluated[x < 0]).any()
+
+    def test_relu_minus_inf_is_zero_in_eval_and_nan_in_training(self):
+        """-inf is where the two formulas part: training's ``-inf * 0`` is NaN,
+        evaluation's ``max(-inf, 0)`` is 0.  No workload's activations reach
+        -inf, so no payload sees the difference."""
+        x = np.array([[-np.inf, 1.0]], dtype=np.float32)
+        layer = ReLU()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(layer.train()(x)[0, 0])
+        np.testing.assert_array_equal(layer.eval()(x), [[0.0, 1.0]])
+
+    def test_relu_eval_forward_keeps_no_mask(self):
+        layer = ReLU()
+        x = np.ones((2, 3), dtype=np.float32)
+        layer(x)
+        assert layer._mask is not None
+        layer.eval()(x)
+        assert layer._mask is None
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(x))
+
+    def test_relu_training_bytes_match_masked_product(self, rng):
+        """Training keeps the ``x * (x > 0)`` bytes and the input's layout."""
+        x = rng.normal(size=(4, 3, 5, 5)).astype(np.float32)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[0, 0, 0, :3] = [np.nan, np.inf, -np.inf]
+        grad = rng.normal(size=x.shape).astype(np.float32)
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for data in (x, channels_last):
+            layer = ReLU()
+            with np.errstate(invalid="ignore"):  # -inf * 0
+                out = layer(data)
+                mask = data > 0
+                reference = data * mask
+            assert out.strides == reference.strides and out.tobytes() == reference.tobytes()
+            assert layer.backward(grad).tobytes() == (grad * mask).tobytes()
+
     def test_leaky_relu_negative_slope(self):
         out = LeakyReLU(alpha=0.1)(np.array([[-2.0]], dtype=np.float32))
         np.testing.assert_allclose(out, [[-0.2]], rtol=1e-6)

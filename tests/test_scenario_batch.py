@@ -543,25 +543,44 @@ class TestEnsembleForward:
         assert out.shape == stacked.shape
 
     def test_maxpool_fast_path_matches_im2col_path(self):
+        """Stacked-inference max pooling is value-equal to both serial kernels.
+
+        8x8 with k=2 and 9x6 with k=3 take the memory-order path, 7x7 and
+        8x8 with k=3 the im2col fallback.  Each runs on C-order and
+        channels-last 5-D inputs (the layout ``Conv2D`` -> ``ReLU`` hands
+        over), against the per-scenario im2col eval forward and the
+        per-scenario training forward (the window kernel where the geometry
+        allows).  Only a zero's sign may differ, so values are compared, and
+        the output is C-contiguous float32 on every path.
+        """
         rng = np.random.default_rng(5)
-        pool = MaxPool2D(2)
-        x = rng.random((3, 4, 2, 8, 8)).astype(np.float32)
-        # Exact ties, the -0.0 that ReLU's ``x * mask`` emits for negative
-        # inputs, +inf and NaN.
-        special = rng.choice(
-            np.array([-0.0, 0.0, 0.5, 0.5, 1.0, np.inf, np.nan], dtype=np.float32),
-            size=x.shape,
-        )
-        for training in (True, False):
-            pool.train(training)
+        for kernel, size in ((2, (8, 8)), (3, (9, 6)), (2, (7, 7)), (3, (8, 8))):
+            pool = MaxPool2D(kernel)
+            x = rng.random((3, 4, 2) + size).astype(np.float32)
+            # Exact ties, both zeros (training ReLU emits -0.0 for negative
+            # inputs, evaluation ReLU +0.0), +inf and NaN.
+            special = rng.choice(
+                np.array([-0.0, 0.0, 0.5, 0.5, 1.0, np.inf, np.nan], dtype=np.float32),
+                size=x.shape,
+            )
             for data in (x, special):
-                fast = pool(data)
-                per_scenario = np.stack([pool(data[i]) for i in range(3)])
-                np.testing.assert_array_equal(fast, per_scenario)
-                if training:  # one window kernel serves both: bytes match too
-                    assert fast.tobytes() == per_scenario.tobytes()
-                assert fast.dtype == np.float32 and fast.flags.c_contiguous
-        assert np.isnan(fast).any() and np.isinf(fast).any()
+                channels_last = np.moveaxis(
+                    np.ascontiguousarray(np.moveaxis(data, 2, -1)), -1, 2
+                )
+                for layout in (data, channels_last):
+                    pool.train()
+                    stacked_windows = pool(layout)
+                    windows = np.stack([pool(layout[i]) for i in range(3)])
+                    # One window kernel serves stacked and serial training.
+                    assert stacked_windows.tobytes() == windows.tobytes()
+                    pool.eval()
+                    fast = pool(layout)
+                    im2col = np.stack([pool(layout[i]) for i in range(3)])
+                    for reference in (im2col, windows):
+                        np.testing.assert_array_equal(fast, reference)
+                    for out in (fast, stacked_windows):
+                        assert out.dtype == np.float32 and out.flags.c_contiguous
+            assert np.isnan(fast).any() and np.isinf(fast).any()
 
 
 class TestDeepEnsembleForward:
