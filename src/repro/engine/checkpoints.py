@@ -10,8 +10,9 @@ model without any bookkeeping.
 Each entry is a pair of files under ``<root>/<group>/``:
 
 * ``<fingerprint>.npz`` — the model's full state (parameters **and**
-  buffers such as batch-norm running statistics), via
-  :func:`repro.utils.serialization.save_arrays`;
+  buffers such as batch-norm running statistics), an uncompressed archive
+  written by :func:`repro.utils.serialization.save_arrays` (entries stored
+  compressed by earlier versions load the same way);
 * ``<fingerprint>.json`` — JSON metadata (the key payload for auditability,
   baseline accuracy, training history, and a best-effort ``hits`` counter
   that ``python -m repro report`` surfaces).

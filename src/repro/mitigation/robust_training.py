@@ -282,11 +282,12 @@ def train_variant_grid_stacked(
     #    Sequential indices between variants, so dotted names differ while
     #    the parameter order does not).
     template_named = template.named_parameters()
+    variant_params = [model.parameters() for model in variant_models]
     stacked: dict[str, np.ndarray] = {}
     for position, (name, template_param) in enumerate(template_named):
         slabs = []
-        for model in variant_models:
-            param = model.parameters()[position]
+        for params in variant_params:
+            param = params[position]
             if param.shape != template_param.shape or param.kind != template_param.kind:
                 raise ValueError(
                     f"variant parameter {position} ({param.name!r}) does not match "
@@ -337,11 +338,11 @@ def train_variant_grid_stacked(
 
     # 6. Materialize per-variant models from the final stacked slabs.
     results: list[VariantResult] = []
-    for index, (spec, model, history) in enumerate(
-        zip(variants, variant_models, histories)
+    for index, (spec, model, params, history) in enumerate(
+        zip(variants, variant_models, variant_params, histories)
     ):
-        for position, (_, template_param) in enumerate(template_named):
-            model.parameters()[position].data = template_param.stacked[index].copy()
+        for param, (_, template_param) in zip(params, template_named):
+            param.data = template_param.stacked[index].copy()
         for layer_index, template_bn in enumerate(template_bns):
             bn = _modules_of(model, BatchNorm2D)[layer_index]
             bn.running_mean = template_bn.stacked_running_mean[index].copy()

@@ -72,6 +72,7 @@ class Conv2D(Module):
             raise ValueError(
                 f"Conv2D expects input (N, {self.in_channels}, H, W), got {x.shape}"
             )
+        self._cache = None
         kh, kw = self.kernel_size
         cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
@@ -80,7 +81,8 @@ class Conv2D(Module):
             out = out + self.bias.data
         batch = x.shape[0]
         out = out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (cols, x.shape, out_h, out_w)
+        if self.training:
+            self._cache = (cols, x.shape, out_h, out_w)
         return out
 
     def _forward_stacked(self, x: np.ndarray) -> np.ndarray:
@@ -175,7 +177,7 @@ class Conv2D(Module):
             grad_matrix.transpose(0, 2, 1), cols
         ).reshape(self.weight.stacked.shape)
         if self.bias is not None:
-            self.bias.stacked_grad += grad_matrix.sum(axis=1)
+            self.bias.stacked_grad += _stacked_bias_grad(grad_matrix)
         if shared_input:
             return None
         weight_matrix = self.weight.stacked.reshape(variants, self.out_channels, -1)
@@ -200,3 +202,21 @@ class Conv2D(Module):
             f"Conv2D({self.in_channels}, {self.out_channels}, "
             f"kernel_size={self.kernel_size}, stride={self.stride}, padding={self.padding})"
         )
+
+
+def _stacked_bias_grad(grad_matrix: np.ndarray) -> np.ndarray:
+    """Per-variant bias gradients ``(V, F)`` of a ``(V, rows, F)`` gradient matrix.
+
+    ``grad_matrix.sum(axis=1)`` adds the rows one at a time with an inner
+    loop only ``F`` elements wide.  The same row-by-row sum over one
+    contiguous ``(rows, V * F)`` copy runs that loop ``V * F`` wide, and
+    every element still adds its rows in the same order, so the result is
+    bit-identical to the serial backward's ``(rows, F)`` sum per variant.
+    A single channel is a contiguous column that NumPy sums pairwise, in the
+    serial backward too, so ``F = 1`` keeps that reduction.
+    """
+    variants, rows, channels = grad_matrix.shape
+    if channels == 1:
+        return grad_matrix.sum(axis=1)
+    wide = np.ascontiguousarray(grad_matrix.transpose(1, 0, 2)).reshape(rows, -1)
+    return wide.sum(axis=0).reshape(variants, channels)

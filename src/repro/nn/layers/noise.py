@@ -90,7 +90,8 @@ class GaussianNoise(Module):
             if self.relative:
                 activation_std = float(slab.std())
                 scale = std * (activation_std if activation_std > 0 else 1.0)
-            out[index] = slab + rng.normal(0.0, scale, size=slab.shape).astype(np.float32)
+            noise = rng.normal(0.0, scale, size=slab.shape).astype(np.float32)
+            np.add(slab, noise, out=out[index])
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

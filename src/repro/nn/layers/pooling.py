@@ -59,7 +59,7 @@ class MaxPool2D(Module):
             return unfold_scenarios(self._forward_inference(folded), lead)
         if self.training:
             return self._forward_train(x)
-        return self._forward_im2col(x)
+        return self._forward_inference(x)
 
     def _forward_train(self, x: np.ndarray) -> np.ndarray:
         if self._is_reshape_geometry(x):
@@ -146,10 +146,12 @@ class MaxPool2D(Module):
         return out
 
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free max pooling for the scenario-stacked ensemble path.
+        """Cache-free max pooling for every evaluation-mode forward.
 
-        For the ubiquitous non-overlapping, unpadded case each window is
-        reduced in channels-last memory order, with no winner bookkeeping:
+        Serial or stacked, evaluation keeps no backward cache, so a
+        :meth:`backward` after it raises.  For the ubiquitous
+        non-overlapping, unpadded case each window is reduced in
+        channels-last memory order, with no winner bookkeeping:
         first over ``ky``, a running ``np.maximum`` across whole contiguous
         ``width * channels`` rows, then over ``kx``, across adjacent channel
         blocks.  ``Conv2D`` -> ``ReLU`` hands over that layout, so its rows

@@ -151,6 +151,15 @@ class Adam(Optimizer):
         self._v: list[np.ndarray | None] = [None] * len(self.parameters)
 
     def step(self) -> None:
+        """One bias-corrected Adam update of every parameter, in place.
+
+        ``m``, ``v`` and the weights are updated in place, and every
+        intermediate lands in one two-slot scratch buffer per parameter, each
+        operation in the order of the textbook expressions ``m = beta1 * m +
+        (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g**2`` and ``w -=
+        lr * (m / bias1) / (sqrt(v / bias2) + eps)``, so the float32 results
+        are bit-identical to them.
+        """
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
@@ -158,11 +167,16 @@ class Adam(Optimizer):
             grad = self._decayed_grad(param)
             m = self._state_for(param, self._m, index)
             v = self._state_for(param, self._v, index)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
             data, _ = self._target(param)
-            data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            term, update = np.empty((2,) + data.shape, dtype=data.dtype)
+            m *= self.beta1
+            m += np.multiply(grad, 1.0 - self.beta1, out=term)
+            v *= self.beta2
+            np.square(grad, out=term)
+            v += np.multiply(term, 1.0 - self.beta2, out=term)
+            denominator = np.sqrt(np.divide(v, bias2, out=term), out=term)
+            denominator += self.eps
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            update /= denominator
+            data -= update

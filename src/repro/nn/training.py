@@ -451,9 +451,8 @@ class _WeightNoise:
                         continue
                     slab = param.stacked[index]
                     scale = std * max(float(slab.std()), 1e-8)
-                    param.stacked[index] = slab + rng.normal(
-                        0.0, scale, size=slab.shape
-                    ).astype(np.float32)
+                    noise = rng.normal(0.0, scale, size=slab.shape).astype(np.float32)
+                    np.add(slab, noise, out=slab)
             return self
         self._saved = [param.data.copy() for param in self.parameters]
         for param in self.parameters:

@@ -12,13 +12,18 @@ It prints one JSON object.  Each run of :data:`RUN_ORDER_RUNS`, and a
 one-placement ``fig7_grid`` on vgg16_variant and on resnet18, maps to the
 sha256 of its canonical payload and of its workload's trained and engine
 weights (:func:`run_digests`).  The default ``fig7``, ``fig8`` and ``fig9``
-runs map to their payload sha256.  Checkpointed runs use a fresh temporary
-checkpoint store.
+runs map to their payload sha256.  Each variant of the stacked 11-variant
+cnn_mnist grid, trained per seed of :data:`VARIANT_GRID_SEEDS`, maps to the
+sha256 of its weights, of its history and baseline accuracy, and of the
+arrays a checkpoint store gives back (:func:`variant_grid_digests`).
+Checkpointed runs use a fresh temporary checkpoint store.
 
-The script needs only ``get_experiment``, ``prepared_workload`` and
-``canonical_json`` from the tree under test, so an older tree's ``src``
-runs under it unchanged.  ``tests/test_analysis.py`` imports
-:data:`RUN_ORDER_RUNS` and :func:`run_digests` from here too.
+The script needs only ``get_experiment``, ``prepared_workload``,
+``canonical_json``, ``MitigationStudy``, ``CheckpointCache``,
+``TrainingConfig`` and ``robust_training``'s grid and checkpoint functions
+from the tree under test, so an older tree's ``src`` runs under it
+unchanged.  ``tests/test_analysis.py`` imports :data:`RUN_ORDER_RUNS` and
+:func:`run_digests` from here too.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ LARGER_MODEL_RUNS = tuple(
     for model in ("vgg16_variant", "resnet18")
 )
 FIGURES = ("fig7", "fig8", "fig9")
+#: Training seeds of the stacked variant grid, trained at the configuration
+#: of the ``variant_training`` benchmark workload.
+VARIANT_GRID_SEEDS = (1, 2)
 
 
 def payload_digest(payload) -> str:
@@ -58,6 +66,14 @@ def payload_digest(payload) -> str:
     from repro.engine.spec import canonical_json
 
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def state_digest(arrays) -> str:
+    """The sha256 of a name-to-array mapping's sorted names and bytes."""
+    digest = hashlib.sha256()
+    for name, value in sorted(arrays.items()):
+        digest.update(name.encode() + value.tobytes())
+    return digest.hexdigest()
 
 
 def run_digests(runs) -> list[list[str]]:
@@ -89,6 +105,41 @@ def run_digests(runs) -> list[list[str]]:
     return digests
 
 
+def variant_grid_digests(seed: int) -> dict[str, list[str]]:
+    """Digests of the stacked 11-variant cnn_mnist grid trained under ``seed``.
+
+    The grid trains for one epoch at batch size 32 and learning rate 2e-3,
+    as the ``variant_training`` benchmark workload trains it.  Per variant:
+    the sha256 of its trained ``full_state_dict()``, of its history and
+    baseline accuracy, and of the arrays read back from a temporary
+    checkpoint store it was stored into.
+    """
+    from repro.analysis.mitigation_analysis import MitigationStudy
+    from repro.engine.checkpoints import CheckpointCache
+    from repro.mitigation import robust_training as rt
+    from repro.nn.training import TrainingConfig
+
+    model_name = "cnn_mnist"
+    split = MitigationStudy().prepare_split(model_name)
+    base = TrainingConfig(seed=seed, epochs=1, batch_size=32, lr=2e-3)
+    results = rt.train_variant_grid_stacked(model_name, split, base)
+    digests = {}
+    with tempfile.TemporaryDirectory() as root:
+        cache = CheckpointCache(root)
+        for result in results:
+            key = rt.variant_checkpoint_key(model_name, result.spec, base)
+            rt.store_variant_checkpoint(cache, key, result)
+            digests[f"variant_grid seed={seed} {result.spec.name}"] = [
+                state_digest(result.model.full_state_dict()),
+                payload_digest({
+                    "history": result.history.to_dict(),
+                    "baseline_accuracy": result.baseline_accuracy,
+                }),
+                state_digest(cache.get(key).arrays),
+            ]
+    return digests
+
+
 def tree_digests(src: Path) -> dict:
     """The digests of the ``repro`` package under ``src``."""
     sys.path.insert(0, str(src))
@@ -105,6 +156,8 @@ def tree_digests(src: Path) -> dict:
     }
     for experiment_id in FIGURES:
         digests[experiment_id] = payload_digest(get_experiment(experiment_id).run())
+    for seed in VARIANT_GRID_SEEDS:
+        digests.update(variant_grid_digests(seed))
     return digests
 
 

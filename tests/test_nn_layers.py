@@ -157,8 +157,11 @@ class TestPooling:
         assert out.shape == x.shape[:-2] + (2, 2)
         for pooled in out.reshape(-1, 2, 2):
             np.testing.assert_array_equal(pooled, expected)
-        if stacked and not training:
-            return  # stacked inference forwards keep no backward cache
+        if not training:
+            # Evaluation forwards, serial or stacked, keep no backward cache.
+            with pytest.raises(RuntimeError, match="backward called before forward"):
+                layer.backward(np.ones_like(out))
+            return
         grad = layer.backward(np.ones_like(out))
         assert grad.shape == x.shape
         # Every output routes its gradient to its real maximum, none to padding.
@@ -172,6 +175,10 @@ class TestPooling:
         layer.train(training)
         out = layer(np.zeros((0, 3, 8, 8), dtype=np.float32))
         assert out.shape == (0, 3, 4, 4)
+        if not training:
+            with pytest.raises(RuntimeError, match="backward called before forward"):
+                layer.backward(out)
+            return
         assert layer.backward(out).shape == (0, 3, 8, 8)
 
     @pytest.mark.parametrize("kernel,padding", [(2, 2), (3, 2), (1, 1)])

@@ -5,6 +5,7 @@ model checkpoint cache."""
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from repro.mitigation import (
 )
 from repro.nn import (
     SGD,
+    Adam,
     AvgPool2D,
     BatchNorm2D,
     Conv2D,
+    GaussianNoise,
     GlobalAvgPool2D,
     Linear,
     MaxPool2D,
@@ -39,6 +42,8 @@ from repro.nn.ensemble import stack_state_dicts
 from repro.nn.functional import batch_tile, col2im, im2col
 from repro.nn.losses import CrossEntropyLoss, l2_penalty
 from repro.nn.module import Module
+from repro.nn.tensor import Parameter
+from repro.nn.training import _WeightNoise
 
 
 VARIANTS = 3
@@ -271,6 +276,21 @@ class TestStackedForwardCache:
             with pytest.raises(RuntimeError):
                 layer.backward(np.ones_like(out))
 
+    def test_serial_eval_forward_keeps_no_cache(self, rng):
+        """A 4-D evaluation forward keeps neither the conv patch matrix nor
+        the max-pool winners."""
+        conv = Conv2D(2, 3, kernel_size=3, padding=1, rng=rng)
+        pool = MaxPool2D(2)
+        x = rng.normal(size=(4, 2, 6, 6)).astype(np.float32)
+        for layer in (conv, pool):
+            layer.train()
+            out = layer(x)
+            layer.eval()
+            np.testing.assert_array_equal(layer(x), out)
+            assert layer._cache is None
+            with pytest.raises(RuntimeError):
+                layer.backward(np.ones_like(out))
+
 
 def im2col_maxpool_reference(x: np.ndarray, grad_output: np.ndarray, k: int):
     """Max pooling as ``np.argmax`` over im2col columns, its gradient folded
@@ -320,6 +340,185 @@ class TestMaxPoolWindowsBitIdentity:
                     assert out.tobytes() == ref_out.tobytes()
                     assert grad.tobytes() == ref_grad.tobytes()
                     assert out.flags.c_contiguous and grad.strides == data.strides
+
+
+class ReferenceAdam(Adam):
+    """Adam as the textbook expressions, one new array per operation: the
+    reference the in-place :meth:`Adam.step` must equal byte for byte."""
+
+    def step(self) -> None:
+        self._step_count += 1
+        bias1 = 1.0 - self.beta1**self._step_count
+        bias2 = 1.0 - self.beta2**self._step_count
+        for index, param in enumerate(self.parameters):
+            grad = self._decayed_grad(param)
+            m = self._state_for(param, self._m, index)
+            v = self._state_for(param, self._v, index)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            data, _ = self._target(param)
+            data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_weight_noise(arrays, stds, rngs) -> None:
+    """Stacked weight noise as each slab plus a new noise array, in place
+    of ``arrays``: the reference for ``_WeightNoise``'s in-place add."""
+    for array in arrays:
+        for index, (std, rng) in enumerate(zip(stds, rngs)):
+            if std <= 0 or rng is None:
+                continue
+            slab = array[index]
+            scale = float(std) * max(float(slab.std()), 1e-8)
+            array[index] = slab + rng.normal(0.0, scale, size=slab.shape).astype(np.float32)
+
+
+def reference_activation_noise(x, stds, rngs, relative: bool) -> np.ndarray:
+    """``GaussianNoise``'s stacked forward as each slab plus a new noise array."""
+    out = np.empty(x.shape, dtype=np.float32)
+    for index, (std, rng) in enumerate(zip(stds, rngs)):
+        slab = x[index]
+        if std <= 0.0 or rng is None:
+            out[index] = slab
+            continue
+        scale = float(std)
+        if relative:
+            activation_std = float(slab.std())
+            scale = float(std) * (activation_std if activation_std > 0 else 1.0)
+        out[index] = slab + rng.normal(0.0, scale, size=slab.shape).astype(np.float32)
+    return out
+
+
+def special_gradient(rng, shape) -> np.ndarray:
+    """A float32 gradient with zeros of both signs and a wide magnitude range."""
+    grad = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)).astype(np.float32)
+    grad[rng.random(shape) < 0.05] = 0.0
+    grad[rng.random(shape) < 0.05] = -0.0
+    return grad
+
+
+class TestInPlaceStepsBitIdentity:
+    """The stacked training step's in-place kernels equal the expressions
+    they replaced byte for byte."""
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("shared_input", [True, False], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("channels", [1, 2, 8, 16])
+    @pytest.mark.parametrize("variants", [1, 3, 11])
+    def test_conv_bias_gradient_matches_serial(self, variants, channels, shared_input, layout):
+        """Per variant, the stacked bias (and kernel) gradient equals a serial
+        Conv2D's backward; 300 output rows per variant make a pairwise and a
+        row-by-row sum differ."""
+        rng = np.random.default_rng(100 * variants + channels)
+        serial = [
+            Conv2D(2, channels, kernel_size=3, padding=1, rng=rng) for _ in range(variants)
+        ]
+        template = Conv2D(2, channels, kernel_size=3, padding=1, rng=rng)
+        template.load_stacked_state(
+            stack_state_dicts([layer.state_dict() for layer in serial]), trainable=True
+        )
+        template.train()
+        shape = (3, 2, 10, 10)
+        x = rng.normal(size=shape if shared_input else (variants,) + shape).astype(np.float32)
+        out = template(x)
+        grad = special_gradient(rng, out.shape)
+        if layout == "channels_last":
+            grad = np.ascontiguousarray(grad.transpose(0, 1, 3, 4, 2)).transpose(0, 1, 4, 2, 3)
+        template.backward(grad)
+        for index, layer in enumerate(serial):
+            layer.train()
+            layer(x if shared_input else x[index])
+            layer.backward(grad[index])
+            assert layer.bias.grad.tobytes() == template.bias.stacked_grad[index].tobytes()
+            assert layer.weight.grad.tobytes() == template.weight.stacked_grad[index].tobytes()
+
+    @pytest.mark.parametrize(
+        "stacked,decay",
+        [(False, 0.0), (False, 1e-2), (True, 0.0), (True, 1e-2), (True, "per-variant")],
+    )
+    def test_adam_step_matches_reference_expressions(self, stacked, decay):
+        """Over several steps, weights and both moments equal the reference's."""
+        rng = np.random.default_rng(7)
+        shapes = (("conv", (4, 2, 3, 3)), ("bias", (4,)), ("fc", (10, 36)), ("bias", (10,)))
+        variants = 3
+        if decay == "per-variant":
+            decay = np.array([0.0, 1e-2, 5e-2], dtype=np.float32)
+
+        def parameters():
+            params = []
+            for kind, shape in shapes:
+                param = Parameter(np.random.default_rng(len(params)).normal(size=shape), kind=kind)
+                if stacked:
+                    param.stacked = np.stack(
+                        [param.data * (1 + 0.1 * v) for v in range(variants)]
+                    ).astype(np.float32)
+                    param.stacked_grad = np.zeros_like(param.stacked)
+                params.append(param)
+            return params
+
+        mine, reference = parameters(), parameters()
+        optimizers = (Adam(mine, lr=2e-3, weight_decay=decay),
+                      ReferenceAdam(reference, lr=2e-3, weight_decay=decay))
+        for _ in range(5):
+            for param, twin in zip(mine, reference):
+                target = param.stacked_grad if stacked else param.grad
+                grad = special_gradient(rng, target.shape)
+                target[...] = grad
+                (twin.stacked_grad if stacked else twin.grad)[...] = grad
+            for optimizer in optimizers:
+                optimizer.step()
+            for index, (param, twin) in enumerate(zip(mine, reference)):
+                values = param.stacked if stacked else param.data
+                expected = twin.stacked if stacked else twin.data
+                assert values.tobytes() == expected.tobytes()
+                assert optimizers[0]._m[index].tobytes() == optimizers[1]._m[index].tobytes()
+                assert optimizers[0]._v[index].tobytes() == optimizers[1]._v[index].tobytes()
+
+    def test_weight_noise_matches_reference(self, rng):
+        """Inside the context every noisy slab equals slab + its draw, from
+        the same generators in the same order; on exit the weights return."""
+        stds = np.array([0.0, 0.1, 0.5, 0.9])
+        params = []
+        for kind, shape in (("conv", (4, 2, 3, 3)), ("fc", (10, 36))):
+            param = Parameter(rng.normal(size=shape), kind=kind)
+            param.stacked = rng.normal(size=(len(stds),) + shape).astype(np.float32)
+            params.append(param)
+        original = [param.stacked.copy() for param in params]
+        expected = [array.copy() for array in original]
+
+        def rngs():
+            return [None] + [np.random.default_rng(seed) for seed in (1, 2, 3)]
+
+        reference_rngs, noise_rngs = rngs(), rngs()
+        reference_weight_noise(expected, stds, reference_rngs)
+        with _WeightNoise(params, stds, noise_rngs):
+            for param, array in zip(params, expected):
+                assert param.stacked.tobytes() == array.tobytes()
+        for param, array in zip(params, original):
+            assert param.stacked.tobytes() == array.tobytes()
+        for mine, theirs in zip(noise_rngs[1:], reference_rngs[1:]):
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("relative", [True, False])
+    def test_activation_noise_matches_reference(self, rng, relative):
+        stds = np.array([0.0, 0.3, 0.9])
+        x = rng.normal(size=(len(stds), 5, 2, 4, 4)).astype(np.float32)
+        x[1] = 0.0  # a relative draw over an all-zero slab scales by std alone
+
+        def rngs():
+            return [np.random.default_rng(seed) for seed in (4, 5, 6)]
+
+        layer = GaussianNoise(relative=relative)
+        layer.stacked_std, layer.stacked_rngs = stds, rngs()
+        layer.train()
+        reference_rngs = rngs()
+        expected = reference_activation_noise(x, stds, reference_rngs, relative)
+        assert layer(x).tobytes() == expected.tobytes()
+        for mine, theirs in zip(layer.stacked_rngs, reference_rngs):
+            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 class TestStackedLoss:
@@ -705,6 +904,47 @@ class TestCheckpointCache:
         state = model.full_state_dict()
         for name, array in loaded.model.full_state_dict().items():
             assert array.tobytes() == state[name].tobytes(), name
+
+    def test_entries_are_stored_uncompressed(self, tmp_path, rng):
+        cache = CheckpointCache(tmp_path)
+        cache.put(self._key(), {"w": rng.normal(size=(3, 4)).astype(np.float32)}, {})
+        with zipfile.ZipFile(cache.path_for(self._key())) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_compressed_entries_still_load(self, tmp_path):
+        """An entry written as a compressed archive plus its sidecar, as the
+        store wrote them before archives were stored uncompressed, loads
+        equal arrays through ``get`` and ``load_cached_variant``."""
+        from repro.mitigation.robust_training import load_cached_variant
+        from repro.nn.models import build_model
+        from repro.utils.serialization import save_json
+
+        cache = CheckpointCache(tmp_path)
+        state = build_model("cnn_mnist", rng=0).full_state_dict()
+        key = {"model": "cnn_mnist"}
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **state)
+        meta = {"variant": "Original", "baseline_accuracy": 0.75, "history": {},
+                "extras": {"training_steps": 10}}
+        save_json(cache.meta_path_for(key),
+                  {**meta, "hits": 0, "key": key, "version": cache.version})
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+        loaded = cache.get(key)
+        assert loaded is not None and loaded.meta["baseline_accuracy"] == 0.75
+        assert sorted(loaded.arrays) == sorted(state)
+        for name, array in state.items():
+            assert loaded.arrays[name].tobytes() == array.tobytes(), name
+        variant = load_cached_variant(
+            cache, key, "cnn_mnist", VariantSpec("Original"), TrainingConfig(epochs=1, seed=0)
+        )
+        assert variant is not None and variant.baseline_accuracy == 0.75
+        for name, array in variant.model.full_state_dict().items():
+            assert array.tobytes() == state[name].tobytes(), name
+        assert cache.hits == 2
 
     def test_hit_counter_persists(self, tmp_path):
         cache = CheckpointCache(tmp_path)
